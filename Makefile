@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check bench fault bench-snapshot bench-short race-fused bench-nn bench-nn-short race-nn race-serve serve-smoke bench-serve bench-serve-short race-gateway gateway-smoke bench-gateway bench-gateway-short race-index index-smoke bench-index bench-index-short race-train quant-parity bench-train bench-train-short race-lifecycle swap-smoke bench-swap bench-swap-short race-redteam redteam-smoke bench-redteam bench-redteam-short
+.PHONY: build test vet race smoke bench check
 
 build:
 	$(GO) build ./...
@@ -11,225 +11,25 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The robustness gate: static analysis plus the full suite under the race
-# detector. The fault-injection harness (internal/pool/faultinject) and the
-# pool invariant tests run here with -race so leaked goroutines, racy
-# result slots, and missed cancellations fail loudly. The explicit
-# timeout covers low-core machines, where the adversarial-training test
-# (two 30-epoch runs with per-sample PGD) exceeds Go's 600s default
-# under the race detector.
-race: vet
+# Every Go test in the module under the race detector, once: the pool
+# fault-injection harness, the workspace/trainer bit-identity pins, the
+# serving, gateway, index, lifecycle and red-team suites all run here.
+# The explicit timeout covers low-core machines, where the
+# adversarial-training test (two 30-epoch runs with per-sample PGD)
+# exceeds Go's 600s default under the race detector.
+race:
 	$(GO) test -race -timeout 2400s ./...
 
-# Just the worker-pool runtime and fault-injection suites, under -race.
-fault:
-	$(GO) test -race ./internal/pool/... ./internal/dataset/ ./cmd/classify/
+# End-to-end smokes of the real binaries on ephemeral ports: serve,
+# gateway, index, swap, redteam (scripts/smoke.sh <name> runs one).
+smoke:
+	sh scripts/smoke.sh all
 
+# The repository's one benchmark (BENCHMARK.json, benchmark/README.md).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$'
+	bash benchmark/run.sh
 
-# Refresh the committed perf-trajectory snapshot (full sizes + the
-# trained-detector attack benches). See EXPERIMENTS.md §Benchmark
-# snapshots for how to read it.
-bench-snapshot:
-	$(GO) run ./cmd/bench -o BENCH_extract.json
-
-# Smoke-run the snapshot harness at reduced sizes; the JSON goes to a
-# scratch file so the committed snapshot only changes via bench-snapshot.
-bench-short:
-	$(GO) run ./cmd/bench -short -o /tmp/BENCH_extract.short.json
-
-# The fused extraction engine + content-keyed cache under the race
-# detector: the single-sweep/naive equivalence properties and the
-# concurrent cache tests.
-race-fused:
-	$(GO) test -race -run 'Sweep|Profile|Fused|Extractor' ./internal/graph/ ./internal/features/
-
-# Refresh the committed NN-engine perf snapshot (workspace vs oracle on
-# forward/gradient/Jacobian/train-step, attack crafting, the GEA
-# classify unit, train-epoch). See EXPERIMENTS.md §Benchmark snapshots.
-bench-nn:
-	$(GO) run ./cmd/bench -suite nn -o BENCH_nn.json
-
-# Smoke-run the NN suite at reduced scope; scratch output so the
-# committed snapshot only changes via bench-nn.
-bench-nn-short:
-	$(GO) run ./cmd/bench -suite nn -short -o /tmp/BENCH_nn.short.json
-
-# The zero-allocation workspace engine under the race detector: the
-# bit-identity properties, the per-worker workspace fan-out, the
-# oracle/workspace attack equivalence, and trainer parity.
-race-nn:
-	$(GO) test -race -timeout 1800s -run 'Workspace|Parity|AttacksOracle|Eligible' ./internal/nn/ ./internal/attacks/
-
-# The serving stack under the race detector: the micro-batching
-# scheduler and HTTP front end (whole package), the detector
-# load/classify hardening, and the extractor cache under
-# serving-concurrency churn. The timeout covers the shared trained
-# system the core tests build once under -race.
-race-serve:
-	$(GO) test -race -timeout 1800s ./internal/serve/
-	$(GO) test -race -timeout 1800s -run 'Detector|Churn' ./internal/core/ ./internal/features/
-
-# End-to-end smoke of the online detection service: build
-# serve/loadgen/classify, train a tiny detector, serve it on an
-# ephemeral port, assert every loadgen request answers 200, then SIGTERM
-# mid-load and assert a clean zero-drop drain (DESIGN.md §9).
-serve-smoke:
-	sh scripts/serve_smoke.sh
-
-# Refresh the committed serving perf snapshot: micro-batching vs the
-# unbatched per-request baseline at saturation, plus the closed-loop
-# latency/SLO row. See EXPERIMENTS.md §Benchmark snapshots.
-bench-serve:
-	$(GO) run ./cmd/bench -suite serve -o BENCH_serve.json
-
-# Smoke-run the serve suite at reduced scope; scratch output so the
-# committed snapshot only changes via bench-serve.
-bench-serve-short:
-	$(GO) run ./cmd/bench -suite serve -short -o /tmp/BENCH_serve.short.json
-
-# The gateway's resilience tiers under the race detector: the ring
-# properties, the breaker state machine on a fake clock, the rate
-# limiter, and the chaos-driven end-to-end tests (retry failover,
-# kill-mid-load, hedging, eject/readmit) plus the replica-side chaos
-# surface and the /readyz drain-ordering regression.
-race-gateway:
-	$(GO) test -race -timeout 600s ./internal/gateway/
-	$(GO) test -race -timeout 600s -run 'Readyz|Chaos' ./internal/serve/
-
-# End-to-end smoke of the cluster: 3 chaos-armed replicas + gateway on
-# ephemeral ports; assert all-200 through the gateway, zero client 5xx
-# while one replica is chaos-killed mid-load, the ejection lands in
-# gateway /metrics, and SIGTERM drains everything with dropped=0
-# (DESIGN.md §10).
-gateway-smoke:
-	sh scripts/gateway_smoke.sh
-
-# Refresh the committed cluster-scaling snapshot: real replicas + gateway
-# + loadgen in child processes, replica capacity pinned by a simulated
-# service time, recording N-replicas-vs-1 throughput. See EXPERIMENTS.md
-# §Benchmark snapshots.
-bench-gateway:
-	$(GO) run ./cmd/bench -suite gateway -o BENCH_gateway.json
-
-# Smoke-run the gateway suite at reduced scope; scratch output so the
-# committed snapshot only changes via bench-gateway.
-bench-gateway-short:
-	$(GO) run ./cmd/bench -suite gateway -short -o /tmp/BENCH_gateway.short.json
-
-# The similarity layer under the race detector: the HNSW recall/
-# determinism/round-trip properties, the concurrent search-during-insert
-# test, and the serve-level similarity + triage surface (including the
-# GEA-splice acceptance test).
-race-index:
-	$(GO) test -race -timeout 600s ./internal/index/
-	$(GO) test -race -timeout 600s -run 'Similar|Triage|Verdict|NaN' ./internal/serve/
-
-# End-to-end smoke of the similarity layer: classify -train -index →
-# serve -index → /v1/similar family attribution + triage flagging on an
-# off-manifold program (DESIGN.md §11).
-index-smoke:
-	sh scripts/index_smoke.sh
-
-# Refresh the committed ANN perf snapshot: HNSW vs the exact-scan oracle
-# at 10k/100k/1M — recall@10, p50/p99 latency, and the p99 speedup the
-# serving claim rests on. See EXPERIMENTS.md §Benchmark snapshots.
-bench-index:
-	$(GO) run ./cmd/bench -suite index -o BENCH_index.json
-
-# Smoke-run the index suite at reduced sizes; scratch output so the
-# committed snapshot only changes via bench-index.
-bench-index-short:
-	$(GO) run ./cmd/bench -suite index -short -o /tmp/BENCH_index.short.json
-
-# The parallel gradient reduction under the race detector: the chunked
-# pairwise-tree fold racing across pool workers, pinned byte-identical
-# against the serial oracle at 1/2/4 workers, plus the serial-vs-tree
-# agreement contract below three workers.
-race-train:
-	$(GO) test -race -timeout 1800s -run 'TrainerReduction|SerialReduction|TrainerWorkspaceParity' ./internal/nn/
-
-# The int8 quantized tier's fidelity gates: the quant-vs-float property
-# tests (probability closeness, argmax agreement away from the band,
-# determinism, zero allocs), the core Table I accuracy-delta pin and
-# calibration persistence round-trip, and the serve tier escalation
-# tests.
-quant-parity:
-	$(GO) test -timeout 1800s -run 'Quant' ./internal/nn/
-	$(GO) test -timeout 1800s -run 'Quantized|Calibration' ./internal/core/
-	$(GO) test -timeout 1800s -run 'Tier|Quantiz' ./internal/serve/
-
-# Refresh the committed training-path snapshot: tree vs serial gradient
-# reduction at 1–8 workers, pinned-service-time epoch scaling, real
-# epoch wall-clock, and the int8-vs-float inference rows with the
-# Table I fidelity metrics. See EXPERIMENTS.md §Benchmark snapshots.
-bench-train:
-	$(GO) run ./cmd/bench -suite train -o BENCH_train.json
-
-# Smoke-run the train suite at reduced scope; scratch output so the
-# committed snapshot only changes via bench-train.
-bench-train-short:
-	$(GO) run ./cmd/bench -suite train -short -o /tmp/BENCH_train.short.json
-
-# The Model/Handle split and online-retraining loop under the race
-# detector: the swap-under-Classify-load attribution test (per-Model
-# workspace pools), the HTTP-layer hot-swap/admin/metrics tests, the
-# persistence compatibility pins, and the lifecycle package (stream
-# determinism, canary gate selectivity, retrainer cycles).
-race-lifecycle:
-	$(GO) test -race -timeout 1800s -run 'HandleSwap|LegacyEnvelope|LegacyDecoder|LegacyCorrupt' ./internal/core/
-	$(GO) test -race -timeout 1800s -run 'AdminSwap|SwapMetrics|SwapUnderLoad' ./internal/serve/
-	$(GO) test -race -timeout 1800s ./internal/lifecycle/
-
-# End-to-end smoke of the hot-swap lifecycle: serve -admin on an
-# ephemeral port, continuous no-error-tolerated load, retrain trains +
-# canaries + swaps a candidate in over /admin/swap, /metrics reports the
-# new version, and the load that spanned the swap exits clean
-# (DESIGN.md §13).
-swap-smoke:
-	sh scripts/swap_smoke.sh
-
-# Refresh the committed hot-swap overhead snapshot: saturated handle-
-# engine throughput with no swaps vs snapshots installed every
-# 100ms/10ms, zero request errors required. See EXPERIMENTS.md
-# §Benchmark snapshots.
-bench-swap:
-	$(GO) run ./cmd/bench -suite swap -o BENCH_swap.json
-
-# Smoke-run the swap suite at reduced scope; scratch output so the
-# committed snapshot only changes via bench-swap.
-bench-swap-short:
-	$(GO) run ./cmd/bench -suite swap -short -o /tmp/BENCH_swap.short.json
-
-# The red-team harness and the multi-class head under the race detector:
-# concurrent campaign replay against a live serve instance while the
-# handle hot-swaps (the full wire path), the multi-class attack fan-outs
-# (target state set only between fan-outs), and the K=2 bit-identity /
-# head-width validation pins.
-race-redteam:
-	$(GO) test -race -timeout 600s ./internal/redteam/
-	$(GO) test -race -timeout 1800s -run 'Families|TargetSelector|Targeted' ./internal/attacks/
-	$(GO) test -race -timeout 600s -run 'Classes|ClassMapping|HeadWidth' ./internal/core/ ./internal/nn/
-
-# End-to-end smoke of the live attack-replay harness: serve -admin on an
-# ephemeral port, a paced mixed campaign (eight attacks + GEA + clean
-# controls), a retrain hot swap landing mid-campaign, then assert zero
-# transport/HTTP errors, nonzero evasion, triage counters present, and a
-# per-model-version robustness delta (DESIGN.md §14).
-redteam-smoke:
-	sh scripts/redteam_smoke.sh
-
-# Refresh the committed red-team snapshot: campaign generation cost,
-# replay throughput at 1/2/4 senders against an in-process serve target,
-# and the per-outcome scoring overhead. See EXPERIMENTS.md §Benchmark
-# snapshots.
-bench-redteam:
-	$(GO) run ./cmd/bench -suite redteam -o BENCH_redteam.json
-
-# Smoke-run the redteam suite at reduced scope; scratch output so the
-# committed snapshot only changes via bench-redteam.
-bench-redteam-short:
-	$(GO) run ./cmd/bench -suite redteam -short -o /tmp/BENCH_redteam.short.json
-
-check: build race race-fused race-nn race-serve race-gateway race-index race-train quant-parity race-lifecycle race-redteam serve-smoke gateway-smoke index-smoke swap-smoke redteam-smoke bench-short bench-nn-short bench-serve-short bench-gateway-short bench-index-short bench-train-short bench-swap-short bench-redteam-short
+# The gate. The nested benchmark module is vetted and tested here so a
+# deletion that breaks its import surface fails before it merges.
+check: build vet race smoke
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...

@@ -108,8 +108,7 @@ func BenchmarkTableII_FeatureExtraction(b *testing.B) {
 
 // BenchmarkTableII_FeatureExtractionNaive is the seed four-traversal
 // baseline kept for comparison against the fused single-sweep Extract
-// above; `go run ./cmd/bench` snapshots the same pair into
-// BENCH_extract.json.
+// above.
 func BenchmarkTableII_FeatureExtractionNaive(b *testing.B) {
 	sys := trainedBenchSystem(b)
 	targets, err := gea.SelectBySize(sys.Samples, false)

@@ -89,7 +89,7 @@ func run(ctx context.Context) error {
 				core.ClassLabels(core.NumFamilyClasses), fm.Confusion).String())
 			fmt.Printf("collapsed binary operating point: %v\n", fm.Collapse())
 		}
-		det, err := sys.Detector()
+		det, err := sys.Snapshot()
 		if err != nil {
 			return err
 		}
@@ -128,7 +128,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("opening detector (train one with -train): %w", err)
 	}
-	det, err := core.LoadDetector(f)
+	det, err := core.LoadModel(f)
 	f.Close()
 	if err != nil {
 		return err
@@ -143,7 +143,7 @@ func run(ctx context.Context) error {
 // line per program to w. Malformed inputs produce errors, never panics: the
 // parser, disassembler, and the recover-guarded detector forward pass all
 // report failures as wrapped errors carrying the file path.
-func classifyFiles(ctx context.Context, det *core.Detector, paths []string, w io.Writer) error {
+func classifyFiles(ctx context.Context, det *core.Model, paths []string, w io.Writer) error {
 	for _, path := range paths {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -167,7 +167,7 @@ func classifyFiles(ctx context.Context, det *core.Detector, paths []string, w io
 
 // classifyFilesJSON emits one serve.Verdict object per line — the exact
 // response schema of cmd/serve's classify endpoint.
-func classifyFilesJSON(ctx context.Context, det *core.Detector, paths []string, w io.Writer) error {
+func classifyFilesJSON(ctx context.Context, det *core.Model, paths []string, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, path := range paths {
 		if err := ctx.Err(); err != nil {
@@ -186,7 +186,7 @@ func classifyFilesJSON(ctx context.Context, det *core.Detector, paths []string, 
 
 // classifyOne runs the shared parse → vectorize → classify pipeline on
 // one file and assembles the serving-schema verdict.
-func classifyOne(det *core.Detector, path string) (serve.Verdict, error) {
+func classifyOne(det *core.Model, path string) (serve.Verdict, error) {
 	text, err := os.ReadFile(path)
 	if err != nil {
 		return serve.Verdict{}, err

@@ -19,13 +19,13 @@ import (
 // testDetector builds a detector with an untrained network and an
 // identity-ish scaler — enough to exercise the full classify path
 // without the cost of training.
-func testDetector() *core.Detector {
+func testDetector() *core.Model {
 	min := make([]float64, features.NumFeatures)
 	max := make([]float64, features.NumFeatures)
 	for i := range max {
 		max[i] = 1
 	}
-	return &core.Detector{
+	return &core.Model{
 		Scaler: &features.Scaler{Min: min, Max: max},
 		Net:    nn.PaperCNN(0),
 	}

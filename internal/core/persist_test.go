@@ -11,7 +11,7 @@ import (
 
 func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	s := smallSystem(t)
-	det, err := s.Detector()
+	det, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	if err := det.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadDetector(&buf)
+	restored, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,33 +41,33 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 
 func TestDetectorRequiresTraining(t *testing.T) {
 	s := New(Config{NumBenign: 5, NumMal: 10})
-	if _, err := s.Detector(); !errors.Is(err, ErrNotTrained) {
+	if _, err := s.Snapshot(); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("err = %v, want ErrNotTrained", err)
 	}
 }
 
 func TestDetectorSaveIncomplete(t *testing.T) {
-	d := &Detector{}
+	d := &Model{}
 	if err := d.Save(&bytes.Buffer{}); err == nil {
 		t.Error("Save accepted an incomplete detector")
 	}
 }
 
 func TestLoadDetectorGarbage(t *testing.T) {
-	if _, err := LoadDetector(strings.NewReader("junk")); err == nil {
-		t.Error("LoadDetector accepted garbage")
+	if _, err := LoadModel(strings.NewReader("junk")); err == nil {
+		t.Error("LoadModel accepted garbage")
 	}
 }
 
 func TestLoadDetectorBadScaler(t *testing.T) {
 	s := smallSystem(t)
-	det, err := s.Detector()
+	det, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the scaler dimension by saving a detector with a truncated
 	// scaler.
-	bad := &Detector{
+	bad := &Model{
 		Scaler: &features.Scaler{Min: det.Scaler.Min[:5], Max: det.Scaler.Max[:5]},
 		Net:    det.Net,
 	}
@@ -75,7 +75,7 @@ func TestLoadDetectorBadScaler(t *testing.T) {
 	if err := bad.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDetector(&buf); err == nil {
-		t.Error("LoadDetector accepted a wrong-dimension scaler")
+	if _, err := LoadModel(&buf); err == nil {
+		t.Error("LoadModel accepted a wrong-dimension scaler")
 	}
 }

@@ -27,12 +27,12 @@ func accuracyOn(predict func([]float64) int, xs [][]float64, ys []int) float64 {
 // integer arithmetic), so this is a regression pin, not a flaky bound.
 func TestDetectorQuantizedAccuracyDelta(t *testing.T) {
 	s := smallSystem(t)
-	d, err := s.Detector()
+	d, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Calib == nil {
-		t.Fatal("Detector() with TrainX in memory must carry calibration")
+		t.Fatal("Snapshot() with TrainX in memory must carry calibration")
 	}
 	qm, err := d.Quantized()
 	if err != nil {
@@ -68,12 +68,12 @@ func TestDetectorQuantizedAccuracyDelta(t *testing.T) {
 	}
 }
 
-// TestDetectorCalibrationRoundTrip pins that Save/LoadDetector carries
+// TestDetectorCalibrationRoundTrip pins that Save/LoadModel carries
 // the calibration ranges, and that the reloaded detector compiles a
 // quantized model that predicts identically to the pre-save one.
 func TestDetectorCalibrationRoundTrip(t *testing.T) {
 	s := smallSystem(t)
-	d, err := s.Detector()
+	d, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDetectorCalibrationRoundTrip(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDetector(&buf)
+	loaded, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDetectorCalibrationRoundTrip(t *testing.T) {
 // and fail Quantized with nn.ErrNoCalibration.
 func TestDetectorWithoutCalibration(t *testing.T) {
 	s := smallSystem(t)
-	d := &Detector{Scaler: s.Scaler, Net: s.Net, Extractor: s.Extractor}
+	d := &Model{Scaler: s.Scaler, Net: s.Net, Extractor: s.Extractor}
 	if _, err := d.Quantized(); !errors.Is(err, nn.ErrNoCalibration) {
 		t.Errorf("Quantized without calibration = %v, want ErrNoCalibration", err)
 	}
@@ -132,7 +132,7 @@ func TestDetectorWithoutCalibration(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadDetector(&buf)
+	loaded, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDetectorWithoutCalibration(t *testing.T) {
 // a garbage quantized model.
 func TestLoadDetectorBadCalibration(t *testing.T) {
 	s := smallSystem(t)
-	d, err := s.Detector()
+	d, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestLoadDetectorBadCalibration(t *testing.T) {
 		{"nan", func(c *nn.Calibration) { c.Max[2] = math.NaN() }},
 		{"inverted", func(c *nn.Calibration) { c.Min[1], c.Max[1] = 5, -5 }},
 	} {
-		bad := &Detector{Scaler: d.Scaler, Net: d.Net, Calib: &nn.Calibration{
+		bad := &Model{Scaler: d.Scaler, Net: d.Net, Calib: &nn.Calibration{
 			Min: append([]float64(nil), d.Calib.Min...),
 			Max: append([]float64(nil), d.Calib.Max...),
 		}}
@@ -170,7 +170,7 @@ func TestLoadDetectorBadCalibration(t *testing.T) {
 		if err := bad.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadDetector(&buf); err == nil {
+		if _, err := LoadModel(&buf); err == nil {
 			t.Errorf("%s calibration loaded without error", tc.name)
 		}
 	}

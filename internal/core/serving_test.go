@@ -11,9 +11,9 @@ import (
 )
 
 // savedDetector returns a trained detector plus its serialized form.
-func savedDetector(t *testing.T) (*Detector, []byte) {
+func savedDetector(t *testing.T) (*Model, []byte) {
 	t.Helper()
-	det, err := smallSystem(t).Detector()
+	det, err := smallSystem(t).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func savedDetector(t *testing.T) (*Detector, []byte) {
 	return det, buf.Bytes()
 }
 
-// TestLoadDetectorTruncated feeds LoadDetector every prefix length of a
+// TestLoadDetectorTruncated feeds LoadModel every prefix length of a
 // valid model file (sampled densely near the interesting boundaries):
 // all must return a descriptive error and a nil detector — never a panic
 // and never a zero-valued detector that would crash at first Classify.
@@ -35,9 +35,9 @@ func TestLoadDetectorTruncated(t *testing.T) {
 		cuts = append(cuts, n)
 	}
 	for _, n := range cuts {
-		d, err := LoadDetector(bytes.NewReader(blob[:n]))
+		d, err := LoadModel(bytes.NewReader(blob[:n]))
 		if err == nil {
-			t.Fatalf("LoadDetector accepted a model truncated to %d/%d bytes", n, len(blob))
+			t.Fatalf("LoadModel accepted a model truncated to %d/%d bytes", n, len(blob))
 		}
 		if d != nil {
 			t.Fatalf("truncation to %d bytes returned a non-nil detector alongside error %v", n, err)
@@ -49,7 +49,7 @@ func TestLoadDetectorTruncated(t *testing.T) {
 // valid model file. Each load must either fail with an error (and a nil
 // detector) or — when the flip lands in a weight value — produce a
 // detector that still classifies without panicking. gob is known to
-// panic on some fabricated length prefixes; LoadDetector must translate
+// panic on some fabricated length prefixes; LoadModel must translate
 // that into an error.
 func TestLoadDetectorCorrupt(t *testing.T) {
 	det, blob := savedDetector(t)
@@ -57,7 +57,7 @@ func TestLoadDetectorCorrupt(t *testing.T) {
 	for off := 0; off < len(blob); off += len(blob) / 61 {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0xff
-		d, err := LoadDetector(bytes.NewReader(mut))
+		d, err := LoadModel(bytes.NewReader(mut))
 		if err != nil {
 			if d != nil {
 				t.Fatalf("flip at %d: non-nil detector alongside error %v", off, err)
@@ -71,7 +71,7 @@ func TestLoadDetectorCorrupt(t *testing.T) {
 		}
 	}
 	// And the pristine blob still round-trips.
-	if _, err := LoadDetector(bytes.NewReader(blob)); err != nil {
+	if _, err := LoadModel(bytes.NewReader(blob)); err != nil {
 		t.Fatalf("pristine blob failed to load: %v", err)
 	}
 	_ = det
@@ -107,9 +107,9 @@ func TestLoadDetectorBadEnvelope(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(env); err != nil {
 			t.Fatal(err)
 		}
-		d, err := LoadDetector(&buf)
+		d, err := LoadModel(&buf)
 		if err == nil {
-			t.Errorf("%s: LoadDetector accepted the envelope", tc.name)
+			t.Errorf("%s: LoadModel accepted the envelope", tc.name)
 		}
 		if d != nil {
 			t.Errorf("%s: non-nil detector alongside error %v", tc.name, err)
@@ -123,7 +123,7 @@ func TestLoadDetectorBadEnvelope(t *testing.T) {
 // caller gets.
 func TestDetectorClassifyConcurrent(t *testing.T) {
 	s := smallSystem(t)
-	det, err := s.Detector()
+	det, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDetectorClassifyConcurrent(t *testing.T) {
 // the Classify pipeline's and the CFG summary counts are real.
 func TestDetectorVectorize(t *testing.T) {
 	s := smallSystem(t)
-	det, err := s.Detector()
+	det, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ var errMismatch = errors.New("concurrent extract mismatch")
 // TestExtractorConcurrentChurn is the serving-concurrency regression: a
 // cache far smaller than the working set under concurrent mixed hit/miss
 // traffic, so lookups, inserts, and evictions interleave constantly
-// (run under -race by `make check` and `make race-serve`). Pins three
+// (run under -race by `make check`). Pins three
 // invariants: every returned vector matches ground truth bit for bit
 // even when its entry is evicted mid-flight (returned vectors are
 // private copies, so a reader can also scribble on them freely), the

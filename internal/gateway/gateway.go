@@ -31,6 +31,7 @@ import (
 
 	"advmal/internal/features"
 	"advmal/internal/ir"
+	"advmal/internal/serve"
 )
 
 // Config configures a Gateway. Backends is required; everything else
@@ -340,7 +341,7 @@ func (g *Gateway) classifyKey(body []byte, contentType string) uint64 {
 	}
 	g.metrics.KeyCacheMisses.Add(1)
 	text := body
-	if contentType == "application/json" || contentType == "application/json; charset=utf-8" {
+	if serve.IsJSON(contentType) {
 		var req struct {
 			Program string `json:"program"`
 		}

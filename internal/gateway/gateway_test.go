@@ -10,6 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"advmal/internal/core"
+	"advmal/internal/features"
+	"advmal/internal/nn"
+	"advmal/internal/serve"
 )
 
 // validProgram is the same minimal parseable program the serve tests
@@ -125,6 +130,7 @@ func TestGatewayRoutesByGraphKey(t *testing.T) {
 		{"text/plain", validProgram},
 		{"application/json", fmt.Sprintf(`{"name":"alpha","program":%q}`, validProgram)},
 		{"application/json", fmt.Sprintf(`{"name":"beta","program":%q}`, validProgram)},
+		{"application/json;charset=UTF-8", fmt.Sprintf(`{"name":"gamma","program":%q}`, validProgram)},
 	}
 	for _, enc := range encodings {
 		for i := 0; i < 2; i++ {
@@ -138,20 +144,57 @@ func TestGatewayRoutesByGraphKey(t *testing.T) {
 	for _, f := range replicas {
 		if n := f.hits.Load(); n > 0 {
 			hot++
-			if n != 6 {
-				t.Errorf("replica %s got %d hits, want all 6", f.addr(), n)
+			if n != 8 {
+				t.Errorf("replica %s got %d hits, want all 8", f.addr(), n)
 			}
 		}
 	}
 	if hot != 1 {
 		t.Fatalf("%d replicas received traffic, want exactly 1 (same CFG → same shard)", hot)
 	}
-	// 3 distinct bodies, each sent twice: second sends are cache hits.
-	if hits := g.Metrics().KeyCacheHits.Load(); hits != 3 {
-		t.Errorf("key cache hits = %d, want 3", hits)
+	// 4 distinct bodies, each sent twice: second sends are cache hits.
+	if hits := g.Metrics().KeyCacheHits.Load(); hits != 4 {
+		t.Errorf("key cache hits = %d, want 4", hits)
 	}
-	if misses := g.Metrics().KeyCacheMisses.Load(); misses != 3 {
-		t.Errorf("key cache misses = %d, want 3", misses)
+	if misses := g.Metrics().KeyCacheMisses.Load(); misses != 4 {
+		t.Errorf("key cache misses = %d, want 4", misses)
+	}
+}
+
+// A JSON envelope under a valid re-spelling of the header (no space,
+// upper-case charset) is JSON at both hops: proxied to a real serve
+// replica it answers 200 with the name echoed, not a parser 400.
+func TestGatewayProxiesJSONCharsetVariant(t *testing.T) {
+	lo, hi := make([]float64, features.NumFeatures), make([]float64, features.NumFeatures)
+	for i := range hi {
+		hi[i] = 1
+	}
+	s, err := serve.New(serve.Config{Window: -1, Handle: core.NewHandle(&core.Model{
+		Scaler:    &features.Scaler{Min: lo, Max: hi},
+		Net:       nn.PaperCNN(0),
+		Extractor: features.NewExtractor(8),
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Drain()
+	})
+	g := newTestGateway(t, Config{}, &fakeReplica{ts: ts})
+
+	rec := do(g, http.MethodPost, "/v1/classify", "application/json;charset=UTF-8",
+		fmt.Sprintf(`{"name":"delta","program":%q}`, validProgram))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d body %s", rec.Code, rec.Body)
+	}
+	var v serve.Verdict
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Name != "delta" {
+		t.Fatalf("name not echoed: %+v", v)
 	}
 }
 

@@ -107,7 +107,7 @@ func (c *Corpus) Save(w io.Writer) error {
 }
 
 // Load restores a corpus written by Save. Hardened like
-// core.LoadDetector: a corrupt or truncated snapshot comes back as a
+// core.LoadModel: a corrupt or truncated snapshot comes back as a
 // descriptive error, never a panic or a partially wired index, and the
 // restored index continues deterministic inserts (the level RNG is
 // replayed to its snapshot position).

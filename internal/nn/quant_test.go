@@ -306,8 +306,8 @@ func TestQuantAllocFree(t *testing.T) {
 }
 
 // BenchmarkQuantForward measures the quantized per-row forward against
-// the float64 workspace on the paper CNN — the bulk-tier speedup claim
-// in BENCH_serve.json rests on this gap.
+// the float64 workspace on the paper CNN — the gap the bulk tier's
+// serving speedup rests on.
 func BenchmarkQuantForward(b *testing.B) {
 	net := PaperCNN(31)
 	rng := rand.New(rand.NewSource(8))

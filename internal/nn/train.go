@@ -137,15 +137,6 @@ type Trainer struct {
 	// the original. It must be safe for concurrent calls on distinct
 	// scratch networks.
 	Augment func(scratch *Network, idx int, x []float64, label int) []float64
-	// SerialReduction selects the pre-tree per-batch gradient reduction:
-	// a serial sweep over params × workers that re-resolves each clone's
-	// parameter slice per (param, worker) pair, plus separate per-clone
-	// and master ZeroGrad passes. Kept as the measured baseline for
-	// `cmd/bench -suite train`; both paths are deterministic, and they
-	// agree byte-for-byte for Workers ≤ 2 (the pairwise tree and the
-	// serial sweep only differ in floating-point summation order from
-	// three workers up).
-	SerialReduction bool
 }
 
 // reduceChunkSize bounds how many gradient elements one reduction work
@@ -163,23 +154,18 @@ type gradChunk struct {
 }
 
 // GradReducer folds per-clone gradient accumulators into the master
-// parameters. The default path (Reduce) splits every tensor into fixed
-// element ranges and, within each range, combines clones with a pairwise
+// parameters. Reduce splits every tensor into fixed element ranges
+// and, within each range, combines clones with a pairwise
 // tree in worker-index order — clone w+stride folds into clone w at
 // doubling strides, then clone 0's total is written to the master and
 // every consumed accumulator is zeroed in the same pass. The combine
 // order depends only on worker indices and the element ranges are
 // disjoint, so the result is byte-identical no matter how the pool
-// schedules chunks; the fused zeroing replaces the trainer's old serial
-// per-clone ZeroGrad sweep and the master ZeroGrad after the optimizer
-// step. Clone parameter slices are resolved once at construction.
-//
-// ReduceSerial/ZeroClones reproduce the pre-tree baseline exactly
-// (including its per-pair Params() re-resolution); they exist so
-// `cmd/bench -suite train` can measure the old cost against Reduce.
+// schedules chunks; the fused zeroing means neither the clones nor the
+// master need a separate ZeroGrad pass between batches. Clone parameter
+// slices are resolved once at construction.
 type GradReducer struct {
 	params []*Param
-	clones []*Network
 	cp     [][]*Param
 	chunks []gradChunk
 }
@@ -188,7 +174,7 @@ type GradReducer struct {
 // training clones. All clone gradient accumulators must be zero before
 // the first Reduce (freshly cloned views satisfy this).
 func NewGradReducer(net *Network, clones []*Network) *GradReducer {
-	r := &GradReducer{params: net.Params(), clones: clones}
+	r := &GradReducer{params: net.Params()}
 	r.cp = make([][]*Param, len(clones))
 	for w, c := range clones {
 		r.cp[w] = c.Params()
@@ -206,7 +192,7 @@ func NewGradReducer(net *Network, clones []*Network) *GradReducer {
 // clone accumulator, fanning chunks across up to workers pool workers.
 // With a single clone it folds inline to skip goroutine spawn.
 func (r *GradReducer) Reduce(ctx context.Context, workers int) error {
-	if len(r.clones) == 1 || workers == 1 {
+	if len(r.cp) == 1 || workers == 1 {
 		for _, c := range r.chunks {
 			r.fold(c)
 		}
@@ -240,30 +226,6 @@ func (r *GradReducer) fold(c gradChunk) {
 	for j := range g {
 		g[j] = root[j]
 		root[j] = 0
-	}
-}
-
-// ReduceSerial is the pre-tree baseline: accumulate clone gradients into
-// the master sequentially in worker order, re-resolving the clone's
-// parameter slice for every (param, worker) pair as the old trainer did.
-// The master accumulators must be zero on entry and the caller zeroes
-// them (and the clones, via ZeroClones) afterwards — the baseline's
-// separate passes are part of what the benchmark measures.
-func (r *GradReducer) ReduceSerial() {
-	for pi, p := range r.params {
-		for w := 0; w < len(r.clones); w++ {
-			cg := r.clones[w].Params()[pi].G
-			for j := range p.G {
-				p.G[j] += cg[j]
-			}
-		}
-	}
-}
-
-// ZeroClones is the baseline's serial per-clone gradient zeroing pass.
-func (r *GradReducer) ZeroClones() {
-	for _, c := range r.clones {
-		c.ZeroGrad()
 	}
 }
 
@@ -368,9 +330,6 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 				end = len(idx)
 			}
 			chunk := idx[start:end]
-			if t.SerialReduction {
-				red.ZeroClones()
-			}
 			for w := 0; w < workers; w++ {
 				losses[w] = 0
 				hits[w] = 0
@@ -399,19 +358,12 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 				return hist, fmt.Errorf("nn: epoch %d: %w", epoch, err)
 			}
 			// Reduce clone gradients into the master parameters in a
-			// fixed order for determinism: the chunked pairwise tree by
-			// default (fused zeroing, parallel over the pool), or the
-			// serial baseline sweep when benchmarking against it.
-			if t.SerialReduction {
-				red.ReduceSerial()
-				opt.Step(params, float64(len(chunk)))
-				net.ZeroGrad()
-			} else {
-				if err := red.Reduce(ctx, workers); err != nil {
-					return hist, fmt.Errorf("nn: epoch %d: reduce: %w", epoch, err)
-				}
-				opt.Step(params, float64(len(chunk)))
+			// fixed order for determinism: the chunked pairwise tree
+			// (fused zeroing, parallel over the pool).
+			if err := red.Reduce(ctx, workers); err != nil {
+				return hist, fmt.Errorf("nn: epoch %d: reduce: %w", epoch, err)
 			}
+			opt.Step(params, float64(len(chunk)))
 			for w := 0; w < workers; w++ {
 				epochLoss += losses[w]
 				correct += hits[w]

@@ -153,30 +153,3 @@ func TestTrainerReductionParityWorkers(t *testing.T) {
 		requireSameWeights(t, fmt.Sprintf("workers=%d", workers), trained, oracle)
 	}
 }
-
-// TestSerialReductionAgreesBelowThreeWorkers checks the documented
-// contract on Trainer.SerialReduction: for one and two workers the
-// pairwise tree and the serial sweep perform the same floating-point
-// additions in the same order, so the two paths must produce
-// bit-identical weights. (From three workers up they legitimately
-// diverge in summation order only.)
-func TestSerialReductionAgreesBelowThreeWorkers(t *testing.T) {
-	const seed, epochs, batch = 7, 2, 16
-	x, y := blobs(9, 32, PaperInputLen)
-
-	for _, workers := range []int{1, 2} {
-		tree := PaperCNN(13)
-		tr := &Trainer{Epochs: epochs, BatchSize: batch, Seed: seed, Workers: workers}
-		if _, err := tr.Fit(tree, x, y); err != nil {
-			t.Fatalf("workers=%d: tree Fit: %v", workers, err)
-		}
-
-		serial := PaperCNN(13)
-		ts := &Trainer{Epochs: epochs, BatchSize: batch, Seed: seed, Workers: workers,
-			SerialReduction: true}
-		if _, err := ts.Fit(serial, x, y); err != nil {
-			t.Fatalf("workers=%d: serial Fit: %v", workers, err)
-		}
-		requireSameWeights(t, fmt.Sprintf("serial-vs-tree workers=%d", workers), tree, serial)
-	}
-}

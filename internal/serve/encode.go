@@ -19,7 +19,7 @@
 //
 // The package also owns the wire schema (Verdict) shared with
 // cmd/classify's -json mode, the serving metrics registry, and the
-// latency-summary helpers shared with cmd/loadgen and cmd/bench.
+// latency-summary helpers shared with cmd/loadgen.
 package serve
 
 import (

@@ -36,8 +36,8 @@ func newHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) *h
 }
 
 // NewHandleEngine exposes the serving engine for external harnesses
-// (cmd/bench measures hot-swap overhead through it); the server builds
-// its own instances per worker. Rows submitted through it must be RAW
+// (benchmark/ traces the batcher through it); the server builds its
+// own instances per worker. Rows submitted through it must be RAW
 // (unscaled) feature vectors.
 func NewHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) BatchEngine {
 	return newHandleEngine(h, quantize, band, m)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -17,20 +18,13 @@ import (
 	"advmal/internal/ir"
 )
 
-// Config configures a Server. Exactly one of Handle or Detector is
-// required; everything else has the default noted on its field.
+// Config configures a Server. Handle is required; everything else has
+// the default noted on its field.
 type Config struct {
 	// Handle is the serving pointer: the server classifies on whatever
 	// Model snapshot the handle currently holds, and a Swap installs a
-	// new snapshot with zero dropped requests. Required unless Detector
-	// is set.
+	// new snapshot with zero dropped requests. Required.
 	Handle *core.Handle
-	// Detector is the pre-split way to hand the server its model. When
-	// Handle is nil, the detector is wrapped in a fresh single-version
-	// handle.
-	//
-	// Deprecated: use Handle.
-	Detector *core.Detector
 	// Admin mounts the mutating control surface: POST /admin/swap
 	// accepts a model gob and hot-swaps it into the handle. Off by
 	// default — the read-only GET /v1/model endpoint is always mounted.
@@ -104,10 +98,7 @@ const defaultBand = 0.2
 func New(cfg Config) (*Server, error) {
 	h := cfg.Handle
 	if h == nil {
-		if cfg.Detector == nil {
-			return nil, fmt.Errorf("serve: Config.Handle (or Detector) is required")
-		}
-		h = core.NewHandle(cfg.Detector)
+		return nil, fmt.Errorf("serve: Config.Handle is required")
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
@@ -234,6 +225,17 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// IsJSON reports whether a Content-Type header names the
+// application/json media type. The match is case-insensitive and
+// ignores parameters (charset, boundary); an absent or malformed
+// header is not JSON, so the body is treated as raw assembly.
+func IsJSON(contentType string) bool {
+	// A malformed parameter still yields the media type (with
+	// ErrInvalidMediaParameter); any other error yields "".
+	mt, _, _ := mime.ParseMediaType(contentType)
+	return mt == "application/json"
+}
+
 // handleClassify accepts one program — as raw assembly text, or as JSON
 // {"name": ..., "program": ...} when Content-Type is application/json —
 // and answers with a Verdict.
@@ -247,7 +249,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	name := ""
 	text := string(body)
-	if ct := r.Header.Get("Content-Type"); ct == "application/json" || ct == "application/json; charset=utf-8" {
+	if IsJSON(r.Header.Get("Content-Type")) {
 		var req classifyRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))

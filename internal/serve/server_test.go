@@ -17,13 +17,13 @@ import (
 
 // testDetector builds a detector with an untrained network and an
 // identity scaler — the full serving path without training cost.
-func testDetector() *core.Detector {
+func testDetector() *core.Model {
 	min := make([]float64, features.NumFeatures)
 	max := make([]float64, features.NumFeatures)
 	for i := range max {
 		max[i] = 1
 	}
-	return &core.Detector{
+	return &core.Model{
 		Scaler:    &features.Scaler{Min: min, Max: max},
 		Net:       nn.PaperCNN(0),
 		Extractor: features.NewExtractor(64),
@@ -32,8 +32,8 @@ func testDetector() *core.Detector {
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Detector == nil {
-		cfg.Detector = testDetector()
+	if cfg.Handle == nil {
+		cfg.Handle = core.NewHandle(testDetector())
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -65,7 +65,7 @@ func postClassify(t *testing.T, ts *httptest.Server, contentType, body string) (
 // matches the detector's offline answer field by field.
 func TestServerClassifyText(t *testing.T) {
 	det := testDetector()
-	s, ts := testServer(t, Config{Detector: det, Window: -1})
+	s, ts := testServer(t, Config{Handle: core.NewHandle(det), Window: -1})
 	resp, body := postClassify(t, ts, "text/plain", validProgram)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
@@ -94,20 +94,48 @@ func TestServerClassifyText(t *testing.T) {
 	_ = s
 }
 
-// TestServerClassifyJSON posts the JSON request form with a name.
+// TestServerClassifyJSON posts the JSON request form with a name, under
+// the canonical header and a valid re-spelling of it (no space, upper-
+// case charset) that must not fall through to the assembly parser.
 func TestServerClassifyJSON(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	reqBody, _ := json.Marshal(classifyRequest{Name: "sample-1", Program: validProgram})
-	resp, body := postClassify(t, ts, "application/json", string(reqBody))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	for _, ct := range []string{"application/json", "application/json;charset=UTF-8"} {
+		resp, body := postClassify(t, ts, ct, string(reqBody))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", ct, resp.StatusCode, body)
+		}
+		var v Verdict
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.Name != "sample-1" {
+			t.Fatalf("%s: name not echoed: %+v", ct, v)
+		}
 	}
-	var v Verdict
-	if err := json.Unmarshal(body, &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Name != "sample-1" {
-		t.Fatalf("name not echoed: %+v", v)
+}
+
+func TestIsJSON(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"application/json", true},
+		{"application/json; charset=utf-8", true},
+		{"application/json;charset=UTF-8", true},
+		{"Application/JSON", true},
+		{" application/json ; charset=utf-8", true},
+		{"application/json; charset", true}, // malformed parameter, media type still clear
+		{"", false},
+		{"text/plain", false},
+		{"application/jsonl", false},
+		{"application/x-json", false},
+		{"text/plain; note=application/json", false},
+		{"json", false},
+	} {
+		if got := IsJSON(tc.header); got != tc.want {
+			t.Errorf("IsJSON(%q) = %v, want %v", tc.header, got, tc.want)
+		}
 	}
 }
 

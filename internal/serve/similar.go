@@ -77,7 +77,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req similarRequest
-	if ct := r.Header.Get("Content-Type"); ct == "application/json" || ct == "application/json; charset=utf-8" {
+	if IsJSON(r.Header.Get("Content-Type")) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return

@@ -263,8 +263,8 @@ func TestTriageFlagsGEASplices(t *testing.T) {
 	}
 	// Triage needs no trained weights — only the fitted scaler and the
 	// labeled index — so an untrained net keeps the test fast.
-	det := &core.Detector{Scaler: sys.Scaler, Net: nn.PaperCNN(0), Extractor: sys.Extractor}
-	_, ts := testServer(t, Config{Detector: det, Window: -1, Corpus: corpus})
+	det := &core.Model{Scaler: sys.Scaler, Net: nn.PaperCNN(0), Extractor: sys.Extractor}
+	_, ts := testServer(t, Config{Handle: core.NewHandle(det), Window: -1, Corpus: corpus})
 
 	triageDist := func(progText string) float64 {
 		t.Helper()

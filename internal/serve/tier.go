@@ -28,15 +28,6 @@ func newTieredEngine(bulk, precise BatchEngine, band float64, m *Metrics) *tiere
 	return &tieredEngine{bulk: bulk, precise: precise, band: band, m: m}
 }
 
-// NewTieredEngine builds the two-tier BatchEngine the quantized serving
-// path uses: batches run on bulk, rows with a top-two probability margin
-// below band re-run on precise. Metrics (optional) receives the
-// per-tier row counts. Exposed for the bench harness; servers get this
-// wiring from Config.Quantize.
-func NewTieredEngine(bulk, precise BatchEngine, band float64, m *Metrics) BatchEngine {
-	return newTieredEngine(bulk, precise, band, m)
-}
-
 // topTwoMargin returns top1 - top2 of a probability row (0 for rows with
 // fewer than two classes, forcing escalation of malformed rows).
 func topTwoMargin(p []float64) float64 {

@@ -133,7 +133,7 @@ func TestTieredSafeProbs(t *testing.T) {
 
 // calibratedDetector is testDetector plus a calibration pass over random
 // in-box vectors, so the quantized tier can compile without training.
-func calibratedDetector(t *testing.T) *core.Detector {
+func calibratedDetector(t *testing.T) *core.Model {
 	t.Helper()
 	det := testDetector()
 	rng := rand.New(rand.NewSource(11))
@@ -156,7 +156,7 @@ func calibratedDetector(t *testing.T) *core.Detector {
 // TestServerQuantizeRequiresCalibration: Quantize on a detector without
 // calibration ranges must fail server construction, not serve garbage.
 func TestServerQuantizeRequiresCalibration(t *testing.T) {
-	if _, err := New(Config{Detector: testDetector(), Quantize: true}); !errors.Is(err, nn.ErrNoCalibration) {
+	if _, err := New(Config{Handle: core.NewHandle(testDetector()), Quantize: true}); !errors.Is(err, nn.ErrNoCalibration) {
 		t.Fatalf("New = %v, want ErrNoCalibration", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestServerQuantizedTiers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det := calibratedDetector(t)
-			s, ts := testServer(t, Config{Detector: det, Quantize: true, Band: tc.band, Window: -1})
+			s, ts := testServer(t, Config{Handle: core.NewHandle(det), Quantize: true, Band: tc.band, Window: -1})
 			resp, body := postClassify(t, ts, "text/plain", validProgram)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d, body %s", resp.StatusCode, body)
