@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	serve -model detector.gob -addr :8377 -batch 64 -window 2ms
+//	serve -model detector.gob -addr :8377 -batch 64
+//
+// The batcher is work-conserving: a lone request is scored at once, on its
+// handler's own goroutine, and batches (up to -batch rows) form only from
+// what queued while every engine (-workers of them) was busy. There is no
+// wait to tune.
 //
 // Endpoints: POST /v1/classify (assembly text or JSON), POST
 // /v1/classify/vector (raw feature vector), GET /v1/model (serving
@@ -51,9 +56,8 @@ func run() error {
 		model   = flag.String("model", "detector.gob", "detector file (train one with classify -train)")
 		addr    = flag.String("addr", ":8377", "listen address (use :0 for an ephemeral port)")
 		batch   = flag.Int("batch", 64, "max requests coalesced per inference batch")
-		window  = flag.Duration("window", 2*time.Millisecond, "max time a request waits for batch peers (0 = flush greedily)")
 		queue   = flag.Int("queue", 1024, "admission queue depth (full queue fast-fails 429)")
-		workers = flag.Int("workers", 0, "batcher workers (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "inference engines, i.e. batches that can run at once (0 = GOMAXPROCS)")
 		timeout = flag.Duration("timeout", 5*time.Second, "per-request budget in queue + inference")
 		grace   = flag.Duration("grace", 30*time.Second, "drain deadline after SIGTERM")
 		chaos   = flag.Bool("chaos", false, "arm the fault-injection surface (/chaosz) — test harnesses only")
@@ -98,15 +102,10 @@ func run() error {
 			corpus.HNSW.Len(), corpus.Triage.Threshold)
 	}
 
-	w := *window
-	if w == 0 {
-		w = -1 // Config: negative = greedy flush, zero = default
-	}
 	cfg := serve.Config{
 		Handle:         handle,
 		Admin:          *admin,
 		BatchSize:      *batch,
-		Window:         w,
 		QueueDepth:     *queue,
 		Workers:        *workers,
 		RequestTimeout: *timeout,
@@ -136,8 +135,8 @@ func run() error {
 	// The resolved address line doubles as the discovery protocol: smoke
 	// scripts and the gateway harness scrape it instead of sleeping, so
 	// :0 ephemeral ports work without races.
-	fmt.Printf("serve: listening on %s (batch=%d window=%v queue=%d)\n",
-		ln.Addr(), *batch, *window, *queue)
+	fmt.Printf("serve: listening on %s (batch=%d queue=%d)\n",
+		ln.Addr(), *batch, *queue)
 
 	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)

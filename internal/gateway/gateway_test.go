@@ -169,7 +169,7 @@ func TestGatewayProxiesJSONCharsetVariant(t *testing.T) {
 	for i := range hi {
 		hi[i] = 1
 	}
-	s, err := serve.New(serve.Config{Window: -1, Handle: core.NewHandle(&core.Model{
+	s, err := serve.New(serve.Config{Handle: core.NewHandle(&core.Model{
 		Scaler:    &features.Scaler{Min: lo, Max: hi},
 		Net:       nn.PaperCNN(0),
 		Extractor: features.NewExtractor(8),

@@ -115,7 +115,7 @@ func TestGenerateShape(t *testing.T) {
 
 func liveTarget(t *testing.T, h *core.Handle) *httptest.Server {
 	t.Helper()
-	s, err := serve.New(serve.Config{Handle: h, Window: -1})
+	s, err := serve.New(serve.Config{Handle: h})
 	if err != nil {
 		t.Fatal(err)
 	}

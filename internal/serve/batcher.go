@@ -29,8 +29,9 @@ var (
 
 // BatchEngine is the inference contract the batcher schedules onto: the
 // batched fast path plus a recover-guarded per-row fallback used to
-// isolate a poisoned row when a batch panics. *nn.Workspace satisfies
-// it; tests substitute fakes.
+// isolate a poisoned row when a batch panics. The batcher calls an
+// engine from one goroutine at a time, though not always the same one.
+// *nn.Workspace satisfies it; tests substitute fakes.
 type BatchEngine interface {
 	ProbsBatch(xs [][]float64, dst [][]float64) [][]float64
 	SafeProbs(x []float64) ([]float64, error)
@@ -39,23 +40,23 @@ type BatchEngine interface {
 // BatcherConfig configures a Batcher. Zero values select the defaults
 // noted on each field.
 type BatcherConfig struct {
-	// Workers is the number of scheduler goroutines, each owning one
-	// BatchEngine. Default GOMAXPROCS.
+	// Workers is the number of BatchEngines, and so of batches that can
+	// execute at once. Default GOMAXPROCS.
 	Workers int
-	// BatchSize is the coalescing cap: a worker flushes a batch once it
-	// holds this many requests. Default 64.
+	// BatchSize is the coalescing cap: no batch carries more requests
+	// than this. Default 64.
 	BatchSize int
-	// Window is the coalescing deadline: a worker holding at least one
-	// request flushes no later than this after it picked up the first,
-	// bounding the latency cost of waiting for peers. Zero means flush
-	// greedily (take whatever is already queued, never wait).
+	// Window is kept only because the frozen benchmark harness
+	// (benchmark/layers.go) still sets it.
+	//
+	// Deprecated: ignored, the batcher never waits.
 	Window time.Duration
 	// QueueDepth bounds the request queue; a full queue fast-fails
 	// Submit with ErrQueueFull. Default 1024.
 	QueueDepth int
 	// InputDim, when positive, validates vector length at Submit time.
 	InputDim int
-	// NewEngine builds one engine per worker. Required.
+	// NewEngine builds each of the Workers engines. Required.
 	NewEngine func() BatchEngine
 	// Metrics, when non-nil, receives batch-size, queue-wait, and
 	// inference-latency observations plus panic counts.
@@ -64,9 +65,12 @@ type BatcherConfig struct {
 
 // request is one queued classification.
 type request struct {
+	// ctx is the submitter's context: whoever cuts the request into a
+	// batch after it ended skips the row instead of scoring it for nobody.
+	ctx context.Context
 	x   []float64
 	enq time.Time
-	// done is buffered so a worker can always deliver, even when the
+	// done is buffered so the batch can always deliver, even when the
 	// submitter abandoned the request on context expiry.
 	done chan result
 }
@@ -82,7 +86,7 @@ type result struct {
 // versionedEngine is the optional BatchEngine extension the batcher uses
 // to attribute each result to the model snapshot that produced it. The
 // handle-bound serving engine implements it; the batcher reads it on the
-// worker goroutine immediately after the batch executes.
+// executing goroutine immediately after the batch runs.
 type versionedEngine interface {
 	ModelVersion() uint64
 }
@@ -96,28 +100,43 @@ func engineVersion(eng BatchEngine) uint64 {
 	return 0
 }
 
-// Batcher is the micro-batching scheduler. Submit enqueues a vector
-// into a bounded channel; worker goroutines coalesce queued requests
-// into batches — flushing when BatchSize is reached or Window elapses —
-// and execute them on per-worker engines. A panic inside a batch is
-// isolated pool-style: the batch falls back to recover-guarded per-row
-// execution so one poisoned vector fails alone.
+// Batcher is the micro-batching scheduler. It has no goroutines of its
+// own: Submit enqueues a vector into a bounded channel, and a submitter
+// that finds an engine free takes it, cuts a batch from whatever is
+// queued — its own request and any that arrived while every engine was
+// busy, up to BatchSize — and runs it on its own goroutine; the others
+// wait for their result. The policy is work-conserving: nobody holds a
+// request back to wait for peers, so an idle batcher answers a lone
+// request at engine latency with no goroutine handoff, and a batch is
+// exactly what arrived while every engine was busy. A panic inside a
+// batch is isolated pool-style: the batch falls back to recover-guarded
+// per-row execution so one poisoned vector fails alone.
 //
-// Lifecycle: Close stops admission and then drains — closing the queue
-// channel lets workers keep receiving buffered requests until empty, so
-// every request accepted before Close observes a result (the zero-drop
-// drain invariant; Stats reports the accounting).
+// Lifecycle: Close stops admission and then drains — it runs whatever is
+// still queued and waits for every engine to come back, so every request
+// accepted before Close observes a result (the zero-drop drain
+// invariant; Stats reports the accounting).
 type Batcher struct {
-	cfg     BatcherConfig
-	queue   chan *request
-	mu      sync.RWMutex // guards draining vs. send-on-closed-channel
-	drain   bool
-	wg      sync.WaitGroup
-	started atomic.Uint64 // accepted into the queue
-	done    atomic.Uint64 // results delivered (incl. to abandoned requests)
+	cfg       BatcherConfig
+	queue     chan *request
+	idle      chan *engine // engines nobody is running a batch on
+	mu        sync.RWMutex // makes admission atomic with respect to Close
+	drain     bool
+	closeOnce sync.Once
+	started   atomic.Uint64 // accepted into the queue
+	done      atomic.Uint64 // answered: results delivered (incl. to abandoned requests) + expired rows skipped
 }
 
-// NewBatcher starts the worker pool and returns the batcher.
+// engine is one BatchEngine with the scratch that travels with it. It is
+// owned by whoever received it from Batcher.idle, until it is sent back.
+type engine struct {
+	eng   BatchEngine
+	batch []*request
+	xs    [][]float64
+	dst   [][]float64
+}
+
+// NewBatcher builds the engines and returns the batcher.
 func NewBatcher(cfg BatcherConfig) *Batcher {
 	if cfg.NewEngine == nil {
 		panic("serve: BatcherConfig.NewEngine is required")
@@ -131,19 +150,25 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
-	b := &Batcher{cfg: cfg, queue: make(chan *request, cfg.QueueDepth)}
+	b := &Batcher{
+		cfg:   cfg,
+		queue: make(chan *request, cfg.QueueDepth),
+		idle:  make(chan *engine, cfg.Workers),
+	}
 	for w := 0; w < cfg.Workers; w++ {
-		b.wg.Add(1)
-		go b.worker()
+		b.idle <- &engine{eng: cfg.NewEngine()}
 	}
 	return b
 }
 
-// Submit enqueues x and blocks until its result, the context's deadline,
-// or an admission failure. The returned probability vector is the
-// caller's to keep. Admission is fast-fail: a full queue returns
-// ErrQueueFull immediately (the server turns that into 429), and a
-// draining batcher returns ErrDraining (503).
+// Submit enqueues x and returns its result, the context's error, or an
+// admission failure. The returned probability vector is the caller's to
+// keep. Admission is fast-fail: a full queue returns ErrQueueFull
+// immediately (the server turns that into 429), and a draining batcher
+// returns ErrDraining (503). A context that ends while the request is
+// queued, or while another submitter's batch carries it, ends the wait at
+// once; a submitter that is running a batch itself returns when the
+// engine does.
 func (b *Batcher) Submit(ctx context.Context, x []float64) ([]float64, error) {
 	probs, _, err := b.SubmitV(ctx, x)
 	return probs, err
@@ -158,11 +183,11 @@ func (b *Batcher) SubmitV(ctx context.Context, x []float64) ([]float64, uint64, 
 	if b.cfg.InputDim > 0 && len(x) != b.cfg.InputDim {
 		return nil, 0, fmt.Errorf("%w: got %d features, want %d", ErrBadInput, len(x), b.cfg.InputDim)
 	}
-	req := &request{x: x, enq: time.Now(), done: make(chan result, 1)}
+	req := &request{ctx: ctx, x: x, enq: time.Now(), done: make(chan result, 1)}
 
-	// The read lock makes admission atomic with respect to Close: the
-	// queue channel cannot be closed between the drain check and the
-	// send, so Submit never panics on a closed channel.
+	// The read lock makes admission atomic with respect to Close: once
+	// Close holds the write lock nothing more enters the queue, so what it
+	// then drains is everything there will ever be.
 	b.mu.RLock()
 	if b.drain {
 		b.mu.RUnlock()
@@ -171,27 +196,46 @@ func (b *Batcher) SubmitV(ctx context.Context, x []float64) ([]float64, uint64, 
 	}
 	select {
 	case b.queue <- req:
+		b.started.Add(1)
 		b.mu.RUnlock()
 	default:
 		b.mu.RUnlock()
 		b.cfg.Metrics.reject(false)
 		return nil, 0, ErrQueueFull
 	}
-	b.started.Add(1)
 	if m := b.cfg.Metrics; m != nil {
 		m.Requests.Add(1)
 	}
 
-	select {
-	case res := <-req.done:
-		return res.probs, res.version, res.err
-	case <-ctx.Done():
-		// The worker will still execute the request and deliver into
-		// the buffered channel; only this waiter gives up.
-		if m := b.cfg.Metrics; m != nil {
-			m.Expired.Add(1)
+	// Wait for the result and, while the request may still be queued, for
+	// a free engine: whoever gets one runs the head of the queue.
+	idle := b.idle
+	for {
+		select {
+		case res := <-req.done:
+			return res.probs, res.version, res.err
+		case <-ctx.Done():
+			// Only this waiter gives up. A request still queued is skipped
+			// when a batch is cut; one already in a batch is executed and
+			// delivered into the buffered channel.
+			if m := b.cfg.Metrics; m != nil {
+				m.Expired.Add(1)
+			}
+			return nil, 0, ctx.Err()
+		case e := <-idle:
+			emptied := b.serve(e)
+			b.idle <- e
+			select {
+			case res := <-req.done:
+				return res.probs, res.version, res.err
+			default:
+			}
+			// This request is in a batch somebody else is running, or
+			// still queued behind a full one: only then keep asking.
+			if emptied {
+				idle = nil
+			}
 		}
-		return nil, 0, ctx.Err()
 	}
 }
 
@@ -217,21 +261,30 @@ func (b *Batcher) Draining() bool {
 	return b.drain
 }
 
-// Close stops admission, waits for every queued request to be executed
-// and answered, and then returns. Safe to call more than once.
+// Close stops admission, runs every request still queued, waits for the
+// batches in flight and then returns. Safe to call more than once.
 func (b *Batcher) Close() {
-	b.mu.Lock()
-	if !b.drain {
+	b.closeOnce.Do(func() {
+		b.mu.Lock()
 		b.drain = true
-		close(b.queue)
-	}
-	b.mu.Unlock()
-	b.wg.Wait()
+		b.mu.Unlock()
+		// Retire the engines one by one. Each runs the queue dry before
+		// the next is awaited, so whatever the waiting submitters did not
+		// get to is answered here, and with the last engine in hand no
+		// batch is executing.
+		for w := 0; w < b.cfg.Workers; w++ {
+			e := <-b.idle
+			for !b.serve(e) {
+			}
+		}
+	})
 }
 
 // BatcherStats is the drain accounting: Accepted requests entered the
-// queue, Completed received results. After Close these are equal —
-// Dropped is the difference and the zero-drop invariant is Dropped == 0.
+// queue, Completed were answered — with a result, or with their own
+// context's error when it ended before a batch took them. After
+// Close these are equal — Dropped is the difference and the zero-drop
+// invariant is Dropped == 0.
 type BatcherStats struct {
 	Accepted  uint64 `json:"accepted"`
 	Completed uint64 `json:"completed"`
@@ -244,70 +297,59 @@ func (b *Batcher) Stats() BatcherStats {
 	return BatcherStats{Accepted: acc, Completed: done, Dropped: acc - done}
 }
 
-// worker owns one engine and loops: block for the batch's first request,
-// then coalesce more until BatchSize or Window, then execute. A closed
-// queue keeps yielding its buffered requests before reporting closed, so
-// the drain path needs no special casing — workers simply run the queue
-// dry and exit.
-func (b *Batcher) worker() {
-	defer b.wg.Done()
-	eng := b.cfg.NewEngine()
-	var (
-		batch []*request
-		xs    [][]float64
-		dst   [][]float64
-	)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		first, ok := <-b.queue
-		if !ok {
-			return
+// serve cuts one batch from the queue and executes it on e. It reports
+// whether it saw the queue empty.
+//
+// The cut is the whole coalescing policy. The head of the queue always
+// goes; what is behind it goes along only when no other engine is free to
+// take it, and then the submitter also yields the processor once before it
+// looks again. With nothing else runnable the yield returns at once; under
+// load it lets every handler goroutine that is ready to submit do so first
+// — a submitter that never yielded would run batches of one at exactly the
+// moment batching pays. So an idle batcher runs a lone request straight
+// away, two requests on two free engines run side by side, and a batch is
+// what arrived while every engine was busy.
+func (b *Batcher) serve(e *engine) (emptied bool) {
+	e.batch = e.batch[:0]
+	if emptied = b.takeQueued(e, 1); !emptied && len(b.idle) == 0 {
+		if emptied = b.takeQueued(e, b.cfg.BatchSize); emptied {
+			runtime.Gosched()
+			emptied = b.takeQueued(e, b.cfg.BatchSize)
 		}
-		batch = append(batch[:0], first)
-		if b.cfg.Window > 0 {
-			timer.Reset(b.cfg.Window)
-			expired := false
-		fill:
-			for len(batch) < b.cfg.BatchSize {
-				select {
-				case req, ok := <-b.queue:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, req)
-				case <-timer.C:
-					expired = true
-					break fill
-				}
-			}
-			if !expired && !timer.Stop() {
-				<-timer.C
-			}
-		} else {
-			// Greedy flush: take whatever is already queued, never wait.
-			for len(batch) < b.cfg.BatchSize {
-				select {
-				case req, ok := <-b.queue:
-					if !ok {
-						goto exec
-					}
-					batch = append(batch, req)
-				default:
-					goto exec
-				}
-			}
-		}
-	exec:
-		dst = b.exec(eng, batch, &xs, dst)
 	}
+	if len(e.batch) > 0 {
+		b.exec(e)
+	}
+	return emptied
 }
 
-// exec runs one batch and answers every request in it. The engine's dst
+// takeQueued moves requests from the queue into e.batch without blocking
+// until the batch holds limit of them, and reports whether it found the
+// queue empty first. A request whose context ended while it was queued is
+// accounted as completed without reaching the engine: its submitter has
+// returned (or is returning — Done is closed) with ctx.Err() and has
+// counted the expiry, so nobody is left to read a result, and under
+// overload the engine time goes to requests that can still be answered.
+func (b *Batcher) takeQueued(e *engine, limit int) (emptied bool) {
+	for len(e.batch) < limit {
+		select {
+		case req := <-b.queue:
+			if req.ctx.Err() != nil {
+				b.done.Add(1)
+				continue
+			}
+			e.batch = append(e.batch, req)
+		default:
+			return true
+		}
+	}
+	return false
+}
+
+// exec runs e.batch and answers every request in it. The engine's dst
 // rows are reused across batches, so each result gets a private copy.
-func (b *Batcher) exec(eng BatchEngine, batch []*request, xs *[][]float64, dst [][]float64) [][]float64 {
+func (b *Batcher) exec(e *engine) {
+	eng, batch := e.eng, e.batch
 	m := b.cfg.Metrics
 	start := time.Now()
 	if m != nil {
@@ -316,20 +358,20 @@ func (b *Batcher) exec(eng BatchEngine, batch []*request, xs *[][]float64, dst [
 			m.QueueWait.ObserveDuration(start.Sub(req.enq))
 		}
 	}
-	*xs = (*xs)[:0]
+	e.xs = e.xs[:0]
 	for _, req := range batch {
-		*xs = append(*xs, req.x)
+		e.xs = append(e.xs, req.x)
 	}
-	out, err := probsBatchSafe(eng, *xs, dst)
+	out, err := probsBatchSafe(eng, e.xs, e.dst)
 	if err == nil {
-		dst = out
-		// Read the version on the worker goroutine, after the batch ran
+		e.dst = out
+		// Read the version on the executing goroutine, after the batch ran
 		// and before the next bind can move the engine to a new snapshot:
 		// this stamps exactly the weights that scored these rows.
 		ver := engineVersion(eng)
 		for i, req := range batch {
-			probs := make([]float64, len(dst[i]))
-			copy(probs, dst[i])
+			probs := make([]float64, len(out[i]))
+			copy(probs, out[i])
 			req.done <- result{probs: probs, version: ver}
 			b.done.Add(1)
 		}
@@ -352,7 +394,6 @@ func (b *Batcher) exec(eng BatchEngine, batch []*request, xs *[][]float64, dst [
 	if m != nil {
 		m.InferLat.ObserveDuration(time.Since(start))
 	}
-	return dst
 }
 
 // probsBatchSafe is the batch-level panic boundary, capturing faults

@@ -16,9 +16,9 @@ import (
 // Handler-level faults (slow, error-every, blackhole) fire in the
 // classify handlers before the batcher sees the request — they model a
 // misbehaving HTTP tier. The inference delay is different: it is applied
-// inside each batcher worker's engine, serialized per worker, so it
+// inside each batcher engine, serialized per engine, so it
 // models a heavier model and bounds the replica's throughput at
-// 1/(delay) per worker regardless of host parallelism. The gateway
+// 1/(delay) per engine regardless of host parallelism. The gateway
 // scaling bench leans on that to demonstrate routing scalability with
 // replica capacity pinned by service time rather than by host cores.
 type Chaos struct {
@@ -99,8 +99,9 @@ func (c *Chaos) intercept(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // chaosEngine decorates a BatchEngine with the serialized inference
-// delay. One instance wraps each worker's engine, so the sleep happens
-// on the worker goroutine and gates its batch rate.
+// delay. One instance wraps each of the batcher's engines, so the sleep
+// happens on the goroutine running the batch and gates that engine's
+// batch rate.
 type chaosEngine struct {
 	inner BatchEngine
 	c     *Chaos

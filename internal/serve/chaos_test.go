@@ -15,7 +15,7 @@ import (
 // has said 503, no later poll may see 200. Run under -race; the poller
 // races the drain sequence on purpose.
 func TestReadyzDrainOrdering(t *testing.T) {
-	s, ts := testServer(t, Config{Window: -1})
+	s, ts := testServer(t, Config{})
 
 	var mu sync.Mutex
 	var codes []int
@@ -76,7 +76,7 @@ func TestReadyzDrainOrdering(t *testing.T) {
 // before Submit can refuse with ErrDraining. Before the fix /readyz
 // consulted only the explicit ready flag and kept answering 200.
 func TestReadyzReflectsBatcherDrain(t *testing.T) {
-	s, ts := testServer(t, Config{Window: -1})
+	s, ts := testServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestReadyzReflectsBatcherDrain(t *testing.T) {
 func chaosServer(t *testing.T) (*Chaos, *Server, string) {
 	t.Helper()
 	c := &Chaos{}
-	s, ts := testServer(t, Config{Window: -1, Chaos: c})
+	s, ts := testServer(t, Config{Chaos: c})
 	return c, s, ts.URL
 }
 
@@ -175,7 +175,7 @@ func TestChaosSlow(t *testing.T) {
 // worker, k sequential classifies take at least k * delay.
 func TestChaosInferDelaySerializes(t *testing.T) {
 	c := &Chaos{}
-	_, ts := testServer(t, Config{Window: -1, Workers: 1, Chaos: c})
+	_, ts := testServer(t, Config{Workers: 1, Chaos: c})
 	c.SetInferDelay(10 * time.Millisecond)
 
 	const k = 4
@@ -268,7 +268,7 @@ func TestChaosStateAndDie(t *testing.T) {
 // A server built without Chaos pays nothing: /chaosz is not routed and
 // the nil intercept is a no-op.
 func TestChaosDisabledByDefault(t *testing.T) {
-	_, ts := testServer(t, Config{Window: -1})
+	_, ts := testServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/chaosz", "application/json", strings.NewReader(`{"die":true}`))
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,18 @@
 // Package serve is the online detection service: a stdlib-only HTTP
 // front end over a core.Handle — the atomic pointer to the current
 // immutable core.Model snapshot — whose inference core is a
-// micro-batching scheduler (see Batcher). Workers re-bind to the
+// micro-batching scheduler (see Batcher). Engines re-bind to the
 // handle's snapshot per batch and scale + infer under that one pinned
 // Model, so a hot swap (POST /admin/swap, or the online retraining
 // loop in internal/lifecycle) never mixes versions and never drops a
 // request. Requests queue into a bounded
-// channel, workers coalesce them into batches — flushing on batch size
-// or a latency window — and execute them on per-worker zero-allocation
-// nn.Workspaces via ProbsBatch, so single-request latency stays within
-// the window while throughput approaches the batched-kernel ceiling.
+// channel; a handler that finds an engine free takes whatever has queued,
+// up to the batch size, and executes it on that engine's zero-allocation
+// nn.Workspace via ProbsBatch, on its own goroutine. The flush is
+// work-conserving — no request waits for batch peers and an idle service
+// hands nothing between goroutines — so a lone request costs one forward
+// pass, while under load batches form by themselves and throughput
+// approaches the batched-kernel ceiling.
 //
 // When a similarity corpus (index.Corpus) is wired in, the service also
 // answers /v1/similar — k-NN family attribution and near-duplicate

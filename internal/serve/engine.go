@@ -7,15 +7,15 @@ import (
 )
 
 // handleEngine is the BatchEngine the serving stack runs on after the
-// Model/Handle split: one instance per batcher worker, re-binding to the
-// handle's current Model snapshot at each batch. Rows arrive RAW
+// Model/Handle split: the batcher owns Workers instances, each re-binding
+// to the handle's current Model snapshot at each batch. Rows arrive RAW
 // (unscaled) and are scaled with the pinned snapshot's own scaler right
 // before inference, so scale + inference happen atomically under ONE
 // model — during a hot swap every request is served entirely by either
 // the old or the new snapshot, never a mix.
 //
-// Binding is per-batch and per-worker: when the snapshot pointer
-// changes, the worker builds a fresh inner engine from the NEW Model's
+// Binding is per-batch and per-engine: when the snapshot pointer
+// changes, the engine builds a fresh inner engine from the NEW Model's
 // workspace pool (and its int8 quantized tier when armed). The old
 // Model's workspace is not returned anywhere — it drains and dies with
 // its snapshot, which is exactly how the per-Model pools make mixed-
@@ -28,7 +28,7 @@ type handleEngine struct {
 
 	cur    *core.Model // snapshot the inner engine is bound to
 	inner  BatchEngine // scaled-space engine over cur's pool/tier
-	scaled [][]float64 // per-worker scratch for scaled rows
+	scaled [][]float64 // per-engine scratch for scaled rows
 }
 
 func newHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) *handleEngine {
@@ -37,15 +37,15 @@ func newHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) *h
 
 // NewHandleEngine exposes the serving engine for external harnesses
 // (benchmark/ traces the batcher through it); the server builds its
-// own instances per worker. Rows submitted through it must be RAW
-// (unscaled) feature vectors.
+// own instances, one per batcher engine. Rows submitted through it must
+// be RAW (unscaled) feature vectors.
 func NewHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) BatchEngine {
 	return newHandleEngine(h, quantize, band, m)
 }
 
 // bind re-resolves the handle's current snapshot, rebuilding the inner
-// engine when it changed since the last batch. Single-goroutine use per
-// the BatchEngine contract.
+// engine when it changed since the last batch. One goroutine at a time,
+// per the BatchEngine contract.
 func (e *handleEngine) bind() BatchEngine {
 	mdl := e.h.Current()
 	if mdl == e.cur {
@@ -66,7 +66,7 @@ func (e *handleEngine) bind() BatchEngine {
 }
 
 // ModelVersion reports the version of the snapshot the last batch ran
-// on. The batcher reads it on the worker goroutine right after the
+// on. The batcher reads it on the executing goroutine right after the
 // batch executes, so the verdict's model_version names the exact
 // weights that scored it.
 func (e *handleEngine) ModelVersion() uint64 {
@@ -77,7 +77,7 @@ func (e *handleEngine) ModelVersion() uint64 {
 }
 
 // ProbsBatch scales the raw rows with the pinned snapshot's scaler into
-// per-worker scratch and runs the batch on the snapshot's engine.
+// per-engine scratch and runs the batch on the snapshot's engine.
 func (e *handleEngine) ProbsBatch(xs [][]float64, dst [][]float64) [][]float64 {
 	inner := e.bind()
 	for len(e.scaled) < len(xs) {

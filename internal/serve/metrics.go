@@ -27,9 +27,11 @@ func NewHistogram(bounds ...float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-// durationBounds are the latency buckets (seconds): 50µs … 1s.
+// durationBounds are the latency buckets (seconds): 5µs … 1s. The
+// buckets below 50µs resolve the queue wait, which is microseconds
+// whenever an engine is free.
 func durationBounds() []float64 {
-	return []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}
+	return []float64{5e-6, 10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1}
 }
 
 // batchBounds are the batch-size buckets.

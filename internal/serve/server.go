@@ -29,20 +29,20 @@ type Config struct {
 	// accepts a model gob and hot-swaps it into the handle. Off by
 	// default — the read-only GET /v1/model endpoint is always mounted.
 	Admin bool
-	// BatchSize and Window tune the micro-batcher (see BatcherConfig).
-	// Defaults: 64 and 2ms.
+	// BatchSize caps the micro-batcher's batches (see BatcherConfig).
+	// Default 64.
 	BatchSize int
-	Window    time.Duration
 	// QueueDepth bounds admission. Default 1024.
 	QueueDepth int
-	// Workers is the batcher's worker count. Default GOMAXPROCS.
+	// Workers is the batcher's engine count: how many batches can run at
+	// once. Default GOMAXPROCS.
 	Workers int
 	// RequestTimeout bounds each request's time in queue + inference.
 	// Default 5s.
 	RequestTimeout time.Duration
 	// MaxBody bounds request bodies. Default 1 MiB.
 	MaxBody int64
-	// NewEngine overrides the per-worker inference engine; nil builds
+	// NewEngine overrides the batcher's inference engines; nil builds
 	// handle-bound engines that re-bind to the current Model snapshot at
 	// each batch. Tests use it to inject fakes. Note the batcher feeds
 	// engines RAW (unscaled) rows — the default engine scales them under
@@ -86,15 +86,12 @@ type Server struct {
 	lc atomic.Pointer[LifecycleStatus]
 }
 
-// defaultWindow is the default coalescing window.
-const defaultWindow = 2 * time.Millisecond
-
 // defaultBand is the default quantized-tier escalation band, matching
 // the margin at which the nn property tests pin quant/float argmax
 // agreement.
 const defaultBand = 0.2
 
-// New builds the server and starts its batcher workers.
+// New builds the server and its batcher.
 func New(cfg Config) (*Server, error) {
 	h := cfg.Handle
 	if h == nil {
@@ -102,11 +99,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
-	}
-	if cfg.Window < 0 {
-		cfg.Window = 0
-	} else if cfg.Window == 0 {
-		cfg.Window = defaultWindow
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
@@ -154,7 +146,6 @@ func New(cfg Config) (*Server, error) {
 	s.batcher = NewBatcher(BatcherConfig{
 		Workers:    cfg.Workers,
 		BatchSize:  cfg.BatchSize,
-		Window:     cfg.Window,
 		QueueDepth: cfg.QueueDepth,
 		InputDim:   features.NumFeatures,
 		NewEngine:  newEngine,

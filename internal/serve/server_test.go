@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -65,7 +67,7 @@ func postClassify(t *testing.T, ts *httptest.Server, contentType, body string) (
 // matches the detector's offline answer field by field.
 func TestServerClassifyText(t *testing.T) {
 	det := testDetector()
-	s, ts := testServer(t, Config{Handle: core.NewHandle(det), Window: -1})
+	s, ts := testServer(t, Config{Handle: core.NewHandle(det)})
 	resp, body := postClassify(t, ts, "text/plain", validProgram)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
@@ -259,12 +261,36 @@ func TestServerHealthAndMetrics(t *testing.T) {
 	}
 }
 
+// TestServerNoIdleWait pins the work-conserving flush on the production
+// path (Config defaults, no knob): an idle batcher answers a lone request
+// at engine latency, so sequential submits on a no-op engine complete in
+// microseconds. Any wait for batch peers would put every one of them at
+// that wait or above; the median keeps a noisy box from flaking it.
+func TestServerNoIdleWait(t *testing.T) {
+	s, _ := testServer(t, Config{
+		NewEngine: func() BatchEngine { return &poisonEngine{classes: 2} },
+	})
+	x := make([]float64, features.NumFeatures)
+	lat := make([]time.Duration, 200)
+	for i := range lat {
+		start := time.Now()
+		if _, err := s.Batcher().Submit(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if median := lat[len(lat)/2]; median >= 500*time.Microsecond {
+		t.Fatalf("median idle Submit took %v, want < 500µs: the batcher is waiting for peers", median)
+	}
+}
+
 // TestServerQueueFull429 wedges the engine and checks overload maps to a
 // fast 429 with Retry-After.
 func TestServerQueueFull429(t *testing.T) {
 	eng := &blockEngine{release: make(chan struct{}), classes: 2}
 	s, ts := testServer(t, Config{
-		Workers: 1, BatchSize: 1, Window: -1, QueueDepth: 1,
+		Workers: 1, BatchSize: 1, QueueDepth: 1,
 		NewEngine: func() BatchEngine { return eng },
 	})
 	// Wedge: one request in flight, one in queue.
@@ -294,19 +320,19 @@ func TestServerQueueFull429(t *testing.T) {
 	}
 }
 
-// TestServerRequestTimeout504 wedges the engine past the request budget.
+// TestServerRequestTimeout504 keeps the only engine busy past the request
+// budget: the request can only queue, and its handler answers 504 on time.
 func TestServerRequestTimeout504(t *testing.T) {
-	eng := &blockEngine{release: make(chan struct{}), classes: 2}
-	_, ts := testServer(t, Config{
-		Workers: 1, BatchSize: 1, Window: -1, QueueDepth: 4,
+	s, ts := testServer(t, Config{
+		Workers: 1, BatchSize: 1, QueueDepth: 4,
 		RequestTimeout: 10 * time.Millisecond,
-		NewEngine:      func() BatchEngine { return eng },
 	})
+	e := <-s.batcher.idle
+	defer func() { s.batcher.idle <- e }()
 	resp, body := postClassify(t, ts, "text/plain", validProgram)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d want 504 (body %s)", resp.StatusCode, body)
 	}
-	eng.release <- struct{}{} // let the worker finish the abandoned batch
 }
 
 // TestServerDrainingRejects503 checks post-drain requests get 503.

@@ -42,7 +42,6 @@ func (nanEngine) SafeProbs(x []float64) ([]float64, error) {
 // typed 500 whose body is a well-formed JSON error envelope.
 func TestServerNaNProbs(t *testing.T) {
 	_, ts := testServer(t, Config{
-		Window:    -1,
 		NewEngine: func() BatchEngine { return nanEngine{} },
 	})
 	resp, body := postClassify(t, ts, "text/plain", validProgram)
@@ -81,7 +80,7 @@ func TestMakeVerdictNonFinite(t *testing.T) {
 // "no CFG summary" (vector-path verdicts). The wire form now always
 // carries blocks/edges plus the explicit has_graph marker.
 func TestVerdictHasGraphWire(t *testing.T) {
-	_, ts := testServer(t, Config{Window: -1})
+	_, ts := testServer(t, Config{})
 
 	// A straight-line program: one block, zero edges.
 	resp, body := postClassify(t, ts, "text/plain", "movi r0, 1\nret\n")
@@ -141,7 +140,7 @@ func postSimilar(t *testing.T, ts *httptest.Server, path, contentType, body stri
 // TestSimilarWithoutIndex: a replica started without -index answers 501
 // (≥500, so the gateway's retry ladder tries another replica).
 func TestSimilarWithoutIndex(t *testing.T) {
-	_, ts := testServer(t, Config{Window: -1})
+	_, ts := testServer(t, Config{})
 	resp, body := postSimilar(t, ts, "/v1/similar", "application/json", `{"vector":[0.5]}`)
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("status %d, want 501; body %s", resp.StatusCode, body)
@@ -156,7 +155,7 @@ func TestSimilarWithoutIndex(t *testing.T) {
 // vector comes back as a near-duplicate, and bad parameters are 400s.
 func TestSimilarVectorQuery(t *testing.T) {
 	c := testCorpus(t)
-	_, ts := testServer(t, Config{Window: -1, Corpus: c})
+	_, ts := testServer(t, Config{Corpus: c})
 
 	// Query at an indexed point: its own label must win attribution and
 	// the near-duplicate radar must fire.
@@ -219,7 +218,7 @@ func TestSimilarVectorQuery(t *testing.T) {
 // TestSimilarProgramQuery posts raw assembly: the program is vectorized
 // through the shared detector pipeline before the index lookup.
 func TestSimilarProgramQuery(t *testing.T) {
-	_, ts := testServer(t, Config{Window: -1, Corpus: testCorpus(t)})
+	_, ts := testServer(t, Config{Corpus: testCorpus(t)})
 	resp, body := postSimilar(t, ts, "/v1/similar?k=7", "text/plain", validProgram)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, body %s", resp.StatusCode, body)
@@ -264,7 +263,7 @@ func TestTriageFlagsGEASplices(t *testing.T) {
 	// Triage needs no trained weights — only the fitted scaler and the
 	// labeled index — so an untrained net keeps the test fast.
 	det := &core.Model{Scaler: sys.Scaler, Net: nn.PaperCNN(0), Extractor: sys.Extractor}
-	_, ts := testServer(t, Config{Handle: core.NewHandle(det), Window: -1, Corpus: corpus})
+	_, ts := testServer(t, Config{Handle: core.NewHandle(det), Corpus: corpus})
 
 	triageDist := func(progText string) float64 {
 		t.Helper()

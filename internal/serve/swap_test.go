@@ -37,7 +37,7 @@ func swapModel(seed int64) *core.Model {
 // endpoint does not exist.
 func TestAdminSwap(t *testing.T) {
 	h := core.NewHandle(swapModel(0))
-	_, ts := testServer(t, Config{Handle: h, Admin: true, Window: -1})
+	_, ts := testServer(t, Config{Handle: h, Admin: true})
 
 	var info struct {
 		Version uint64 `json:"version"`
@@ -97,7 +97,7 @@ func TestAdminSwap(t *testing.T) {
 	}
 
 	// Admin off: the mutating endpoint is absent, the read-only one stays.
-	_, tsRO := testServer(t, Config{Handle: core.NewHandle(swapModel(0)), Window: -1})
+	_, tsRO := testServer(t, Config{Handle: core.NewHandle(swapModel(0))})
 	resp, err = http.Post(tsRO.URL+"/admin/swap", "application/octet-stream", bytes.NewReader(blob.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestAdminSwap(t *testing.T) {
 // counters and per-gate series.
 func TestSwapMetrics(t *testing.T) {
 	h := core.NewHandle(swapModel(0))
-	s, ts := testServer(t, Config{Handle: h, Window: -1})
+	s, ts := testServer(t, Config{Handle: h})
 
 	scrape := func() string {
 		t.Helper()
@@ -206,7 +206,7 @@ func TestServerSwapUnderLoad(t *testing.T) {
 		Net:       nets[0],
 		Extractor: features.NewExtractor(64),
 	})
-	_, ts := testServer(t, Config{Handle: h, Window: -1, QueueDepth: 256})
+	_, ts := testServer(t, Config{Handle: h, QueueDepth: 256})
 
 	body, _ := json.Marshal(vectorRequest{Name: "swap-load", Vector: vec})
 	const (

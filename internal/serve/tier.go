@@ -4,14 +4,14 @@ package serve
 // engine (~1.7x the float throughput on the paper CNN), and any row the
 // quantized model is not confident about — top-two probability margin
 // inside the configured band — is re-run on the float64 engine before
-// the verdict leaves the worker. The quantized model's argmax agrees
+// the verdict leaves the engine. The quantized model's argmax agrees
 // with the float oracle away from the borderline band (the nn property
 // tests pin >=99.9% agreement at margin > 0.2), so escalation confines
 // the quantization error to exactly the rows where it could matter.
 
 // tieredEngine is a BatchEngine that serves batches on the bulk engine
 // and escalates borderline rows to the precise engine. One instance per
-// batcher worker — it reuses internal scratch across batches and is not
+// batcher engine — it reuses internal scratch across batches and is not
 // safe for concurrent use (matching the BatchEngine contract).
 type tieredEngine struct {
 	bulk    BatchEngine // quantized workspace

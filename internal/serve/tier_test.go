@@ -178,7 +178,7 @@ func TestServerQuantizedTiers(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det := calibratedDetector(t)
-			s, ts := testServer(t, Config{Handle: core.NewHandle(det), Quantize: true, Band: tc.band, Window: -1})
+			s, ts := testServer(t, Config{Handle: core.NewHandle(det), Quantize: true, Band: tc.band})
 			resp, body := postClassify(t, ts, "text/plain", validProgram)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d, body %s", resp.StatusCode, body)

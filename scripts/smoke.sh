@@ -109,7 +109,10 @@ retrain_swap() {
 
 # The online detection service (DESIGN.md §9):
 #   1. a fixed budget of loadgen requests all answer 200;
-#   2. SIGTERM in the middle of a live load drains cleanly — the server
+#   2. the batcher is work-conserving: batches ran, and the mean queue
+#      wait under that load stays below 1 ms (a wait for batch peers on
+#      an idle engine would by itself put it above);
+#   3. SIGTERM in the middle of a live load drains cleanly — the server
 #      exits 0 and its drain accounting reports dropped=0.
 smoke_serve() {
 	start_replica serve
@@ -117,6 +120,18 @@ smoke_serve() {
 	# loadgen exits non-zero on any transport error or non-200 status,
 	# so its exit code is the assertion.
 	"$TMP/loadgen" -addr "http://$ADDR" -requests 200 -conc 8 -programs 16
+
+	# An unreachable /metrics leaves awk no batch count, which fails too.
+	curl -sf "http://$ADDR/metrics" | awk '
+		$1 == "advmal_queue_wait_seconds_sum" { sum = $2 }
+		$1 == "advmal_queue_wait_seconds_count" { n = $2 }
+		$1 == "advmal_batch_size_count" { batches = $2 }
+		END {
+			if (batches == 0) exit 1
+			printf "%d batches, mean queue wait %.0f us\n", batches, 1e6 * sum / n
+			exit (sum / n >= 0.001)
+		}
+	' || fail "no batch ran, or the mean batcher queue wait is 1 ms or more"
 
 	# Background clients keep traffic flowing while the server drains;
 	# their post-drain connection failures are expected
