@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line compiles and asmdecl-checks internal/nn as every
+# platform without the AVX kernels sees it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn
 
 # Every Go test in the module under the race detector, once: the pool
 # fault-injection harness, the workspace/trainer bit-identity pins, the

@@ -7,31 +7,21 @@ import (
 )
 
 // Batch-major eval forward: the serving-path engine behind ProbsBatch and
-// PredictBatch. The per-row path executes one input through the layers
-// with each output element's accumulator chain serialized in memory (the
-// k=3 conv read-modify-writes every output once per input channel; the
-// Dense matvec has one long add chain per output), which leaves the
-// forward pass latency-bound on scalar FP adds. With a whole batch in
-// hand the loops can be restructured for instruction-level parallelism
-// without touching the math:
+// PredictBatch. It runs layers outside and rows inside over two packed
+// arenas, on the same Conv1D and Dense kernels as the per-row path
+// (kernels.go) — a single request already has hundreds of independent
+// outputs per layer for those kernels to overlap, so a batch adds no
+// arithmetic headroom. What it does add:
 //
-//   - Conv1D (k=3): outputs are computed t-tile-at-a-time in registers
-//     with the input-channel loop innermost, so the per-(channel, tap)
-//     partial sums accumulate in registers instead of through the output
-//     row, and four independent accumulator chains overlap their add
-//     latencies.
-//   - Dense: rows are processed four at a time with the four dot-product
-//     chains interleaved in the inner loop — one request has exactly one
-//     chain per output, so this headroom exists only when a batch is
-//     available, which is precisely what micro-batching buys.
+//   - Dense visits every row of the batch with a block of eight weight
+//     rows before it loads the next block, so the layer's weights are
+//     read from memory once per batch, not once per request.
 //   - ReLU / eval-mode MaxPool run over the packed batch arena without
 //     the mask/argmax bookkeeping only the backward pass needs; eval-mode
 //     Dropout is the identity and vanishes.
 //
-// Every per-(row, output-element) floating-point sequence — bias first,
-// then tap/term additions in ascending (channel, tap) or index order — is
-// exactly the sequence the per-row kernels and the allocating oracle
-// execute, so the batch path is bit-for-bit identical to both
+// The kernels are the per-row path's, so the batch path is bit-for-bit
+// identical to it and to the allocating oracle
 // (TestBatchForwardBitIdentical, TestBatchForwardZeroTaps).
 //
 // The plan owns two ping-pong arenas sized maxBoundary x rows; they are
@@ -108,10 +98,12 @@ func (ws *Workspace) forwardBatch(xs [][]float64) (out []float64, stride int) {
 			// Eval-mode dropout is the identity; skip the copy entirely.
 			continue
 		case *Dense:
-			denseFwdBatch(l, in, nxt, n, inSize, outSize)
+			l.fwdRows(in, nxt, n, inSize, outSize)
 		case *Conv1D:
-			conv1DFwdBatch(l, in, nxt, n, inSize, outSize,
-				bp.shapes[li], bp.shapes[li+1])
+			cols, outCols := bp.shapes[li][1], bp.shapes[li+1][1]
+			for r := 0; r < n; r++ {
+				l.fwdRow(in[r*inSize:(r+1)*inSize], nxt[r*outSize:(r+1)*outSize], cols, outCols)
+			}
 		case *ReLU:
 			reluFwdBatch(in[:n*inSize], nxt)
 		case *MaxPool1D:
@@ -130,292 +122,6 @@ func (ws *Workspace) forwardBatch(xs [][]float64) (out []float64, stride int) {
 		inSize = outSize
 	}
 	return in, inSize
-}
-
-// denseFwdBatch computes the Dense layer for every row in blocks of four
-// rows with the four accumulator chains interleaved in the inner loop.
-// Each chain is the exact ascending-index bias-then-dot-product sequence
-// of the per-row kernel (bit-identical per row), but the chains are
-// independent, so the CPU overlaps their floating-point add latencies.
-// The row block also keeps four input rows hot in L1 while each weight
-// row streams once per block.
-func denseFwdBatch(d *Dense, in, out []float64, rows, inSize, outSize int) {
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		x0 := in[(r+0)*inSize : (r+0)*inSize+d.in]
-		x1 := in[(r+1)*inSize : (r+1)*inSize+d.in]
-		x2 := in[(r+2)*inSize : (r+2)*inSize+d.in]
-		x3 := in[(r+3)*inSize : (r+3)*inSize+d.in]
-		for o := 0; o < d.out; o++ {
-			wRow := d.w.W[o*d.in : (o+1)*d.in]
-			bias := d.b.W[o]
-			s0, s1, s2, s3 := bias, bias, bias, bias
-			for i, wi := range wRow {
-				s0 += wi * x0[i]
-				s1 += wi * x1[i]
-				s2 += wi * x2[i]
-				s3 += wi * x3[i]
-			}
-			out[(r+0)*outSize+o] = s0
-			out[(r+1)*outSize+o] = s1
-			out[(r+2)*outSize+o] = s2
-			out[(r+3)*outSize+o] = s3
-		}
-	}
-	for ; r < rows; r++ {
-		x := in[r*inSize : r*inSize+d.in]
-		for o := 0; o < d.out; o++ {
-			wRow := d.w.W[o*d.in : (o+1)*d.in]
-			sum := d.b.W[o]
-			for i, wi := range wRow {
-				sum += wi * x[i]
-			}
-			out[r*outSize+o] = sum
-		}
-	}
-}
-
-// conv1DFwdBatch computes the Conv1D layer for every row. The k=3 cases
-// the paper architecture uses go through register-blocked kernels (see
-// conv3RowValid/conv3RowSame); anything else replicates the per-row
-// kernel's generic tap loop, weight-row-outer so each weight row is
-// resident across the batch.
-func conv1DFwdBatch(c *Conv1D, in, out []float64, rows, inSize, outSize int, inShape, outShape []int) {
-	l := inShape[len(inShape)-1]
-	lout := outShape[len(outShape)-1]
-	if c.k == 3 && ((c.same && l >= 2) || (!c.same && lout >= 1)) {
-		for r := 0; r < rows; r++ {
-			xr := in[r*inSize : r*inSize+inSize]
-			yr := out[r*outSize : r*outSize+outSize]
-			for o := 0; o < c.cout; o++ {
-				w := c.w.W[o*c.cin*3 : (o+1)*c.cin*3]
-				yRow := yr[o*lout : (o+1)*lout]
-				if c.same {
-					conv3RowSame(yRow, xr, w, c.cin, l, c.b.W[o])
-				} else {
-					conv3RowValid(yRow, xr, w, c.cin, l, lout, c.b.W[o])
-				}
-			}
-		}
-		return
-	}
-	pad := c.pad()
-	for o := 0; o < c.cout; o++ {
-		bias := c.b.W[o]
-		for r := 0; r < rows; r++ {
-			yRow := out[r*outSize+o*lout : r*outSize+(o+1)*lout]
-			for t := range yRow {
-				yRow[t] = bias
-			}
-		}
-		for ci := 0; ci < c.cin; ci++ {
-			wBase := (o*c.cin + ci) * c.k
-			wRow := c.w.W[wBase : wBase+c.k]
-			for r := 0; r < rows; r++ {
-				xRow := in[r*inSize+ci*l : r*inSize+(ci+1)*l]
-				yRow := out[r*outSize+o*lout : r*outSize+(o+1)*lout]
-				for j, wj := range wRow {
-					if wj == 0 {
-						continue
-					}
-					off := j - pad
-					lo := 0
-					if off < 0 {
-						lo = -off
-					}
-					hi := lout
-					if hi > l-off {
-						hi = l - off
-					}
-					for t := lo; t < hi; t++ {
-						yRow[t] += wj * xRow[t+off]
-					}
-				}
-			}
-		}
-	}
-}
-
-// conv3RowValid computes one (row, output-channel) slice of a k=3 "valid"
-// convolution, four output elements at a time in registers with the
-// input-channel loop innermost. Per output element the additions are
-// bias, then per ascending input channel the three taps in ascending
-// order when all are non-zero, otherwise only the non-zero taps — the
-// per-row kernel's exact sequence (its fused/generic split per channel
-// pair), with the partial sums carried in registers instead of
-// read-modify-written through the output row once per channel.
-func conv3RowValid(yRow, x, w []float64, cin, l, lout int, bias float64) {
-	t := 0
-	for ; t+4 <= lout; t += 4 {
-		v0, v1, v2, v3 := bias, bias, bias, bias
-		for ci := 0; ci < cin; ci++ {
-			w0, w1, w2 := w[ci*3], w[ci*3+1], w[ci*3+2]
-			xr := x[ci*l+t : ci*l+t+6]
-			if w0 != 0 && w1 != 0 && w2 != 0 {
-				v0 += w0 * xr[0]
-				v0 += w1 * xr[1]
-				v0 += w2 * xr[2]
-				v1 += w0 * xr[1]
-				v1 += w1 * xr[2]
-				v1 += w2 * xr[3]
-				v2 += w0 * xr[2]
-				v2 += w1 * xr[3]
-				v2 += w2 * xr[4]
-				v3 += w0 * xr[3]
-				v3 += w1 * xr[4]
-				v3 += w2 * xr[5]
-			} else {
-				if w0 != 0 {
-					v0 += w0 * xr[0]
-					v1 += w0 * xr[1]
-					v2 += w0 * xr[2]
-					v3 += w0 * xr[3]
-				}
-				if w1 != 0 {
-					v0 += w1 * xr[1]
-					v1 += w1 * xr[2]
-					v2 += w1 * xr[3]
-					v3 += w1 * xr[4]
-				}
-				if w2 != 0 {
-					v0 += w2 * xr[2]
-					v1 += w2 * xr[3]
-					v2 += w2 * xr[4]
-					v3 += w2 * xr[5]
-				}
-			}
-		}
-		yRow[t] = v0
-		yRow[t+1] = v1
-		yRow[t+2] = v2
-		yRow[t+3] = v3
-	}
-	for ; t < lout; t++ {
-		v := bias
-		for ci := 0; ci < cin; ci++ {
-			w0, w1, w2 := w[ci*3], w[ci*3+1], w[ci*3+2]
-			xr := x[ci*l+t : ci*l+t+3]
-			if w0 != 0 && w1 != 0 && w2 != 0 {
-				v += w0 * xr[0]
-				v += w1 * xr[1]
-				v += w2 * xr[2]
-			} else {
-				if w0 != 0 {
-					v += w0 * xr[0]
-				}
-				if w1 != 0 {
-					v += w1 * xr[1]
-				}
-				if w2 != 0 {
-					v += w2 * xr[2]
-				}
-			}
-		}
-		yRow[t] = v
-	}
-}
-
-// conv3RowValidZeroTapOrder documents the bit-identity argument for the
-// zero-tap branch above: the per-row kernel routes a channel pair with
-// any zero tap through its generic loop, which adds only the non-zero
-// taps in ascending tap order — exactly what the else-branch does, one
-// output element at a time.
-
-// conv3RowSame computes one (row, output-channel) slice of a k=3 "same"
-// convolution (l >= 2): the interior elements register-blocked like the
-// valid case, the two edge elements (which see only two taps) with their
-// own channel loops. Edge taps are added iff non-zero, which matches both
-// the fused kernel (whose gate implies all taps non-zero) and the generic
-// zero-tap-skipping loop.
-func conv3RowSame(yRow, x, w []float64, cin, l int, bias float64) {
-	t := 1
-	for ; t+4 <= l-1; t += 4 {
-		v0, v1, v2, v3 := bias, bias, bias, bias
-		for ci := 0; ci < cin; ci++ {
-			w0, w1, w2 := w[ci*3], w[ci*3+1], w[ci*3+2]
-			xr := x[ci*l+t-1 : ci*l+t+5]
-			if w0 != 0 && w1 != 0 && w2 != 0 {
-				v0 += w0 * xr[0]
-				v0 += w1 * xr[1]
-				v0 += w2 * xr[2]
-				v1 += w0 * xr[1]
-				v1 += w1 * xr[2]
-				v1 += w2 * xr[3]
-				v2 += w0 * xr[2]
-				v2 += w1 * xr[3]
-				v2 += w2 * xr[4]
-				v3 += w0 * xr[3]
-				v3 += w1 * xr[4]
-				v3 += w2 * xr[5]
-			} else {
-				if w0 != 0 {
-					v0 += w0 * xr[0]
-					v1 += w0 * xr[1]
-					v2 += w0 * xr[2]
-					v3 += w0 * xr[3]
-				}
-				if w1 != 0 {
-					v0 += w1 * xr[1]
-					v1 += w1 * xr[2]
-					v2 += w1 * xr[3]
-					v3 += w1 * xr[4]
-				}
-				if w2 != 0 {
-					v0 += w2 * xr[2]
-					v1 += w2 * xr[3]
-					v2 += w2 * xr[4]
-					v3 += w2 * xr[5]
-				}
-			}
-		}
-		yRow[t] = v0
-		yRow[t+1] = v1
-		yRow[t+2] = v2
-		yRow[t+3] = v3
-	}
-	for ; t < l-1; t++ {
-		v := bias
-		for ci := 0; ci < cin; ci++ {
-			w0, w1, w2 := w[ci*3], w[ci*3+1], w[ci*3+2]
-			xr := x[ci*l+t-1 : ci*l+t+2]
-			if w0 != 0 && w1 != 0 && w2 != 0 {
-				v += w0 * xr[0]
-				v += w1 * xr[1]
-				v += w2 * xr[2]
-			} else {
-				if w0 != 0 {
-					v += w0 * xr[0]
-				}
-				if w1 != 0 {
-					v += w1 * xr[1]
-				}
-				if w2 != 0 {
-					v += w2 * xr[2]
-				}
-			}
-		}
-		yRow[t] = v
-	}
-	// t = 0 sees taps w1, w2; t = l-1 sees taps w0, w1.
-	vF, vL := bias, bias
-	for ci := 0; ci < cin; ci++ {
-		w0, w1, w2 := w[ci*3], w[ci*3+1], w[ci*3+2]
-		xr := x[ci*l : ci*l+l]
-		if w1 != 0 {
-			vF += w1 * xr[0]
-		}
-		if w2 != 0 {
-			vF += w2 * xr[1]
-		}
-		if w0 != 0 {
-			vL += w0 * xr[l-2]
-		}
-		if w1 != 0 {
-			vL += w1 * xr[l-1]
-		}
-	}
-	yRow[0] = vF
-	yRow[l-1] = vL
 }
 
 // reluFwdBatch applies ReLU over the packed batch arena in one pass,

@@ -41,11 +41,10 @@ func TestBatchForwardBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchForwardZeroTaps pins the generic conv path inside the batched
-// kernel: zeroing one tap of a k=3 convolution must route that channel
-// pair through the zero-tap-skipping loop on both engines and stay
-// bit-identical (the fused kernel would add a zero product, which can
-// flip a negative-zero accumulator — the gate exists for exactly this).
+// TestBatchForwardZeroTaps is TestWorkspaceZeroTapFallback for the batch
+// path: with zero taps present, oracle, per-row and batch agree bit for
+// bit, on the assembly kernels where the platform has them and (through
+// TestBitIdentityPortable) on the portable ones.
 func TestBatchForwardZeroTaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := PaperCNN(5)
@@ -64,6 +63,7 @@ func TestBatchForwardZeroTaps(t *testing.T) {
 	probs := ws.ProbsBatch(xs, nil)
 	for i, x := range xs {
 		bitsEqual(t, "zero-tap batch probs", probs[i], net.Probs(x))
+		bitsEqual(t, "zero-tap per-row probs", ws.Probs(x), probs[i])
 	}
 }
 

@@ -79,9 +79,6 @@ func (c *Conv1D) Forward(x *tensor.T, _ bool) *tensor.T {
 			wRow := c.w.W[wBase : wBase+c.k]
 			xRow := x.Row(ci)
 			for j, wj := range wRow {
-				if wj == 0 {
-					continue
-				}
 				// y[t] += w[j] * x[t+j-pad]
 				off := j - pad
 				lo := 0

@@ -1,0 +1,145 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+func init() {
+	eachKernelImpl = func(t testing.TB, f func(impl string)) {
+		if useAVX {
+			f("avx")
+			portableKernels(t)
+		}
+		f("portable")
+	}
+}
+
+// portableKernels turns the assembly off for the rest of the test.
+func portableKernels(t testing.TB) {
+	saved := useAVX
+	useAVX = false
+	t.Cleanup(func() { useAVX = saved })
+}
+
+// TestBitIdentityPortable runs the bit-identity suite a second time on the
+// portable kernels, which on this platform no other test would reach.
+func TestBitIdentityPortable(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX: every test already ran on the portable kernels")
+	}
+	portableKernels(t)
+	t.Run("Workspace", TestWorkspaceBitIdentical)
+	t.Run("WorkspaceZeroTap", TestWorkspaceZeroTapFallback)
+	t.Run("Batch", TestBatchForwardBitIdentical)
+	t.Run("BatchZeroTaps", TestBatchForwardZeroTaps)
+	t.Run("TrainerParity", TestTrainerWorkspaceParity)
+}
+
+// guarded returns a slice of n values at an odd offset inside a larger
+// buffer whose every other element is the sentinel, and a check that the
+// sentinels are still there.
+func guarded(t *testing.T, rng *rand.Rand, n int, sentinel float64) (s []float64, check func(what string)) {
+	lead := 1 + 2*rng.Intn(4)
+	buf := make([]float64, lead+n+9)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	return buf[lead : lead+n : lead+n], func(what string) {
+		t.Helper()
+		for i, v := range buf {
+			if (i < lead || i >= lead+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
+				t.Fatalf("%s: guard element %d overwritten with %v", what, i-lead, v)
+			}
+		}
+	}
+}
+
+// kernelValues fills s with ordinary values and, by trial, a sprinkling
+// of fuzzValue's special cases: none, the ones that stay finite, or all.
+func kernelValues(rng *rand.Rand, trial int, s []float64) {
+	specials := []int{0, 9, 16}[trial%3]
+	for i := range s {
+		s[i] = rng.NormFloat64()
+		if specials > 0 && rng.Intn(16) == 0 {
+			s[i] = fuzzValue(byte(rng.Intn(specials)))
+		}
+	}
+}
+
+// TestKernelsAVXMatchPortable is the differential property test of the two
+// implementations, through the two drivers every forward pass uses. Inputs
+// and outputs are sub-slices at odd offsets. The input's surroundings are
+// NaN, so a read outside it would poison an output the portable twin
+// leaves finite; the output's surroundings must come back untouched.
+func TestKernelsAVXMatchPortable(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	rng := rand.New(rand.NewSource(20))
+	defer func(saved bool) { useAVX = saved }(useAVX)
+
+	for trial := 0; trial < 300; trial++ {
+		cin, cout := 1+rng.Intn(96), 1+rng.Intn(12)
+		l, same := 2+rng.Intn(39), rng.Intn(2) == 0
+		k := 3
+		if trial%10 == 9 {
+			k = 1 + 2*rng.Intn(3)
+		}
+		c := NewConv1D("conv", cin, cout, k, same, rng)
+		lout := c.OutLen(l)
+		if lout < 1 {
+			continue
+		}
+		x, _ := guarded(t, rng, cin*l, math.NaN())
+		kernelValues(rng, trial, c.w.W)
+		kernelValues(rng, trial, c.b.W)
+		kernelValues(rng, trial, x)
+		what := fmt.Sprintf("conv cin=%d cout=%d k=%d l=%d same=%v", cin, cout, k, l, same)
+		var got [2][]float64
+		for i, on := range []bool{true, false} {
+			useAVX = on
+			y, check := guarded(t, rng, cout*lout, 12345.5)
+			c.fwdRow(x, y, l, lout)
+			check(what)
+			got[i] = y
+		}
+		sameFloats(t, what, got[0], got[1])
+	}
+
+	for trial := 0; trial < 300; trial++ {
+		in, out, rows := 1+rng.Intn(400), 1+rng.Intn(40), 1+rng.Intn(3)
+		if trial%4 < 2 {
+			in = 4 * (1 + rng.Intn(100))
+		}
+		d := NewDense("fc", in, out, rng)
+		kernelValues(rng, trial, d.w.W)
+		kernelValues(rng, trial, d.b.W)
+		// Rows sit at strides wider than the layer, as in the batch arenas.
+		inSize, outSize := in+rng.Intn(3), out+rng.Intn(3)
+		x, _ := guarded(t, rng, rows*inSize, math.NaN())
+		kernelValues(rng, trial, x)
+		what := fmt.Sprintf("dense in=%d out=%d rows=%d", in, out, rows)
+		var got [2][]float64
+		for i, on := range []bool{true, false} {
+			useAVX = on
+			y, check := guarded(t, rng, rows*outSize, 12345.5)
+			for j := range y {
+				y[j] = 12345.5 // the gaps between rows are guards too
+			}
+			d.fwdRows(x, y, rows, inSize, outSize)
+			check(what)
+			for r := 0; r < rows; r++ {
+				for j := out; j < outSize; j++ {
+					if y[r*outSize+j] != 12345.5 {
+						t.Fatalf("%s: gap after row %d overwritten", what, r)
+					}
+				}
+			}
+			got[i] = y
+		}
+		sameFloats(t, what, got[0], got[1])
+	}
+}

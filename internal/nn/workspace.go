@@ -308,25 +308,17 @@ func (ws *Workspace) SafeProbs(x []float64) (out []float64, err error) {
 	return append([]float64(nil), ws.Probs(x)...), nil
 }
 
-// ProbsBatch runs eval-mode softmax probabilities for every row of xs.
-// Batches of two or more rows execute batch-major (see batchPlan): layers
-// outside, rows inside, with Dense/Conv1D weight rows reused across the
-// batch — bit-identical to the per-row path and substantially faster
-// per row, since each weight row is streamed once per batch instead of
-// once per input. Rows are written into dst, which is grown as needed and
+// ProbsBatch runs eval-mode softmax probabilities for every row of xs,
+// batch-major (see batchPlan): layers outside, rows inside, on the per-row
+// path's kernels and bit-identical to it, with the Dense weights read
+// once per batch. Rows are written into dst, which is grown as needed and
 // returned; pass a previously returned dst to make steady-state batches
 // allocation-free.
 func (ws *Workspace) ProbsBatch(xs [][]float64, dst [][]float64) [][]float64 {
 	dst = growRows(dst, len(xs), ws.net.nClasses)
-	switch len(xs) {
-	case 0:
-	case 1:
-		copy(dst[0], ws.Probs(xs[0]))
-	default:
-		logits, stride := ws.forwardBatch(xs)
-		for r := range xs {
-			SoftmaxInto(dst[r], logits[r*stride:r*stride+ws.net.nClasses])
-		}
+	logits, stride := ws.forwardBatch(xs)
+	for r := range xs {
+		SoftmaxInto(dst[r], logits[r*stride:r*stride+ws.net.nClasses])
 	}
 	return dst
 }
@@ -338,15 +330,9 @@ func (ws *Workspace) PredictBatch(xs [][]float64, dst []int) []int {
 		dst = make([]int, len(xs))
 	}
 	dst = dst[:len(xs)]
-	switch len(xs) {
-	case 0:
-	case 1:
-		dst[0] = ws.Predict(xs[0])
-	default:
-		logits, stride := ws.forwardBatch(xs)
-		for r := range xs {
-			dst[r] = Argmax(logits[r*stride : r*stride+ws.net.nClasses])
-		}
+	logits, stride := ws.forwardBatch(xs)
+	for r := range xs {
+		dst[r] = Argmax(logits[r*stride : r*stride+ws.net.nClasses])
 	}
 	return dst
 }

@@ -9,11 +9,12 @@ import (
 // same order, as the layer's allocating Forward/Backward — that is the
 // invariant the bit-identity property tests enforce — but writes into
 // preallocated workspace buffers and keeps all mutable state in the
-// wsState, never in the layer. The k=3 convolution (the only kernel
-// size the paper's architecture uses) additionally gets a fused
-// micro-kernel: the three taps are unrolled into one pass with an
-// interior/edge split so the inner loop is branch-free, and the backward
-// input gradient is computed gather-style (per input element, taps in
+// wsState, never in the layer. The Conv1D and Dense forward passes are
+// the shared kernels of kernels.go. The backward pass of the k=3
+// convolution (the only kernel size the paper's architecture uses) gets
+// a fused micro-kernel: the three taps are unrolled into one pass with an
+// interior/edge split so the inner loop is branch-free, and the input
+// gradient is computed gather-style (per input element, taps in
 // ascending order) so the per-element accumulation order matches the
 // oracle's tap-major loops bit for bit.
 
@@ -21,89 +22,7 @@ import (
 // Conv1D
 
 func (c *Conv1D) fwdWS(_ *wsState, x, y *tensor.T, _ bool) {
-	l := x.Cols()
-	pad := c.pad()
-	lout := y.Cols()
-	for o := 0; o < c.cout; o++ {
-		yRow := y.Row(o)
-		bias := c.b.W[o]
-		for t := range yRow {
-			yRow[t] = bias
-		}
-		for ci := 0; ci < c.cin; ci++ {
-			wBase := (o*c.cin + ci) * c.k
-			wRow := c.w.W[wBase : wBase+c.k]
-			xRow := x.Row(ci)
-			if c.k == 3 && wRow[0] != 0 && wRow[1] != 0 && wRow[2] != 0 {
-				// The oracle skips zero taps entirely; the fused kernel
-				// adds every tap unconditionally, which is only
-				// bit-identical when no tap is zero (adding a zero
-				// product can flip a negative-zero accumulator). Zero
-				// taps never occur with trained weights, but the generic
-				// path below keeps the equivalence exact regardless.
-				if c.same && l >= 2 {
-					conv3FwdSame(yRow, xRow, wRow, l)
-					continue
-				}
-				if !c.same && lout >= 1 {
-					conv3FwdValid(yRow, xRow, wRow, lout)
-					continue
-				}
-			}
-			for j, wj := range wRow {
-				if wj == 0 {
-					continue
-				}
-				off := j - pad
-				lo := 0
-				if off < 0 {
-					lo = -off
-				}
-				hi := lout
-				if hi > l-off {
-					hi = l - off
-				}
-				for t := lo; t < hi; t++ {
-					yRow[t] += wj * xRow[t+off]
-				}
-			}
-		}
-	}
-}
-
-// conv3FwdSame accumulates one input channel into yRow for k=3 "same"
-// padding (pad=1, lout == l, l >= 2). Per output element the taps are
-// added in ascending order (w0, w1, w2), matching the oracle's tap-major
-// loop order element-wise.
-func conv3FwdSame(yRow, xRow, wRow []float64, l int) {
-	w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-	// t = 0: the w0 tap would read x[-1]; only w1, w2 contribute.
-	v := yRow[0] + w1*xRow[0]
-	v += w2 * xRow[1]
-	yRow[0] = v
-	for t := 1; t < l-1; t++ {
-		v := yRow[t] + w0*xRow[t-1]
-		v += w1 * xRow[t]
-		v += w2 * xRow[t+1]
-		yRow[t] = v
-	}
-	// t = l-1: the w2 tap would read x[l]; only w0, w1 contribute.
-	v = yRow[l-1] + w0*xRow[l-2]
-	v += w1 * xRow[l-1]
-	yRow[l-1] = v
-}
-
-// conv3FwdValid accumulates one input channel into yRow for k=3 "valid"
-// padding (pad=0, lout == l-2 >= 1). Every output element sees all three
-// taps, so the whole loop is the branch-free interior.
-func conv3FwdValid(yRow, xRow, wRow []float64, lout int) {
-	w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-	for t := 0; t < lout; t++ {
-		v := yRow[t] + w0*xRow[t]
-		v += w1 * xRow[t+1]
-		v += w2 * xRow[t+2]
-		yRow[t] = v
-	}
+	c.fwdRow(x.Data, y.Data, x.Cols(), y.Cols())
 }
 
 func (c *Conv1D) bwdWS(_ *wsState, x, grad, dx *tensor.T, accum bool) {
@@ -126,8 +45,7 @@ func (c *Conv1D) bwdWS(_ *wsState, x, grad, dx *tensor.T, accum bool) {
 			xRow := x.Row(ci)
 			dxRow := dx.Row(ci)
 			if c.k == 3 {
-				// The oracle backward has no zero-tap skip, so the fused
-				// kernel applies whenever the length guards hold.
+				// The fused kernel applies whenever the length guards hold.
 				if c.same && l >= 2 {
 					conv3BwdSameDx(dxRow, gRow, wRow, l)
 					if accum {
@@ -366,14 +284,7 @@ func (f *Flatten) bwdWS(_ *wsState, _, _, _ *tensor.T, _ bool) {}
 // Dense
 
 func (d *Dense) fwdWS(_ *wsState, x, y *tensor.T, _ bool) {
-	for o := 0; o < d.out; o++ {
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		sum := d.b.W[o]
-		for i, xi := range x.Data {
-			sum += row[i] * xi
-		}
-		y.Data[o] = sum
-	}
+	d.fwdRows(x.Data, y.Data, 1, d.in, d.out)
 }
 
 func (d *Dense) bwdWS(_ *wsState, x, grad, dx *tensor.T, accum bool) {

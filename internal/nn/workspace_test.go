@@ -171,9 +171,11 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkspaceZeroTapFallback pins the zero-weight edge case: the
-// forward oracle skips zero taps, so the fused kernel must detect them
-// and fall back to the exact per-tap loop.
+// TestWorkspaceZeroTapFallback pins the zero-weight case. The product of
+// a zero tap is added like any other, by the oracle and by every kernel —
+// adding +0 can still turn a -0 accumulator into +0, so a kernel that
+// skipped it would differ — and with one tap of every weight row zeroed
+// the per-row path equals the oracle bit for bit, forward and backward.
 func TestWorkspaceZeroTapFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := PaperCNN(3)

@@ -23,8 +23,9 @@ var (
 	// ErrDraining means Close has begun: the batcher no longer accepts
 	// work but will finish everything already queued.
 	ErrDraining = errors.New("serve: draining")
-	// ErrBadInput means the submitted vector has the wrong dimension.
-	ErrBadInput = errors.New("serve: bad input dimension")
+	// ErrBadInput means the submitted vector has the wrong dimension or,
+	// from the server, a component no feature extractor could have produced.
+	ErrBadInput = errors.New("serve: bad input vector")
 )
 
 // BatchEngine is the inference contract the batcher schedules onto: the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"net/http"
 	"runtime"
@@ -283,9 +284,23 @@ func (s *Server) handleVector(w http.ResponseWriter, r *http.Request) {
 	s.classify(w, r, req.Name, req.Vector, 0, 0, false)
 }
 
+// maxFeature bounds the magnitude of an admissible raw component. The
+// largest of the 23 features is the edge count, at most the square of
+// ir.MaxProgramLen nodes (centralities are normalised, path lengths stay
+// below the node count), so anything beyond it, or not finite, was written
+// by hand — and far enough out it overflows the network to NaN, which ReLU
+// turns into 0 and the softmax into a verdict of 0.5.
+const maxFeature = float64(ir.MaxProgramLen) * ir.MaxProgramLen
+
 // classify submits a raw vector to the batcher and writes the verdict
 // or the mapped admission/execution error.
 func (s *Server) classify(w http.ResponseWriter, r *http.Request, name string, vec []float64, blocks, edges int, hasGraph bool) {
+	for i, v := range vec {
+		if !(math.Abs(v) <= maxFeature) { // the negated form is true of NaN as well
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: component %d is %g", ErrBadInput, i, v))
+			return
+		}
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	probs, ver, err := s.batcher.SubmitV(ctx, vec)

@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -199,6 +201,63 @@ func TestServerBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("short vector: status %d want 400", resp.StatusCode)
+	}
+}
+
+// TestServerOverflowVectorRejected pins the admission check on component
+// magnitude. A vector of +-1e308 used to overflow the first convolution
+// to +-Inf, Inf-Inf gave NaN, ReLU maps NaN to 0, and the logits collapsed
+// to their biases: 200 "benign" at confidence 0.5. It is a 400 now,
+// counted as one error and no batch panic, and a healthy vector served
+// beside it gets the answer it gets alone.
+func TestServerOverflowVectorRejected(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	post := func(vec []float64) (int, Verdict) {
+		t.Helper()
+		reqBody, _ := json.Marshal(vectorRequest{Vector: vec})
+		resp, err := http.Post(ts.URL+"/v1/classify/vector", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v Verdict
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, v
+	}
+	healthy := make([]float64, features.NumFeatures)
+	huge := make([]float64, features.NumFeatures)
+	for i := range huge {
+		healthy[i] = 0.25
+		huge[i] = 1e308
+		if i%2 == 1 {
+			huge[i] = -1e308
+		}
+	}
+	_, alone := post(healthy)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if code, v := post(healthy); code != http.StatusOK || !reflect.DeepEqual(v.Probs, alone.Probs) {
+			t.Errorf("healthy peer: status %d probs %v, alone %v", code, v.Probs, alone.Probs)
+		}
+	}()
+	if code, v := post(huge); code != http.StatusBadRequest {
+		t.Errorf("overflowing vector: status %d (verdict %+v), want 400", code, v)
+	}
+	wg.Wait()
+	// One component just past what an extractor can emit is enough.
+	healthy[22] = maxFeature * 2
+	if code, _ := post(healthy); code != http.StatusBadRequest {
+		t.Errorf("component beyond the extractor's range: status %d, want 400", code)
+	}
+	if e, p := s.metrics.Errors.Load(), s.metrics.Panics.Load(); e != 2 || p != 0 {
+		t.Errorf("errors %d panics %d, want 2 and 0", e, p)
 	}
 }
 
