@@ -8,11 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line compiles and asmdecl-checks internal/nn as every
-# platform without the AVX kernels sees it.
+# The second line compiles and asmdecl-checks the packages with AVX
+# kernels as every platform without them sees them. The third vets the
+# nested benchmark module, whose imports of internal/... fail here in
+# seconds when a change breaks them.
 vet:
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/nn
+	GOARCH=arm64 $(GO) vet ./internal/cpu ./internal/nn ./internal/index
+	cd benchmark && $(GO) vet ./...
 
 # Every Go test in the module under the race detector, once: the pool
 # fault-injection harness, the workspace/trainer bit-identity pins, the
@@ -32,7 +35,8 @@ smoke:
 bench:
 	bash benchmark/run.sh
 
-# The gate. The nested benchmark module is vetted and tested here so a
-# deletion that breaks its import surface fails before it merges.
+# The gate. The nested benchmark module is vetted (by vet) and tested
+# here so a deletion that breaks its import surface fails before it
+# merges.
 check: build vet race smoke
-	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+	cd benchmark && $(GO) test -short ./...

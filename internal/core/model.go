@@ -52,10 +52,10 @@ type Model struct {
 	// ranges observed on another model's activations.
 	Calib *nn.Calibration
 	// Extractor serves classification through the fused sweep engine and
-	// its content-keyed cache; nil uses features.Shared. Not persisted —
-	// the cache is derived state. Feature extraction is model-independent,
-	// so a retrained candidate may share the live Model's extractor and
-	// keep the warm cache across a swap.
+	// its two-level cache (program text, then GraphKey); nil uses
+	// features.Shared. Not persisted — the cache is derived state. Feature
+	// extraction is model-independent, so a retrained candidate may share
+	// the live Model's extractor and keep the warm cache across a swap.
 	Extractor *features.Extractor
 
 	// ws pools inference workspaces over weight-sharing clones of Net.
@@ -156,9 +156,10 @@ func (d *Model) Classify(prog *ir.Program) (int, []float64, error) {
 // disassemble, extract CFG features (through the cache), scale — and
 // returns the network-ready vector plus the CFG's basic-block and edge
 // counts for reporting. It is the shared front half of Classify and the
-// offline classify command. The serving path uses RawFeatures instead
-// and defers scaling into the batch engine, so that scale + inference
-// happen atomically under one pinned snapshot during a hot swap.
+// offline classify command. The serving path extracts raw features from
+// the request text (Extractor.ExtractText) instead and defers scaling
+// into the batch engine, so that scale + inference happen atomically
+// under one pinned snapshot during a hot swap.
 func (d *Model) Vectorize(prog *ir.Program) (vec []float64, blocks, edges int, err error) {
 	raw, blocks, edges, err := d.RawFeatures(prog)
 	if err != nil {

@@ -1,12 +1,14 @@
 package features
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
+	"sync/atomic"
 
 	"advmal/internal/graph"
+	"advmal/internal/ir"
+	"advmal/internal/lru"
 )
 
 // sweepers pools fused-sweep scratch across goroutines: Extract and
@@ -15,8 +17,10 @@ import (
 // of allocating per call.
 var sweepers = sync.Pool{New: func() any { return graph.NewSweeper() }}
 
-// DefaultCacheCapacity bounds the shared extractor's cache. At 23
-// float64s plus a 32-byte key per entry this is ~1 MiB of vectors.
+// DefaultCacheCapacity bounds each level of the shared extractor's
+// cache: at most 4096 vectors under GraphKey and 4096 programs under
+// their text hash, each entry a 32-byte key and its 23 float64s inline
+// (≈ 1.5 MiB of heap per full level).
 const DefaultCacheCapacity = 4096
 
 // GraphKey returns the content hash an Extractor caches under: SHA-256
@@ -46,46 +50,48 @@ func GraphKey(g *graph.Graph) [sha256.Size]byte {
 }
 
 // Extractor computes Table II feature vectors through the fused sweep
-// engine with a bounded, concurrency-safe, content-keyed cache in front:
-// vectors are memoized under GraphKey, so hash-equal graphs — the same
-// CFG re-disassembled, a GEA minimize probe repeating a candidate, the
-// same sample crossing corpus build and classification — are extracted
-// once. Raw feature vectors are a pure function of graph content, so
-// sharing one Extractor across detectors, pipelines, and goroutines is
-// always sound.
+// engine with a bounded, concurrency-safe, two-level cache in front.
 //
-// Eviction is least-recently-used. The zero-capacity constructor value
-// selects DefaultCacheCapacity. A nil *Extractor is valid and delegates
-// to the process-wide Shared extractor, which lets struct fields be
-// optional at every call site.
+// The graph level memoizes vectors under GraphKey, so hash-equal graphs
+// — the same CFG re-disassembled, a GEA minimize probe repeating a
+// candidate, a textual re-encoding of one program — are extracted once.
+// The text level, in front of it, memoizes ExtractText's whole result
+// under the SHA-256 of the program text, so a repeated text skips
+// ir.Parse, ir.Disassemble and GraphKey as well. Raw feature vectors are
+// a pure function of graph content, so sharing one Extractor across
+// detectors, pipelines, and goroutines is always sound.
+//
+// Every lookup counts exactly once: a hit at either level is one hit, a
+// miss at both is one miss. Eviction is least-recently-used, per level.
+// The zero-capacity constructor value selects DefaultCacheCapacity. A nil
+// *Extractor is valid and delegates to the process-wide Shared extractor,
+// which lets struct fields be optional at every call site.
 type Extractor struct {
-	mu     sync.Mutex
-	cap    int
-	lru    *list.List // front = most recently used; Value is *cacheEntry
-	byKey  map[[sha256.Size]byte]*list.Element
-	hits   uint64
-	misses uint64
+	text         *lru.Cache[[sha256.Size]byte, Extraction]
+	graph        *lru.Cache[[sha256.Size]byte, [NumFeatures]float64]
+	hits, misses atomic.Uint64
 }
 
-type cacheEntry struct {
-	key [sha256.Size]byte
-	vec Vector
+// Extraction is one program's extraction: its raw (unscaled) feature
+// vector and the block and edge counts of its CFG.
+type Extraction struct {
+	Vec           [NumFeatures]float64
+	Blocks, Edges int
 }
 
 // Shared is the process-wide extractor used when a call site has no
 // explicit one wired in (nil *Extractor receivers delegate here).
 var Shared = NewExtractor(DefaultCacheCapacity)
 
-// NewExtractor returns an Extractor whose cache holds up to capacity
-// vectors; capacity <= 0 selects DefaultCacheCapacity.
+// NewExtractor returns an Extractor whose cache levels hold up to
+// capacity entries each; capacity <= 0 selects DefaultCacheCapacity.
 func NewExtractor(capacity int) *Extractor {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
 	return &Extractor{
-		cap:   capacity,
-		lru:   list.New(),
-		byKey: make(map[[sha256.Size]byte]*list.Element),
+		text:  lru.New[[sha256.Size]byte, Extraction](capacity),
+		graph: lru.New[[sha256.Size]byte, [NumFeatures]float64](capacity),
 	}
 }
 
@@ -96,49 +102,60 @@ func (e *Extractor) Extract(g *graph.Graph) Vector {
 	if e == nil {
 		return Shared.Extract(g)
 	}
+	v := e.vector(g)
+	return append(Vector(nil), v[:]...)
+}
+
+// vector is the graph level: g's features under GraphKey.
+func (e *Extractor) vector(g *graph.Graph) [NumFeatures]float64 {
 	key := GraphKey(g)
-	if v, ok := e.lookup(key); ok {
+	if v, ok := e.graph.Get(key); ok {
+		e.hits.Add(1)
 		return v
 	}
+	e.misses.Add(1)
 	// Compute outside the lock; a concurrent miss on the same key does
 	// redundant work but stays correct (extraction is deterministic).
-	v := Extract(g)
-	e.insert(key, v)
+	var v [NumFeatures]float64
+	copy(v[:], Extract(g))
+	e.graph.Add(key, v)
 	return v
 }
 
-func (e *Extractor) lookup(key [sha256.Size]byte) (Vector, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	el, ok := e.byKey[key]
-	if !ok {
-		e.misses++
-		return nil, false
+// ExtractText parses untrusted program text, recovers its CFG and
+// extracts its features, with the text level in front: a text seen
+// before is answered from its SHA-256 alone. A parse failure wraps
+// ir.ErrParse; it and a disassembly failure are returned uncounted and
+// never cached, so a bad program is rejected every time it arrives.
+func (e *Extractor) ExtractText(text []byte) (Extraction, error) {
+	if e == nil {
+		return Shared.ExtractText(text)
 	}
-	e.hits++
-	e.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).vec.Clone(), true
-}
-
-func (e *Extractor) insert(key [sha256.Size]byte, v Vector) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if el, ok := e.byKey[key]; ok { // lost a compute race; keep the resident entry
-		e.lru.MoveToFront(el)
-		return
+	key := sha256.Sum256(text)
+	if x, ok := e.text.Get(key); ok {
+		e.hits.Add(1)
+		return x, nil
 	}
-	e.byKey[key] = e.lru.PushFront(&cacheEntry{key: key, vec: v.Clone()})
-	for e.lru.Len() > e.cap {
-		oldest := e.lru.Back()
-		e.lru.Remove(oldest)
-		delete(e.byKey, oldest.Value.(*cacheEntry).key)
+	prog, err := ir.Parse(string(text))
+	if err != nil {
+		return Extraction{}, err
 	}
+	cfg, err := ir.Disassemble(prog)
+	if err != nil {
+		return Extraction{}, err
+	}
+	g := cfg.G()
+	x := Extraction{Vec: e.vector(g), Blocks: g.N(), Edges: g.M()}
+	e.text.Add(key, x)
+	return x, nil
 }
 
 // CacheStats is a point-in-time snapshot of an Extractor's cache.
 type CacheStats struct {
 	Hits, Misses uint64
-	Len, Cap     int
+	// Len counts the graph level's vectors, Texts the text level's
+	// programs; Cap bounds each.
+	Len, Texts, Cap int
 }
 
 // Stats returns the extractor's cache counters.
@@ -146,20 +163,20 @@ func (e *Extractor) Stats() CacheStats {
 	if e == nil {
 		return Shared.Stats()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return CacheStats{Hits: e.hits, Misses: e.misses, Len: e.lru.Len(), Cap: e.cap}
+	return CacheStats{
+		Hits: e.hits.Load(), Misses: e.misses.Load(),
+		Len: e.graph.Len(), Texts: e.text.Len(), Cap: e.graph.Cap(),
+	}
 }
 
-// Reset empties the cache and zeroes the counters.
+// Reset empties both levels and zeroes the counters.
 func (e *Extractor) Reset() {
 	if e == nil {
 		Shared.Reset()
 		return
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.lru.Init()
-	e.byKey = make(map[[sha256.Size]byte]*list.Element)
-	e.hits, e.misses = 0, 0
+	e.text.Reset()
+	e.graph.Reset()
+	e.hits.Store(0)
+	e.misses.Store(0)
 }

@@ -2,13 +2,16 @@ package features
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"advmal/internal/graph"
+	"advmal/internal/ir"
 )
 
 func vectorsBitEqual(a, b Vector) bool {
@@ -276,5 +279,133 @@ func TestExtractorConcurrentChurn(t *testing.T) {
 		if !vectorsBitEqual(e.Extract(g), oracle[i]) {
 			t.Fatalf("post-churn corruption for graph %d", i)
 		}
+	}
+}
+
+// branchy is an assembly program whose CFG has n diamonds' worth of
+// blocks: distinct n, distinct GraphKey.
+func branchy(n int) string {
+	var b strings.Builder
+	b.WriteString("movi r0, 1\n")
+	for j := 0; j < n; j++ {
+		fmt.Fprintf(&b, "jeq @%d\nnop\n", 3+2*j)
+	}
+	b.WriteString("ret\n")
+	return b.String()
+}
+
+// TestExtractTextLevels pins the two-level cache and its counting rule: a
+// repeated text is one hit at the text level; a new text of a cached CFG
+// is one hit at the graph level; a new CFG is one miss. Either way the
+// answer is the graph extraction's, bit for bit.
+func TestExtractTextLevels(t *testing.T) {
+	e := NewExtractor(16)
+	check := func(x Extraction, text string) {
+		t.Helper()
+		prog, err := ir.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ir.Disassemble(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := cfg.G()
+		if !vectorsBitEqual(x.Vec[:], ExtractNaive(g)) || x.Blocks != g.N() || x.Edges != g.M() {
+			t.Fatalf("ExtractText(%q) = %+v, want the CFG's own extraction", text, x)
+		}
+	}
+	want := func(hits, misses uint64, texts, graphs int) {
+		t.Helper()
+		if s := e.Stats(); s.Hits != hits || s.Misses != misses || s.Texts != texts || s.Len != graphs {
+			t.Fatalf("stats %+v, want %d hits %d misses %d texts %d graphs", s, hits, misses, texts, graphs)
+		}
+	}
+	text := branchy(3)
+	for i := 0; i < 4; i++ {
+		x, err := e.ExtractText([]byte(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(x, text)
+		want(uint64(i), 1, 1, 1)
+	}
+	// The same CFG spelled differently: a text miss, a graph hit.
+	respelled := "; a comment\n" + text
+	x, err := e.ExtractText([]byte(respelled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(x, respelled)
+	want(4, 1, 2, 1)
+	// A new CFG misses both levels once.
+	if _, err := e.ExtractText([]byte(branchy(5))); err != nil {
+		t.Fatal(err)
+	}
+	want(4, 2, 3, 2)
+	// A graph-level Extract of a CFG the text level filled is a hit.
+	prog, _ := ir.Parse(branchy(5))
+	cfg, _ := ir.Disassemble(prog)
+	e.Extract(cfg.G())
+	want(5, 2, 3, 2)
+	e.Reset()
+	want(0, 0, 0, 0)
+}
+
+// TestExtractTextFailuresNotCached: text that does not parse is an
+// ir.ErrParse error every time, counted nowhere and cached nowhere.
+// (Disassembly re-validates what Parse validated, so over text it cannot
+// fail on its own; its error takes the same uncached return.)
+func TestExtractTextFailuresNotCached(t *testing.T) {
+	e := NewExtractor(4)
+	for i := 0; i < 3; i++ {
+		for _, bad := range []string{"not a program", "jmp @999\nret\n", ""} {
+			if _, err := e.ExtractText([]byte(bad)); !errors.Is(err, ir.ErrParse) {
+				t.Fatalf("ExtractText(%q) error %v, want ir.ErrParse", bad, err)
+			}
+		}
+	}
+	if s := e.Stats(); s != (CacheStats{Cap: 4}) {
+		t.Fatalf("failures left a trace: %+v", s)
+	}
+}
+
+// TestExtractTextConcurrentChurn runs the text level under the churn the
+// graph-level test applies (run under -race by `make race`): every answer
+// matches its program, and every call is exactly one hit or one miss.
+func TestExtractTextConcurrentChurn(t *testing.T) {
+	const capacity, workingSet, goroutines, iters = 4, 12, 8, 200
+	e := NewExtractor(capacity)
+	texts := make([]string, workingSet)
+	oracle := make([]Extraction, workingSet)
+	for i := range texts {
+		texts[i] = branchy(i)
+		x, err := NewExtractor(1).ExtractText([]byte(texts[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle[i] = x
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				j := (w*5 + i) % workingSet
+				if i%2 == 0 {
+					j %= capacity
+				}
+				x, err := e.ExtractText([]byte(texts[j]))
+				if err != nil || x != oracle[j] {
+					t.Errorf("program %d: %+v, %v", j, x, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := e.Stats(); s.Hits+s.Misses != goroutines*iters || s.Texts > capacity || s.Len > capacity {
+		t.Fatalf("stats %+v after %d calls at capacity %d", s, goroutines*iters, capacity)
 	}
 }

@@ -16,7 +16,6 @@
 package gateway
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -31,6 +30,7 @@ import (
 
 	"advmal/internal/features"
 	"advmal/internal/ir"
+	"advmal/internal/lru"
 	"advmal/internal/serve"
 )
 
@@ -141,7 +141,7 @@ type Gateway struct {
 	metrics  *Metrics
 	client   *http.Client
 	limiter  *RateLimiter
-	keys     *keyCache
+	keys     *lru.Cache[[sha256.Size]byte, uint64] // body SHA-256 → routing key
 	mux      *http.ServeMux
 	ready    atomic.Bool
 	done     chan struct{}
@@ -158,7 +158,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:     cfg,
 		metrics: NewMetrics(),
-		keys:    newKeyCache(cfg.KeyCacheSize),
+		keys:    lru.New[[sha256.Size]byte, uint64](cfg.KeyCacheSize),
 		limiter: NewRateLimiter(RateLimiterConfig{Rate: cfg.Rate, Burst: cfg.Burst}),
 		done:    make(chan struct{}),
 	}
@@ -335,7 +335,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, path string, key
 // (replayed probe streams) skip the parse entirely.
 func (g *Gateway) classifyKey(body []byte, contentType string) uint64 {
 	sum := sha256.Sum256(body)
-	if key, ok := g.keys.get(sum); ok {
+	if key, ok := g.keys.Get(sum); ok {
 		g.metrics.KeyCacheHits.Add(1)
 		return key
 	}
@@ -355,7 +355,7 @@ func (g *Gateway) classifyKey(body []byte, contentType string) uint64 {
 			key = KeyFromSum(features.GraphKey(cfg.G()))
 		}
 	}
-	g.keys.put(sum, key)
+	g.keys.Add(sum, key)
 	return key
 }
 
@@ -453,52 +453,4 @@ func (g *Gateway) handleBackends(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(rows)
-}
-
-// keyCache is a bounded LRU from body SHA-256 to routing key, sparing
-// the gateway an ir.Parse + Disassemble per repeated body.
-type keyCache struct {
-	mu    sync.Mutex
-	cap   int
-	lru   *list.List
-	byKey map[[sha256.Size]byte]*list.Element
-}
-
-type keyEntry struct {
-	sum [sha256.Size]byte
-	key uint64
-}
-
-func newKeyCache(capacity int) *keyCache {
-	return &keyCache{
-		cap:   capacity,
-		lru:   list.New(),
-		byKey: make(map[[sha256.Size]byte]*list.Element),
-	}
-}
-
-func (c *keyCache) get(sum [sha256.Size]byte) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[sum]
-	if !ok {
-		return 0, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*keyEntry).key, true
-}
-
-func (c *keyCache) put(sum [sha256.Size]byte, key uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[sum]; ok {
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byKey[sum] = c.lru.PushFront(&keyEntry{sum: sum, key: key})
-	for c.lru.Len() > c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*keyEntry).sum)
-	}
 }

@@ -606,23 +606,34 @@ func TestNormalizeBackend(t *testing.T) {
 	}
 }
 
-// The routing-key cache is a bounded LRU: hot keys survive, cold ones
-// are evicted at capacity.
+// The routing-key cache is a bounded LRU of KeyCacheSize bodies: hot
+// bodies survive, cold ones are evicted at capacity, and every lookup is
+// one hit or one miss on /metrics.
 func TestKeyCacheLRU(t *testing.T) {
-	c := newKeyCache(2)
-	sum := func(s string) [32]byte { var b [32]byte; copy(b[:], s); return b }
-	c.put(sum("a"), 1)
-	c.put(sum("b"), 2)
-	c.get(sum("a")) // refresh a
-	c.put(sum("c"), 3)
-	if _, ok := c.get(sum("b")); ok {
-		t.Error("LRU kept the cold entry")
+	g := newTestGateway(t, Config{KeyCacheSize: 2}, newFakeReplica(t))
+	send := func(body string) {
+		t.Helper()
+		if rec := do(g, http.MethodPost, "/v1/classify", "text/plain", body); rec.Code != http.StatusOK {
+			t.Fatalf("status %d body %s", rec.Code, rec.Body)
+		}
 	}
-	if v, ok := c.get(sum("a")); !ok || v != 1 {
-		t.Error("LRU evicted the hot entry")
-	}
-	if v, ok := c.get(sum("c")); !ok || v != 3 {
-		t.Error("newest entry missing")
+	a, b, c := validProgram, "movi r0, 2\nret\n", "movi r0, 3\nret\n"
+	for _, step := range []struct {
+		body         string
+		hits, misses uint64
+	}{
+		{a, 0, 1},
+		{b, 0, 2},
+		{a, 1, 2}, // refreshes a
+		{c, 1, 3}, // evicts b, the cold entry
+		{a, 2, 3}, // a survived
+		{c, 3, 3},
+		{b, 3, 4}, // b was evicted
+	} {
+		send(step.body)
+		if h, m := g.Metrics().KeyCacheHits.Load(), g.Metrics().KeyCacheMisses.Load(); h != step.hits || m != step.misses {
+			t.Fatalf("after %q: key cache hits %d misses %d, want %d and %d", step.body, h, m, step.hits, step.misses)
+		}
 	}
 }
 

@@ -6,11 +6,14 @@
 // the training manifold, so a large distance to the nearest labeled
 // neighbor is itself a detection signal.
 //
-// Two search engines share one storage layer: HNSW, the production
-// hierarchical small-world graph index, and Exact, the brute-force scan
-// kept as the property-tested oracle HNSW's recall is pinned against.
-// Corpus bundles an engine with the calibrated triage threshold into
-// the gob-persisted artefact cmd/serve loads at startup.
+// Three search engines share one storage layer: HNSW, the hierarchical
+// small-world graph index for corpora far larger than the paper's; Exact,
+// the brute-force scan kept as the oracle HNSW's recall and the flat
+// scan's exactness are pinned against; and the flat scan behind
+// Corpus.Search, a vectorised exact scan that is the fastest of the three
+// at the paper's corpus size. Corpus bundles the vectors and the HNSW
+// index with the calibrated triage threshold into the gob-persisted
+// artefact cmd/serve loads at startup.
 package index
 
 import (
@@ -41,9 +44,9 @@ type Hit struct {
 	Dist float64 `json:"dist"`
 }
 
-// Searcher is the k-NN query contract shared by Exact and HNSW.
-// Implementations are safe for concurrent Search; HNSW additionally
-// allows Search concurrent with Add.
+// Searcher is the k-NN query contract shared by Exact, HNSW and the
+// flat scan. Implementations are safe for concurrent Search; HNSW
+// additionally allows Search concurrent with Add.
 type Searcher interface {
 	// Search returns the k entries nearest to q, closest first. Fewer
 	// than k are returned when the index holds fewer entries.
@@ -107,12 +110,13 @@ func (m *MemStore) Dim() int {
 
 // sqDist returns the squared Euclidean distance between equal-length
 // vectors. Comparisons happen in squared space; only reported Hit
-// distances pay the square root.
+// distances pay the square root. The flat scan reproduces it bit for bit:
+// terms in ascending dimension, each multiply and add rounded on its own.
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, x := range a {
 		d := x - b[i]
-		s += d * d
+		s += float64(d * d) // the conversion forbids a fused multiply-add
 	}
 	return s
 }
@@ -175,17 +179,7 @@ func (e *Exact) Search(q []float64, k int) ([]Hit, error) {
 			worst.push(exactItem{dist: d, id: int32(id)})
 		}
 	}
-	sort.Slice(worst, func(i, j int) bool {
-		if worst[i].dist != worst[j].dist {
-			return worst[i].dist < worst[j].dist
-		}
-		return worst[i].id < worst[j].id
-	})
-	hits := make([]Hit, len(worst))
-	for i, it := range worst {
-		hits[i] = Hit{ID: int(it.id), Label: e.store.Label(int(it.id)), Dist: math.Sqrt(it.dist)}
-	}
-	return hits, nil
+	return worst.hits(e.store), nil
 }
 
 // exactItem and exactHeap are the oracle's own float64 max-heap — kept
@@ -211,6 +205,22 @@ func (h *exactHeap) push(it exactItem) {
 		s[i], s[p] = s[p], s[i]
 		i = p
 	}
+}
+
+// hits returns the heap's items as hits, closest first, ties to the
+// lower id.
+func (h exactHeap) hits(store Store) []Hit {
+	sort.Slice(h, func(i, j int) bool {
+		if h[i].dist != h[j].dist {
+			return h[i].dist < h[j].dist
+		}
+		return h[i].id < h[j].id
+	})
+	hits := make([]Hit, len(h))
+	for i, it := range h {
+		hits[i] = Hit{ID: int(it.id), Label: store.Label(int(it.id)), Dist: math.Sqrt(it.dist)}
+	}
+	return hits
 }
 
 func (h *exactHeap) pop() exactItem {

@@ -14,21 +14,30 @@ import (
 // far more than this; only true content duplicates land under it.
 const DefaultDupEps = 1e-9
 
-// Corpus is the serving artefact cmd/serve loads at startup: the HNSW
-// index over the labeled, scaled training corpus, the calibrated triage
-// threshold, and the near-duplicate radius. Build one with BuildCorpus,
-// persist with Save, restore with Load.
+// Corpus is the serving artefact cmd/serve loads at startup: the labeled,
+// scaled training corpus with an HNSW index over it, the calibrated
+// triage threshold, and the near-duplicate radius. Build one with
+// BuildCorpus, persist with Save, restore with Load.
+//
+// Search and Nearest answer exactly, by a flat scan over a copy of the
+// vectors the corpus was built or loaded with; at the paper's corpus size
+// the scan is faster than the HNSW graph, which stays for larger corpora
+// and for the snapshot format. Vectors added to HNSW afterwards are not
+// searched.
 type Corpus struct {
 	HNSW   *HNSW
 	Triage Triage
 	// DupEps is the near-duplicate distance (<= 0 selects DefaultDupEps
 	// at build/load time).
 	DupEps float64
+
+	flat *flat
 }
 
 // BuildCorpus indexes the labeled vectors, calibrates the triage
-// threshold at quantile (<= 0 selects the 0.99 default), and returns
-// the bundle. vecs[i] carries labels[i]; insertion order is id order.
+// threshold at quantile (<= 0 selects the 0.99 default) on exact
+// nearest-neighbour distances, and returns the bundle. vecs[i] carries
+// labels[i]; insertion order is id order.
 func BuildCorpus(cfg HNSWConfig, vecs [][]float64, labels []string, quantile float64) (*Corpus, error) {
 	if len(vecs) != len(labels) {
 		return nil, fmt.Errorf("index: build corpus: %d vectors but %d labels", len(vecs), len(labels))
@@ -39,12 +48,22 @@ func BuildCorpus(cfg HNSWConfig, vecs [][]float64, labels []string, quantile flo
 			return nil, fmt.Errorf("index: build corpus: vector %d: %w", i, err)
 		}
 	}
-	tri, err := CalibrateTriage(h, h.Store(), quantile)
+	fl := newFlat(h.Store())
+	tri, err := CalibrateTriage(fl, h.Store(), quantile)
 	if err != nil {
 		return nil, err
 	}
-	return &Corpus{HNSW: h, Triage: tri, DupEps: DefaultDupEps}, nil
+	return &Corpus{HNSW: h, Triage: tri, DupEps: DefaultDupEps, flat: fl}, nil
 }
+
+// Search returns the k corpus entries nearest to q, closest first, ties
+// to the lower id: Exact's answer over the same vectors, at bit-identical
+// distances.
+func (c *Corpus) Search(q []float64, k int) ([]Hit, error) { return c.flat.Search(q, k) }
+
+// Nearest is Search(q, 1)'s one hit, without allocating: the triage
+// lookup behind every verdict.
+func (c *Corpus) Nearest(q []float64) (Hit, error) { return c.flat.nearest(q) }
 
 // snapshotVersion guards the on-disk layout.
 const snapshotVersion = 1
@@ -183,5 +202,6 @@ func Load(r io.Reader) (c *Corpus, err error) {
 		HNSW:   h,
 		Triage: Triage{Threshold: snap.Threshold, Quantile: snap.Quantile},
 		DupEps: dupEps,
+		flat:   newFlat(h.Store()),
 	}, nil
 }

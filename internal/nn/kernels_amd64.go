@@ -1,14 +1,11 @@
 package nn
 
+import "advmal/internal/cpu"
+
 // useAVX selects the assembly primitives. It is decided once, from what
 // the CPU and the OS report; the tests turn it off to pin the portable
 // twins on amd64 too.
-var useAVX = hasAVX()
-
-// hasAVX reports whether AVX instructions may be executed: CPUID says the
-// CPU has them and the OS uses XSAVE, and XCR0 says the OS saves the YMM
-// registers across context switches.
-func hasAVX() bool
+var useAVX = cpu.AVX
 
 //go:noescape
 func conv3TileAVX(y0, y1, x, w0, w1 *float64, b0, b1 float64, cin, l int)

@@ -35,10 +35,11 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSwap accepts a model gob (the core.Save format), loads it, and
-// installs it into the serving handle. In-flight batches finish on the
-// old snapshot; everything admitted after the swap scores on the new
-// one. Mounted only with Config.Admin — the endpoint is mutating and
-// deployments are expected to keep it off the public listener.
+// installs it into the serving handle with the live snapshot's feature
+// extractor. In-flight batches finish on the old snapshot; everything
+// admitted after the swap scores on the new one. Mounted only with
+// Config.Admin — the endpoint is mutating and deployments are expected
+// to keep it off the public listener.
 func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxModelBody))
 	if err != nil {
@@ -50,6 +51,9 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding model: %w", err))
 		return
 	}
+	// Extraction is model-independent: the new snapshot keeps the live
+	// one's warm feature cache, and /metrics keeps counting on it.
+	m.Extractor = s.h.Current().Extractor
 	old, err := s.h.Swap(m)
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("installing model: %w", err))

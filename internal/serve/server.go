@@ -239,30 +239,36 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	name := ""
-	text := string(body)
+	name, text := "", body
 	if IsJSON(r.Header.Get("Content-Type")) {
 		var req classifyRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		name, text = req.Name, req.Program
-	}
-	prog, err := ir.Parse(text)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		name, text = req.Name, []byte(req.Program)
 	}
 	// Extract RAW features only — scaling happens inside the batch
 	// engine under whichever snapshot scores the row, so the verdict is
-	// attributable to exactly one model version across a hot swap.
-	raw, blocks, edges, err := s.h.Current().RawFeatures(prog)
+	// attributable to exactly one model version across a hot swap. The
+	// extraction is keyed by the program text alone, so a cached one is
+	// valid under any snapshot.
+	x, err := s.h.Current().Extractor.ExtractText(text)
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, err)
+		s.fail(w, extractStatus(err), err)
 		return
 	}
-	s.classify(w, r, name, raw, blocks, edges, true)
+	s.classify(w, r, name, x.Vec[:], x.Blocks, x.Edges, true)
+}
+
+// extractStatus maps a program that could not be extracted to its
+// status: text that does not parse is a 400, a program that parses but
+// has no recoverable CFG a 422.
+func extractStatus(err error) int {
+	if errors.Is(err, ir.ErrParse) {
+		return http.StatusBadRequest
+	}
+	return http.StatusUnprocessableEntity
 }
 
 // handleVector accepts a raw feature vector and answers with a Verdict
@@ -292,14 +298,23 @@ func (s *Server) handleVector(w http.ResponseWriter, r *http.Request) {
 // turns into 0 and the softmax into a verdict of 0.5.
 const maxFeature = float64(ir.MaxProgramLen) * ir.MaxProgramLen
 
+// admit rejects a raw vector no program could produce: a component
+// beyond maxFeature, or not finite.
+func admit(vec []float64) error {
+	for i, v := range vec {
+		if !(math.Abs(v) <= maxFeature) { // the negated form is true of NaN as well
+			return fmt.Errorf("%w: component %d is %g", ErrBadInput, i, v)
+		}
+	}
+	return nil
+}
+
 // classify submits a raw vector to the batcher and writes the verdict
 // or the mapped admission/execution error.
 func (s *Server) classify(w http.ResponseWriter, r *http.Request, name string, vec []float64, blocks, edges int, hasGraph bool) {
-	for i, v := range vec {
-		if !(math.Abs(v) <= maxFeature) { // the negated form is true of NaN as well
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: component %d is %g", ErrBadInput, i, v))
-			return
-		}
+	if err := admit(vec); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -336,12 +351,12 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, name string, v
 		return
 	}
 	if c := s.cfg.Corpus; c != nil {
-		// The corpus index lives in scaled space; scale the raw query
-		// with the current snapshot's scaler. Triage is advisory, so a
-		// scaling failure just omits the block.
+		// The corpus lives in scaled space; scale the raw query with the
+		// current snapshot's scaler. Triage is advisory, so a scaling or
+		// search failure just omits the block.
 		if scaled, serr := s.h.Current().Scaler.Transform(vec); serr == nil {
-			if hits, herr := c.HNSW.Search(scaled, 1); herr == nil && len(hits) > 0 {
-				ti := c.Triage.Score(hits)
+			if hit, herr := c.Nearest(scaled); herr == nil {
+				ti := c.Triage.Score([]index.Hit{hit})
 				v.Triage = &ti
 				if ti.Flagged {
 					s.metrics.TriageFlagged.Add(1)

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"advmal/internal/index"
-	"advmal/internal/ir"
 )
 
 // similarRequest is the JSON request body for /v1/similar: a program
@@ -77,6 +76,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var req similarRequest
+	text := body
 	if IsJSON(r.Header.Get("Content-Type")) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -86,37 +86,32 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("request needs a program or a vector"))
 			return
 		}
-	} else {
-		req.Program = string(body)
+		text = []byte(req.Program)
 	}
 
 	// Similarity queries are served entirely on one snapshot: resolve the
 	// handle once and use that model's extractor + scaler for the query.
 	m := s.h.Current()
-	var vec []float64
-	switch {
-	case req.Program != "":
-		prog, err := ir.Parse(req.Program)
+	raw := req.Vector
+	if len(text) > 0 {
+		x, err := m.Extractor.ExtractText(text)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
+			s.fail(w, extractStatus(err), err)
 			return
 		}
-		vec, _, _, err = m.Vectorize(prog)
-		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-	default:
-		scaled, err := m.Scaler.Transform(req.Vector)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		vec = scaled
+		raw = x.Vec[:]
+	} else if err := admit(raw); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	vec, err := m.Scaler.Transform(raw)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 
 	s.metrics.Similar.Add(1)
-	hits, err := corpus.HNSW.Search(vec, k)
+	hits, err := corpus.Search(vec, k)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("index search: %w", err))
 		return
