@@ -1,9 +1,9 @@
 // Command gateway fronts a cluster of cmd/serve replicas with the
 // fault-tolerant reverse proxy in internal/gateway: consistent-hash
-// routing on graph content (per-replica feature caches stay warm),
-// health-checked membership over /readyz, capped-backoff retries,
-// p99-budget hedging, per-backend circuit breakers, and per-client
-// token-bucket load shedding.
+// routing on the program text's SHA-256 (per-replica feature caches
+// stay warm), health-checked membership over /readyz, capped-backoff
+// retries, p99-budget hedging, per-backend circuit breakers, and
+// per-client token-bucket load shedding.
 //
 // Usage:
 //

@@ -2,16 +2,17 @@
 // cluster: a stdlib-only reverse proxy spreading /v1/classify traffic
 // over N serve replicas.
 //
-// Routing is a consistent hash on features.GraphKey — the same content
-// hash the per-replica feature-cache memoizes under — so every repeated
-// graph (a GEA probe stream, a re-submitted sample) lands on the replica
-// whose extractor LRU is already warm for it. Around that placement sit
-// the resilience layers the single-node stack cannot provide: a
-// health-checked replica set polled over /readyz, capped-backoff retries
-// and p99-budget hedging across the shard's failover candidates, a
-// half-open circuit breaker per backend, per-client token-bucket load
-// shedding, and graceful 503 + Retry-After degradation when a shard has
-// no live replica. Every layer exports Prometheus-text counters on the
+// Routing is a consistent hash on the SHA-256 of the program text — the
+// address the replica's feature cache files the program under — so every
+// repeated program (a GEA probe stream, a re-submitted sample) lands on
+// the replica whose cache is already warm for it. The gateway never
+// parses a program: it links nothing of the detector. Around that
+// placement sit the resilience layers the single-node stack cannot
+// provide: a health-checked replica set polled over /readyz,
+// capped-backoff retries and p99-budget hedging across the shard's
+// failover candidates, a half-open circuit breaker per backend,
+// per-client token-bucket load shedding, and graceful 503 + Retry-After
+// degradation when a shard has no live replica. Every layer exports Prometheus-text counters on the
 // gateway's own /metrics.
 package gateway
 
@@ -28,10 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"advmal/internal/features"
-	"advmal/internal/ir"
-	"advmal/internal/lru"
-	"advmal/internal/serve"
+	"advmal/internal/wire"
 )
 
 // Config configures a Gateway. Backends is required; everything else
@@ -75,9 +73,6 @@ type Config struct {
 	Burst float64
 	// MaxBody bounds request and response bodies. Default 1 MiB.
 	MaxBody int64
-	// KeyCacheSize bounds the body-hash → routing-key cache that spares
-	// the gateway re-parsing hot request bodies. Default 4096.
-	KeyCacheSize int
 	// Transport overrides the upstream transport (tests). Nil selects a
 	// keep-alive transport sized for the backend count.
 	Transport http.RoundTripper
@@ -126,9 +121,6 @@ func (c *Config) defaults() error {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
 	}
-	if c.KeyCacheSize <= 0 {
-		c.KeyCacheSize = 4096
-	}
 	return nil
 }
 
@@ -141,7 +133,6 @@ type Gateway struct {
 	metrics  *Metrics
 	client   *http.Client
 	limiter  *RateLimiter
-	keys     *lru.Cache[[sha256.Size]byte, uint64] // body SHA-256 → routing key
 	mux      *http.ServeMux
 	ready    atomic.Bool
 	done     chan struct{}
@@ -158,7 +149,6 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:     cfg,
 		metrics: NewMetrics(),
-		keys:    lru.New[[sha256.Size]byte, uint64](cfg.KeyCacheSize),
 		limiter: NewRateLimiter(RateLimiterConfig{Rate: cfg.Rate, Burst: cfg.Burst}),
 		done:    make(chan struct{}),
 	}
@@ -186,17 +176,18 @@ func New(cfg Config) (*Gateway, error) {
 
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /v1/classify", func(w http.ResponseWriter, r *http.Request) {
-		g.proxy(w, r, "/v1/classify", g.classifyKey)
+		g.proxy(w, r, "/v1/classify", classifyKey)
 	})
 	g.mux.HandleFunc("POST /v1/classify/vector", func(w http.ResponseWriter, r *http.Request) {
 		g.proxy(w, r, "/v1/classify/vector", bodyKey)
 	})
-	// /v1/similar routes on the same graph key as /v1/classify: a
-	// sample queried for neighbors right after classification lands on
-	// the replica whose extractor cache is already warm for its CFG.
-	// The same retry/hedge/breaker ladder applies.
+	// /v1/similar routes on the same program-text key as /v1/classify:
+	// a sample queried for neighbors right after classification lands on
+	// the replica whose feature cache already holds its text. A
+	// vector-only query has no program and spreads by body hash. The
+	// same retry/hedge/breaker ladder applies.
 	g.mux.HandleFunc("POST /v1/similar", func(w http.ResponseWriter, r *http.Request) {
-		g.proxy(w, r, "/v1/similar", g.classifyKey)
+		g.proxy(w, r, "/v1/similar", classifyKey)
 	})
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
@@ -326,42 +317,24 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, path string, key
 	w.Write(res.body)
 }
 
-// classifyKey computes the routing key for a /v1/classify body: the
-// program's features.GraphKey, so textual re-encodings of the same CFG
-// (a renamed JSON sample, the same graph re-submitted) route to the same
-// replica and hit its warm extractor cache. Unparseable bodies fall back
-// to the body hash — the replica will reject them with 400, any replica
-// will do. Keys are memoized under the body's SHA-256 so hot bodies
-// (replayed probe streams) skip the parse entirely.
-func (g *Gateway) classifyKey(body []byte, contentType string) uint64 {
-	sum := sha256.Sum256(body)
-	if key, ok := g.keys.Get(sum); ok {
-		g.metrics.KeyCacheHits.Add(1)
-		return key
+// classifyKey routes a program body on the SHA-256 of its program text
+// (wire.ProgramText), the key the replica's text cache uses, so every
+// encoding of one program — raw, or JSON under any name — lands on the
+// replica already warm for it. A raw body's key is therefore bodyKey. A
+// body that does not decode, or carries no program (a vector-only
+// /v1/similar), falls back to bodyKey: the replica answers it and any
+// replica will do.
+func classifyKey(body []byte, contentType string) uint64 {
+	_, text, err := wire.ProgramText(body, contentType)
+	if err != nil || len(text) == 0 {
+		return bodyKey(body, contentType)
 	}
-	g.metrics.KeyCacheMisses.Add(1)
-	text := body
-	if serve.IsJSON(contentType) {
-		var req struct {
-			Program string `json:"program"`
-		}
-		if err := json.Unmarshal(body, &req); err == nil {
-			text = []byte(req.Program)
-		}
-	}
-	key := KeyFromSum(sum)
-	if prog, err := ir.Parse(string(text)); err == nil {
-		if cfg, err := ir.Disassemble(prog); err == nil {
-			key = KeyFromSum(features.GraphKey(cfg.G()))
-		}
-	}
-	g.keys.Add(sum, key)
-	return key
+	return KeyFromSum(sha256.Sum256(text))
 }
 
-// bodyKey routes a raw-vector request by its body hash: there is no
-// graph, hence no cache affinity to preserve — the hash just keeps the
-// placement deterministic and evenly spread.
+// bodyKey routes a request by its body hash. For a raw-vector request
+// there is no program, hence no cache affinity to preserve — the hash
+// just keeps the placement deterministic and evenly spread.
 func bodyKey(body []byte, _ string) uint64 {
 	return KeyFromSum(sha256.Sum256(body))
 }

@@ -3,8 +3,10 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,7 +20,7 @@ import (
 )
 
 // validProgram is the same minimal parseable program the serve tests
-// use; its CFG is what classifyKey hashes.
+// use.
 const validProgram = "movi r0, 1\nmovi r1, 2\nadd r0, r1\nret\n"
 
 // fakeReplica is a scriptable stand-in for a serve replica: /readyz
@@ -118,53 +120,10 @@ func replicaByURL(t *testing.T, replicas []*fakeReplica, b *Backend) *fakeReplic
 	return nil
 }
 
-// Textual re-encodings of the same program — raw text, JSON under
-// different names — carry the same CFG, so they must route to the same
-// replica (the GraphKey affinity claim), and repeats must hit the
-// routing-key cache.
-func TestGatewayRoutesByGraphKey(t *testing.T) {
-	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
-	g := newTestGateway(t, Config{}, replicas...)
-
-	encodings := []struct{ contentType, body string }{
-		{"text/plain", validProgram},
-		{"application/json", fmt.Sprintf(`{"name":"alpha","program":%q}`, validProgram)},
-		{"application/json", fmt.Sprintf(`{"name":"beta","program":%q}`, validProgram)},
-		{"application/json;charset=UTF-8", fmt.Sprintf(`{"name":"gamma","program":%q}`, validProgram)},
-	}
-	for _, enc := range encodings {
-		for i := 0; i < 2; i++ {
-			rec := do(g, http.MethodPost, "/v1/classify", enc.contentType, enc.body)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d body %s", rec.Code, rec.Body)
-			}
-		}
-	}
-	hot := 0
-	for _, f := range replicas {
-		if n := f.hits.Load(); n > 0 {
-			hot++
-			if n != 8 {
-				t.Errorf("replica %s got %d hits, want all 8", f.addr(), n)
-			}
-		}
-	}
-	if hot != 1 {
-		t.Fatalf("%d replicas received traffic, want exactly 1 (same CFG → same shard)", hot)
-	}
-	// 4 distinct bodies, each sent twice: second sends are cache hits.
-	if hits := g.Metrics().KeyCacheHits.Load(); hits != 4 {
-		t.Errorf("key cache hits = %d, want 4", hits)
-	}
-	if misses := g.Metrics().KeyCacheMisses.Load(); misses != 4 {
-		t.Errorf("key cache misses = %d, want 4", misses)
-	}
-}
-
-// A JSON envelope under a valid re-spelling of the header (no space,
-// upper-case charset) is JSON at both hops: proxied to a real serve
-// replica it answers 200 with the name echoed, not a parser 400.
-func TestGatewayProxiesJSONCharsetVariant(t *testing.T) {
+// newServeReplica starts a real serve replica over an untrained
+// network with its own feature cache.
+func newServeReplica(t *testing.T) *fakeReplica {
+	t.Helper()
 	lo, hi := make([]float64, features.NumFeatures), make([]float64, features.NumFeatures)
 	for i := range hi {
 		hi[i] = 1
@@ -182,7 +141,71 @@ func TestGatewayProxiesJSONCharsetVariant(t *testing.T) {
 		ts.Close()
 		s.Drain()
 	})
-	g := newTestGateway(t, Config{}, &fakeReplica{ts: ts})
+	return &fakeReplica{ts: ts}
+}
+
+// scrape reads one counter off a replica's /metrics.
+func scrape(t *testing.T, f *fakeReplica, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(f.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s missing from /metrics:\n%s", name, body)
+	return 0
+}
+
+// Every encoding of one program — raw text, JSON under different names,
+// a re-spelled JSON header — has the same program text, so all of them
+// route to one real replica and only the first misses its text cache
+// (the cache-affinity claim).
+func TestGatewayRoutesByProgramText(t *testing.T) {
+	replicas := []*fakeReplica{newServeReplica(t), newServeReplica(t)}
+	g := newTestGateway(t, Config{}, replicas...)
+
+	for _, enc := range []struct{ contentType, body string }{
+		{"text/plain", validProgram},
+		{"application/json", fmt.Sprintf(`{"name":"alpha","program":%q}`, validProgram)},
+		{"application/json", fmt.Sprintf(`{"name":"beta","program":%q}`, validProgram)},
+		{"application/json;charset=UTF-8", fmt.Sprintf(`{"name":"gamma","program":%q}`, validProgram)},
+	} {
+		if rec := do(g, http.MethodPost, "/v1/classify", enc.contentType, enc.body); rec.Code != http.StatusOK {
+			t.Fatalf("status %d body %s", rec.Code, rec.Body)
+		}
+	}
+	hot := 0
+	for _, f := range replicas {
+		misses := scrape(t, f, "advmal_feature_cache_misses_total")
+		hits := scrape(t, f, "advmal_feature_cache_hits_total")
+		if misses+hits == 0 {
+			continue
+		}
+		hot++
+		if misses != 1 || hits != 3 {
+			t.Errorf("replica %s: cache misses %g hits %g, want 1 and 3", f.addr(), misses, hits)
+		}
+	}
+	if hot != 1 {
+		t.Fatalf("%d replicas received traffic, want exactly 1 (same program text → same shard)", hot)
+	}
+}
+
+// A JSON envelope under a valid re-spelling of the header (no space,
+// upper-case charset) is JSON at both hops: proxied to a real serve
+// replica it answers 200 with the name echoed, not a parser 400.
+func TestGatewayProxiesJSONCharsetVariant(t *testing.T) {
+	g := newTestGateway(t, Config{}, newServeReplica(t))
 
 	rec := do(g, http.MethodPost, "/v1/classify", "application/json;charset=UTF-8",
 		fmt.Sprintf(`{"name":"delta","program":%q}`, validProgram))
@@ -199,19 +222,26 @@ func TestGatewayProxiesJSONCharsetVariant(t *testing.T) {
 }
 
 // Distinct vector bodies spread across the cluster rather than piling
-// onto one replica.
+// onto one replica — on /v1/similar too, where a vector-only body has no
+// program text and must fall back to the body hash rather than all
+// hashing the empty text onto one shard.
 func TestGatewayVectorSpread(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
 	g := newTestGateway(t, Config{}, replicas...)
-	for i := 0; i < 60; i++ {
-		body := fmt.Sprintf(`{"vector":[%d]}`, i)
-		if rec := do(g, http.MethodPost, "/v1/classify/vector", "application/json", body); rec.Code != http.StatusOK {
-			t.Fatalf("status %d", rec.Code)
+	for _, path := range []string{"/v1/classify/vector", "/v1/similar"} {
+		for _, f := range replicas {
+			f.hits.Store(0)
 		}
-	}
-	for _, f := range replicas {
-		if f.hits.Load() == 0 {
-			t.Errorf("replica %s received no traffic over 60 random keys", f.addr())
+		for i := 0; i < 60; i++ {
+			body := fmt.Sprintf(`{"vector":[%d]}`, i)
+			if rec := do(g, http.MethodPost, path, "application/json", body); rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", path, rec.Code)
+			}
+		}
+		for _, f := range replicas {
+			if f.hits.Load() == 0 {
+				t.Errorf("%s: replica %s received no traffic over 60 distinct bodies", path, f.addr())
+			}
 		}
 	}
 }
@@ -222,7 +252,7 @@ func TestGatewayRetryFailover(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
 	g := newTestGateway(t, Config{RetryBackoff: time.Millisecond}, replicas...)
 
-	key := g.classifyKey([]byte(validProgram), "text/plain")
+	key := classifyKey([]byte(validProgram), "text/plain")
 	cands := g.candidates(key)
 	if len(cands) != 2 {
 		t.Fatalf("want 2 candidates, got %d", len(cands))
@@ -302,7 +332,7 @@ func TestGatewayHedge(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
 	g := newTestGateway(t, Config{HedgeAfter: 10 * time.Millisecond, AttemptTimeout: 5 * time.Second}, replicas...)
 
-	key := g.classifyKey([]byte(validProgram), "text/plain")
+	key := classifyKey([]byte(validProgram), "text/plain")
 	cands := g.candidates(key)
 	primary := replicaByURL(t, replicas, cands[0])
 	release := make(chan struct{})
@@ -606,37 +636,6 @@ func TestNormalizeBackend(t *testing.T) {
 	}
 }
 
-// The routing-key cache is a bounded LRU of KeyCacheSize bodies: hot
-// bodies survive, cold ones are evicted at capacity, and every lookup is
-// one hit or one miss on /metrics.
-func TestKeyCacheLRU(t *testing.T) {
-	g := newTestGateway(t, Config{KeyCacheSize: 2}, newFakeReplica(t))
-	send := func(body string) {
-		t.Helper()
-		if rec := do(g, http.MethodPost, "/v1/classify", "text/plain", body); rec.Code != http.StatusOK {
-			t.Fatalf("status %d body %s", rec.Code, rec.Body)
-		}
-	}
-	a, b, c := validProgram, "movi r0, 2\nret\n", "movi r0, 3\nret\n"
-	for _, step := range []struct {
-		body         string
-		hits, misses uint64
-	}{
-		{a, 0, 1},
-		{b, 0, 2},
-		{a, 1, 2}, // refreshes a
-		{c, 1, 3}, // evicts b, the cold entry
-		{a, 2, 3}, // a survived
-		{c, 3, 3},
-		{b, 3, 4}, // b was evicted
-	} {
-		send(step.body)
-		if h, m := g.Metrics().KeyCacheHits.Load(), g.Metrics().KeyCacheMisses.Load(); h != step.hits || m != step.misses {
-			t.Fatalf("after %q: key cache hits %d misses %d, want %d and %d", step.body, h, m, step.hits, step.misses)
-		}
-	}
-}
-
 // Unparseable classify bodies still route (body-hash fallback) and the
 // replica's 400 passes through untouched.
 func TestGatewayUnparseableBodyFallback(t *testing.T) {
@@ -690,7 +689,7 @@ func TestGatewayConcurrentMixedLoad(t *testing.T) {
 
 // TestGatewaySimilarAffinityAndQuery pins the /v1/similar route: the
 // same program body shares a shard with /v1/classify (both hash the
-// GraphKey, so a replica's warm feature cache serves both), and the ?k=
+// program text, so a replica's warm feature cache serves both), and the ?k=
 // query string is forwarded to the backend without perturbing the
 // routing key.
 func TestGatewaySimilarAffinityAndQuery(t *testing.T) {
@@ -723,7 +722,7 @@ func TestGatewaySimilarAffinityAndQuery(t *testing.T) {
 		}
 	}
 	if hot != 1 {
-		t.Fatalf("%d replicas received traffic, want exactly 1 (classify and similar share the CFG shard)", hot)
+		t.Fatalf("%d replicas received traffic, want exactly 1 (classify and similar share the program's shard)", hot)
 	}
 	if q, _ := gotQuery.Load().(string); q != "k=7" {
 		t.Fatalf("backend saw query %q, want k=7 forwarded", q)

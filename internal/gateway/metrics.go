@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"advmal/internal/serve"
+	"advmal/internal/metrics"
 )
 
 // Metrics is the gateway's observability registry. Counters follow the
@@ -29,12 +29,9 @@ type Metrics struct {
 	Ejections    atomic.Uint64 // health-check ejections, all backends
 	Readmissions atomic.Uint64 // health-check re-admissions, all backends
 
-	KeyCacheHits   atomic.Uint64 // routing keys served from the body-hash cache
-	KeyCacheMisses atomic.Uint64
-
 	// BackendLat observes successful upstream attempt latency; its p99
 	// feeds the auto hedge budget.
-	BackendLat *serve.Histogram
+	BackendLat *metrics.Histogram
 
 	mu        sync.Mutex
 	responses map[int]uint64 // client-visible responses by status
@@ -43,7 +40,7 @@ type Metrics struct {
 // NewMetrics returns a registry with the standard latency buckets.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		BackendLat: serve.NewHistogram(50e-6, 100e-6, 250e-6, 500e-6, 1e-3,
+		BackendLat: metrics.NewHistogram(50e-6, 100e-6, 250e-6, 500e-6, 1e-3,
 			2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1, 2.5),
 		responses: make(map[int]uint64),
 	}
@@ -81,8 +78,6 @@ func (m *Metrics) WriteText(w io.Writer, backends []*Backend) {
 	fmt.Fprintf(w, "gateway_breaker_trips_total %d\n", m.BreakerTrips.Load())
 	fmt.Fprintf(w, "gateway_ejections_total %d\n", m.Ejections.Load())
 	fmt.Fprintf(w, "gateway_readmissions_total %d\n", m.Readmissions.Load())
-	fmt.Fprintf(w, "gateway_key_cache_hits_total %d\n", m.KeyCacheHits.Load())
-	fmt.Fprintf(w, "gateway_key_cache_misses_total %d\n", m.KeyCacheMisses.Load())
 
 	m.mu.Lock()
 	statuses := make([]int, 0, len(m.responses))

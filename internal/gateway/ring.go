@@ -113,8 +113,8 @@ func (r *Ring) search(key uint64) int {
 	return i
 }
 
-// KeyFromSum projects a 32-byte content hash (features.GraphKey or a
-// body SHA-256) onto the ring's key space.
+// KeyFromSum projects a 32-byte SHA-256 (of a program's text or of a
+// request body) onto the ring's key space.
 func KeyFromSum(sum [sha256.Size]byte) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }

@@ -3,29 +3,12 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
-	"time"
 
 	"advmal/internal/core"
 	"advmal/internal/features"
+	"advmal/internal/metrics"
 )
-
-// Histogram is a fixed-bucket, lock-free histogram. Buckets are
-// cumulative-upper-bound style (Prometheus semantics): counts[i] counts
-// observations <= bounds[i], with a final implicit +Inf bucket. All
-// methods are safe for concurrent use.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	sum    atomic.Uint64   // bits of a float64 accumulated via CAS
-	total  atomic.Uint64
-}
-
-// NewHistogram returns a histogram over the given ascending upper bounds.
-func NewHistogram(bounds ...float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
-}
 
 // durationBounds are the latency buckets (seconds): 5µs … 1s. The
 // buckets below 50µs resolve the queue wait, which is microseconds
@@ -37,80 +20,6 @@ func durationBounds() []float64 {
 // batchBounds are the batch-size buckets.
 func batchBounds() []float64 {
 	return []float64{1, 2, 4, 8, 16, 32, 64, 128}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.total.Add(1)
-	for {
-		old := h.sum.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile returns an upper-bound estimate of the q-quantile: the
-// smallest bucket bound whose cumulative count covers fraction q of the
-// observations (+Inf bucket falls back to the largest finite bound).
-// Zero when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 {
-		return 0
-	}
-	need := uint64(math.Ceil(q * float64(total)))
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= need {
-			return b
-		}
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return 0
-}
-
-// WritePrometheus emits the histogram in Prometheus text exposition
-// format under the given metric name. Shared with the gateway's metrics
-// registry.
-func (h *Histogram) WritePrometheus(w io.Writer, name string) { h.write(w, name) }
-
-// write emits the histogram in Prometheus text exposition format.
-func (h *Histogram) write(w io.Writer, name string) {
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum)
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-}
-
-func formatBound(b float64) string {
-	if b == math.Trunc(b) && math.Abs(b) < 1e6 {
-		return fmt.Sprintf("%g", b)
-	}
-	return fmt.Sprintf("%g", b)
 }
 
 // Metrics is the serving observability registry: atomic counters and
@@ -150,17 +59,17 @@ type Metrics struct {
 	TierEscalated atomic.Uint64
 
 	// Distributions.
-	BatchSize *Histogram // rows per executed batch
-	QueueWait *Histogram // enqueue → batch start, seconds
-	InferLat  *Histogram // batch execution, seconds
+	BatchSize *metrics.Histogram // rows per executed batch
+	QueueWait *metrics.Histogram // enqueue → batch start, seconds
+	InferLat  *metrics.Histogram // batch execution, seconds
 }
 
 // NewMetrics returns a registry with the standard buckets.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		BatchSize: NewHistogram(batchBounds()...),
-		QueueWait: NewHistogram(durationBounds()...),
-		InferLat:  NewHistogram(durationBounds()...),
+		BatchSize: metrics.NewHistogram(batchBounds()...),
+		QueueWait: metrics.NewHistogram(durationBounds()...),
+		InferLat:  metrics.NewHistogram(durationBounds()...),
 	}
 }
 
@@ -202,9 +111,9 @@ func (m *Metrics) WriteText(w io.Writer, cache features.CacheStats) {
 	fmt.Fprintf(w, "advmal_triage_flagged_total %d\n", m.TriageFlagged.Load())
 	fmt.Fprintf(w, "advmal_tier_rows_total{tier=\"bulk\"} %d\n", m.TierBulk.Load())
 	fmt.Fprintf(w, "advmal_tier_rows_total{tier=\"escalated\"} %d\n", m.TierEscalated.Load())
-	m.BatchSize.write(w, "advmal_batch_size")
-	m.QueueWait.write(w, "advmal_queue_wait_seconds")
-	m.InferLat.write(w, "advmal_inference_seconds")
+	m.BatchSize.WritePrometheus(w, "advmal_batch_size")
+	m.QueueWait.WritePrometheus(w, "advmal_queue_wait_seconds")
+	m.InferLat.WritePrometheus(w, "advmal_inference_seconds")
 	fmt.Fprintf(w, "advmal_feature_cache_hits_total %d\n", cache.Hits)
 	fmt.Fprintf(w, "advmal_feature_cache_misses_total %d\n", cache.Misses)
 	fmt.Fprintf(w, "advmal_feature_cache_entries %d\n", cache.Len)

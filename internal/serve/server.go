@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"mime"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -17,6 +16,7 @@ import (
 	"advmal/internal/features"
 	"advmal/internal/index"
 	"advmal/internal/ir"
+	"advmal/internal/wire"
 )
 
 // Config configures a Server. Handle is required; everything else has
@@ -198,13 +198,6 @@ func (s *Server) Drain() BatcherStats {
 	return s.batcher.Stats()
 }
 
-// classifyRequest is the JSON request body for /v1/classify. The
-// endpoint also accepts raw assembly text (any non-JSON content type).
-type classifyRequest struct {
-	Name    string `json:"name,omitempty"`
-	Program string `json:"program"`
-}
-
 // vectorRequest is the JSON request body for /v1/classify/vector: a raw
 // (unscaled) Table II feature vector.
 type vectorRequest struct {
@@ -215,17 +208,6 @@ type vectorRequest struct {
 // errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
-}
-
-// IsJSON reports whether a Content-Type header names the
-// application/json media type. The match is case-insensitive and
-// ignores parameters (charset, boundary); an absent or malformed
-// header is not JSON, so the body is treated as raw assembly.
-func IsJSON(contentType string) bool {
-	// A malformed parameter still yields the media type (with
-	// ErrInvalidMediaParameter); any other error yields "".
-	mt, _, _ := mime.ParseMediaType(contentType)
-	return mt == "application/json"
 }
 
 // handleClassify accepts one program — as raw assembly text, or as JSON
@@ -239,14 +221,10 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	name, text := "", body
-	if IsJSON(r.Header.Get("Content-Type")) {
-		var req classifyRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
-		name, text = req.Name, []byte(req.Program)
+	name, text, err := wire.ProgramText(body, r.Header.Get("Content-Type"))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return
 	}
 	// Extract RAW features only — scaling happens inside the batch
 	// engine under whichever snapshot scores the row, so the verdict is

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"advmal/internal/index"
+	"advmal/internal/wire"
 )
 
 // similarRequest is the JSON request body for /v1/similar: a program
@@ -75,18 +76,23 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 			k = similarMaxK
 		}
 	}
+	contentType := r.Header.Get("Content-Type")
+	name, text, err := wire.ProgramText(body, contentType)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return
+	}
+	// A JSON body without a program is the raw-vector form.
 	var req similarRequest
-	text := body
-	if IsJSON(r.Header.Get("Content-Type")) {
+	if len(text) == 0 && wire.IsJSON(contentType) {
 		if err := json.Unmarshal(body, &req); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		if req.Program == "" && req.Vector == nil {
+		if req.Vector == nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("request needs a program or a vector"))
 			return
 		}
-		text = []byte(req.Program)
 	}
 
 	// Similarity queries are served entirely on one snapshot: resolve the
@@ -122,7 +128,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		s.metrics.TriageFlagged.Add(1)
 	}
 	writeJSON(w, http.StatusOK, SimilarResponse{
-		Name:          req.Name,
+		Name:          name,
 		K:             len(hits),
 		Hits:          hits,
 		Family:        family,

@@ -122,7 +122,7 @@ func TestTextCacheSharedAcrossEncodings(t *testing.T) {
 	text := branchy(3)
 	wantVerdict(t, det, text, classifyOK(t, ts.URL, "text/plain", text, nil))
 	for _, name := range []string{"first", "second"} {
-		body, _ := json.Marshal(classifyRequest{Name: name, Program: text})
+		body, _ := json.Marshal(map[string]string{"name": name, "program": string(text)})
 		v := classifyOK(t, ts.URL, "application/json", string(body), nil)
 		wantVerdict(t, det, text, v)
 		if v.Name != name {
