@@ -3,6 +3,7 @@ package features
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,11 +12,34 @@ import (
 	"advmal/internal/lru"
 )
 
-// sweepers pools fused-sweep scratch across goroutines: Extract and
-// Extractor.Extract borrow a graph.Sweeper for the duration of one sweep,
-// so parallel corpus builds reuse a small set of scratch arenas instead
-// of allocating per call.
-var sweepers = sync.Pool{New: func() any { return graph.NewSweeper() }}
+// slabs pools extraction scratch across goroutines, one slab per
+// concurrent extraction: Extract and Extractor.ExtractText borrow a slab
+// for one sweep and summary, so parallel corpus builds and concurrent
+// cache misses reuse a small set of arenas instead of allocating per call.
+var slabs = sync.Pool{New: func() any { return new(slab) }}
+
+// slab is one extraction worker's scratch: the fused-sweep Sweeper and
+// the buffer its three per-node distributions are sorted in.
+type slab struct {
+	sw     graph.Sweeper
+	sorted []float64
+}
+
+// extract writes g's Table II vector into v on a pooled slab.
+func extract(g *graph.Graph, v *[NumFeatures]float64) {
+	s := slabs.Get().(*slab)
+	defer slabs.Put(s)
+	p := s.sw.Profile(g)
+	for i, values := range [3][]float64{p.Betweenness, p.Closeness, p.Degree} {
+		s.sorted = append(s.sorted[:0], values...)
+		sort.Float64s(s.sorted)
+		stats := summarySorted(s.sorted)
+		copy(v[5*i:], stats[:])
+	}
+	stats := summaryCounts(p.PathCounts)
+	copy(v[15:], stats[:])
+	v[20], v[21], v[22] = g.Density(), float64(g.M()), float64(g.N())
+}
 
 // DefaultCacheCapacity bounds each level of the shared extractor's
 // cache: at most 4096 vectors under GraphKey and 4096 programs under
@@ -117,7 +141,7 @@ func (e *Extractor) vector(g *graph.Graph) [NumFeatures]float64 {
 	// Compute outside the lock; a concurrent miss on the same key does
 	// redundant work but stays correct (extraction is deterministic).
 	var v [NumFeatures]float64
-	copy(v[:], Extract(g))
+	extract(g, &v)
 	e.graph.Add(key, v)
 	return v
 }

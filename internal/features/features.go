@@ -119,13 +119,18 @@ func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
 // An empty input yields all zeros, which is what a degenerate
 // (single-node, edge-free) CFG produces.
 func Summary5(values []float64) [5]float64 {
+	sorted := append([]float64(nil), values...)
+	sort.Float64s(sorted)
+	return summarySorted(sorted)
+}
+
+// summarySorted is Summary5 of values already in ascending order.
+func summarySorted(sorted []float64) [5]float64 {
 	var s [5]float64
-	n := len(values)
+	n := len(sorted)
 	if n == 0 {
 		return s
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
 	s[0] = sorted[0]
 	s[1] = sorted[n-1]
 	if n%2 == 1 {
@@ -148,15 +153,72 @@ func Summary5(values []float64) [5]float64 {
 	return s
 }
 
+// summaryCounts is Summary5 of the multiset holding counts[d] copies of
+// float64(d), bit for bit, without materializing or sorting it. Min and
+// max are the first and last non-empty buckets and the median is read off
+// the cumulative counts. The sum is taken in integers: every partial sum
+// of the sorted loop is an integer below 2^53 (at most n² pairs of length
+// below n, n ≤ ir.MaxProgramLen), so each float addition there is exact
+// and float64(Σ c·d) is the same number. The variance adds (d−mean)²
+// once per copy in ascending d, the sorted loop's operation sequence.
+func summaryCounts(counts []int) [5]float64 {
+	var s [5]float64
+	total, sum, lo, hi := 0, 0, -1, -1
+	for d, c := range counts {
+		if c == 0 {
+			continue
+		}
+		if lo < 0 {
+			lo = d
+		}
+		hi = d
+		total += c
+		sum += c * d
+	}
+	if total == 0 {
+		return s
+	}
+	// at returns the k-th smallest element (0-based) of the multiset.
+	at := func(k int) float64 {
+		for d, cum := lo, 0; ; d++ {
+			if cum += counts[d]; cum > k {
+				return float64(d)
+			}
+		}
+	}
+	s[0] = float64(lo)
+	s[1] = float64(hi)
+	if total%2 == 1 {
+		s[2] = at(total / 2)
+	} else {
+		s[2] = (at(total/2-1) + at(total/2)) / 2
+	}
+	mean := float64(sum) / float64(total)
+	s[3] = mean
+	var varSum float64
+	for d := lo; d <= hi; d++ {
+		x := float64(d) - mean
+		for c := counts[d]; c > 0; c-- {
+			// x*x stays inside the loop, as in summarySorted, so a
+			// platform that fuses multiply-add fuses both alike.
+			varSum += x * x
+		}
+	}
+	s[4] = math.Sqrt(varSum / float64(total))
+	return s
+}
+
 // Extract computes the 23-feature vector of g with the fused single-sweep
-// engine (graph.Sweeper): one Brandes pass per source yields betweenness,
-// closeness, and the shortest-path multiset together, with sweep scratch
-// pooled across calls. The result is bit-for-bit identical to
-// ExtractNaive — the property tests in extractor_test.go assert it.
+// engine (graph.Sweeper) on pooled per-worker scratch: one Brandes pass
+// per source yields betweenness, closeness and the path-length
+// histogram together; the three per-node groups are sorted in the
+// worker's buffer and the path group is summarized from its counts. The
+// result is bit-for-bit identical to ExtractNaive — the property tests in
+// extractor_test.go and served_test.go assert it.
 func Extract(g *graph.Graph) Vector {
-	sw := sweepers.Get().(*graph.Sweeper)
-	defer sweepers.Put(sw)
-	return fromProfile(g, sw.Profile(g))
+	var v [NumFeatures]float64
+	extract(g, &v)
+	return v[:]
 }
 
 // ExtractNaive is the seed reference composition: four independent
@@ -170,21 +232,6 @@ func ExtractNaive(g *graph.Graph) Vector {
 		Summary5(g.ClosenessCentrality()),
 		Summary5(g.DegreeCentrality()),
 		Summary5(g.ShortestPathLengths()),
-	} {
-		v = append(v, stats[:]...)
-	}
-	v = append(v, g.Density(), float64(g.M()), float64(g.N()))
-	return v
-}
-
-// fromProfile summarizes a sweep profile into the Table II vector.
-func fromProfile(g *graph.Graph, p *graph.Profile) Vector {
-	v := make(Vector, 0, NumFeatures)
-	for _, stats := range [][5]float64{
-		Summary5(p.Betweenness),
-		Summary5(p.Closeness),
-		Summary5(p.Degree),
-		Summary5(p.PathLengths),
 	} {
 		v = append(v, stats[:]...)
 	}

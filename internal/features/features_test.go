@@ -111,6 +111,54 @@ func TestSummary5DoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestSummaryCountsMatchesSummary5: the histogram summary equals Summary5
+// of the expanded multiset bit for bit, on fixed edge cases and on random
+// small-integer histograms with counts up to 1e5.
+func TestSummaryCountsMatchesSummary5(t *testing.T) {
+	check := func(counts []int) bool {
+		var expanded []float64
+		for d, c := range counts {
+			for ; c > 0; c-- {
+				expanded = append(expanded, float64(d))
+			}
+		}
+		got, want := summaryCounts(counts), Summary5(expanded)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("counts %v: summaryCounts %v != Summary5 %v", counts, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	for _, counts := range [][]int{
+		nil,             // empty
+		{0, 0, 0},       // empty buckets only
+		{0, 1},          // a single value
+		{0, 0, 0, 9},    // all equal
+		{0, 3, 0, 4},    // odd total
+		{0, 2, 2},       // even total, median between buckets
+		{0, 5, 1, 0, 6}, // even total, median inside a bucket
+		{0, 100000, 1, 99999, 0, 3},
+	} {
+		check(counts)
+	}
+	err := quick.Check(func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		scale := []int{2, 10, 1000, 100001}[rng.Intn(4)]
+		counts := make([]int, 1+rng.Intn(12))
+		for d := 1; d < len(counts); d++ {
+			if rng.Intn(3) > 0 {
+				counts[d] = rng.Intn(scale)
+			}
+		}
+		return check(counts)
+	}, &quick.Config{MaxCount: 100})
+	if err != nil {
+		t.Error(err)
+	}
+}
+
 func buildPath(t *testing.T, n int) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)

@@ -11,7 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Common construction errors.
@@ -75,6 +75,8 @@ func (b *Builder) AddEdge(u, v int) error {
 }
 
 // Build finalizes the graph. The Builder may not be reused afterwards.
+// Every node's out-list (and in-list) is a window of one shared array,
+// capped at its own length so no list can grow into its neighbour's.
 func (b *Builder) Build() *Graph {
 	g := &Graph{
 		out: make([][]int32, b.n),
@@ -82,7 +84,22 @@ func (b *Builder) Build() *Graph {
 		m:   len(b.order),
 	}
 	// Sort for determinism independent of insertion order.
-	sort.Slice(b.order, func(i, j int) bool { return b.order[i] < b.order[j] })
+	slices.Sort(b.order)
+	deg := make([]int32, 2*b.n) // out-degrees, then in-degrees
+	for _, key := range b.order {
+		deg[key>>32]++
+		deg[b.n+int(int32(key))]++
+	}
+	outs := make([]int32, len(b.order))
+	ins := make([]int32, len(b.order))
+	var outAt, inAt int32
+	for u := range b.n {
+		od, id := deg[u], deg[b.n+u]
+		g.out[u] = outs[outAt : outAt : outAt+od]
+		g.in[u] = ins[inAt : inAt : inAt+id]
+		outAt += od
+		inAt += id
+	}
 	for _, key := range b.order {
 		u := int32(key >> 32)
 		v := int32(key)

@@ -86,6 +86,35 @@ func TestBuildDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestBuildAdjacencySlab: the out- and in-lists carved from one array
+// each are sorted, mirror each other, and are capped at their length,
+// so appending to one cannot overwrite its neighbour.
+func TestBuildAdjacencySlab(t *testing.T) {
+	g := RandomDirected(rand.New(rand.NewSource(4)), 30, 0.2)
+	in := 0
+	for u := 0; u < g.N(); u++ {
+		for _, list := range [][]int32{g.Out(u), g.In(u)} {
+			if cap(list) != len(list) {
+				t.Fatalf("node %d: list of len %d has cap %d", u, len(list), cap(list))
+			}
+			for i := 1; i < len(list); i++ {
+				if list[i-1] >= list[i] {
+					t.Fatalf("node %d: list %v not strictly ascending", u, list)
+				}
+			}
+		}
+		for _, w := range g.In(u) {
+			if !g.HasEdge(int(w), u) {
+				t.Fatalf("in-list of %d names %d, but edge %d->%d is absent", u, w, w, u)
+			}
+		}
+		in += g.InDegree(u)
+	}
+	if in != g.M() {
+		t.Fatalf("in-lists hold %d edges, want %d", in, g.M())
+	}
+}
+
 func TestDegreesAndEdges(t *testing.T) {
 	b := NewBuilder(3)
 	mustEdge(t, b, 0, 1)

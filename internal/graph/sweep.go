@@ -1,7 +1,7 @@
 package graph
 
 // Profile bundles everything the feature layer summarizes about a graph:
-// the three per-node centrality distributions and the multiset of finite
+// the three per-node centrality distributions and the histogram of finite
 // pairwise shortest-path lengths. A Profile produced by a Sweeper aliases
 // the Sweeper's scratch memory and is valid only until the next call on
 // that Sweeper; callers that need the data longer must copy it.
@@ -15,45 +15,49 @@ type Profile struct {
 	// Degree is normalized (in+out)/(n-1) degree centrality, identical
 	// to Graph.DegreeCentrality.
 	Degree []float64
-	// PathLengths is the multiset of finite pairwise shortest-path
-	// lengths d(u,v), u != v, identical (as a multiset) to
-	// Graph.ShortestPathLengths.
-	PathLengths []float64
+	// PathCounts has length n; PathCounts[d] is the number of ordered
+	// pairs (u,v), u != v, at shortest-path distance d. It is the
+	// histogram of Graph.ShortestPathLengths (PathCounts[0] is 0).
+	PathCounts []int
 }
 
 // Sweeper computes a graph's full feature Profile in a single fused
 // all-sources sweep instead of the four independent traversals the naive
 // composition performs. One Brandes pass per source yields
 //
-//   - the per-source BFS distance vector, harvested once per source for
-//     both the shortest-path multiset (d(s,v) for every reachable v != s)
-//     and the incoming-closeness accumulators of every reached node
-//     (d(s,v) is exactly the reverse-BFS distance d_rev(v,s)), and
-//   - the sigma/predecessor structures whose reverse-order dependency
-//     accumulation produces betweenness.
+//   - the per-source BFS distances, harvested once over the BFS order for
+//     both the path-length histogram (one count per reached v != s) and
+//     the incoming-closeness accumulators of every reached node (d(s,v)
+//     is exactly the reverse-BFS distance d_rev(v,s)), and
+//   - the sigma counts whose reverse-order dependency accumulation
+//     produces betweenness. Predecessors are not stored: the reverse pass
+//     walks w's in-edges and keeps the u one layer closer to s.
 //
 // Degree centrality falls out of the adjacency lists directly. The sweep
 // therefore touches each edge O(n) times total where the naive
 // composition touches it ~3·O(n) times (forward BFS for paths, reverse
 // BFS for closeness, Brandes for betweenness) and also skips the reverse
-// graph materialization entirely.
+// graph materialization entirely. After each source only the nodes its
+// BFS reached are reset, so a source that reaches few nodes costs little.
 //
-// All per-source scratch (distance, sigma, delta, predecessor lists, BFS
-// order) and the Profile's result slices are owned by the Sweeper and
-// reused across calls, so steady-state profiling performs no per-call
-// allocation beyond path-multiset growth. A Sweeper is NOT safe for
-// concurrent use; pool Sweepers for parallel extraction (the features
-// package does).
+// All scratch and the Profile's result slices are owned by the Sweeper
+// and reused across calls: profiling a graph no larger than one seen
+// before allocates nothing. The zero value is ready to use. A Sweeper is
+// NOT safe for concurrent use; pool Sweepers for parallel extraction (the
+// features package does).
 //
 // Numerics: every floating-point operation is performed in the same
 // order and with the same expressions as the naive per-centrality
 // methods, so Profile results are bit-for-bit identical to them — a
-// property the feature layer's regression tests assert.
+// property the feature layer's regression tests assert. The in-edge walk
+// keeps that order: each delta[u] still receives its contributions in
+// reverse BFS order of w, once per edge, since the Builder removes
+// duplicate edges.
 type Sweeper struct {
+	// dist, sigma and delta are clean (-1, 0, 0) outside a source's pass.
 	dist       []int
 	sigma      []float64
 	delta      []float64
-	preds      [][]int32
 	order      []int32
 	closeSum   []int
 	closeReach []int
@@ -65,43 +69,34 @@ func NewSweeper() *Sweeper { return &Sweeper{} }
 
 // resizeZeroed returns s with length n and every element zeroed, reusing
 // capacity when possible.
-func resizeZeroed(s []float64, n int) []float64 {
+func resizeZeroed[T float64 | int](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
 func (sw *Sweeper) grow(n int) {
 	if cap(sw.dist) < n {
 		sw.dist = make([]int, n)
+		for i := range sw.dist {
+			sw.dist[i] = -1
+		}
 		sw.sigma = make([]float64, n)
 		sw.delta = make([]float64, n)
-		sw.preds = make([][]int32, n)
-		sw.closeSum = make([]int, n)
-		sw.closeReach = make([]int, n)
+		sw.order = make([]int32, 0, n)
 	}
 	sw.dist = sw.dist[:n]
 	sw.sigma = sw.sigma[:n]
 	sw.delta = sw.delta[:n]
-	sw.preds = sw.preds[:n]
-	sw.closeSum = sw.closeSum[:n]
-	sw.closeReach = sw.closeReach[:n]
-	if cap(sw.order) < n {
-		sw.order = make([]int32, 0, n)
-	}
+	sw.closeSum = resizeZeroed(sw.closeSum, n)
+	sw.closeReach = resizeZeroed(sw.closeReach, n)
 	sw.res.Betweenness = resizeZeroed(sw.res.Betweenness, n)
 	sw.res.Closeness = resizeZeroed(sw.res.Closeness, n)
 	sw.res.Degree = resizeZeroed(sw.res.Degree, n)
-	sw.res.PathLengths = sw.res.PathLengths[:0]
-	for i := 0; i < n; i++ {
-		sw.closeSum[i] = 0
-		sw.closeReach[i] = 0
-	}
+	sw.res.PathCounts = resizeZeroed(sw.res.PathCounts, n)
 }
 
 // Profile computes g's feature profile in one fused sweep. The returned
@@ -121,59 +116,57 @@ func (sw *Sweeper) Profile(g *Graph) *Profile {
 
 	// Betweenness is only defined (and only normalizable) for n >= 3;
 	// the distance harvest below still runs for smaller graphs so the
-	// path multiset and closeness match the naive methods exactly.
+	// path histogram and closeness match the naive methods exactly.
 	doBC := n >= 3
-	dist, sigma, delta, preds := sw.dist, sw.sigma, sw.delta, sw.preds
+	dist, sigma, delta := sw.dist, sw.sigma, sw.delta
 	order := sw.order
 	for s := 0; s < n; s++ {
-		for i := 0; i < n; i++ {
-			dist[i] = -1
-			sigma[i] = 0
-			delta[i] = 0
-			preds[i] = preds[i][:0]
-		}
-		order = order[:0]
+		order = append(order[:0], int32(s))
 		dist[s] = 0
 		sigma[s] = 1
-		order = append(order, int32(s))
 		for head := 0; head < len(order); head++ {
 			u := order[head]
+			du := dist[u] + 1
 			for _, v := range g.out[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
+				if dv := dist[v]; dv < 0 {
+					// First visit: sigma[v] is 0, and 0 + sigma[u] is exact.
+					dist[v] = du
+					sigma[v] = sigma[u]
 					order = append(order, v)
-				}
-				if dist[v] == dist[u]+1 {
+				} else if dv == du {
 					sigma[v] += sigma[u]
-					preds[v] = append(preds[v], u)
 				}
 			}
-		}
-		// Harvest the distance vector once for two feature groups:
-		// d(s,v) joins the shortest-path multiset and accumulates into
-		// v's incoming-closeness sums. Node-index order mirrors
-		// ShortestPathLengths' enumeration.
-		for v := 0; v < n; v++ {
-			d := dist[v]
-			if v == s || d <= 0 {
-				continue
-			}
-			p.PathLengths = append(p.PathLengths, float64(d))
-			sw.closeSum[v] += d
-			sw.closeReach[v]++
 		}
 		if doBC {
-			// Dependency accumulation in reverse BFS order.
-			for i := len(order) - 1; i >= 0; i-- {
+			// Dependency accumulation in reverse BFS order; order[0] is s,
+			// which has no predecessors and is excluded as an endpoint.
+			for i := len(order) - 1; i > 0; i-- {
 				w := order[i]
-				for _, u := range preds[w] {
-					delta[u] += sigma[u] / sigma[w] * (1 + delta[w])
+				dPred := dist[w] - 1
+				for _, u := range g.in[w] {
+					if dist[u] == dPred {
+						delta[u] += sigma[u] / sigma[w] * (1 + delta[w])
+					}
 				}
-				if int(w) != s {
-					p.Betweenness[w] += delta[w]
-				}
+				p.Betweenness[w] += delta[w]
 			}
 		}
+		// Harvest the distances once for two feature groups, d(s,v)
+		// counting into the path histogram and accumulating into v's
+		// incoming-closeness sums (integers, so the visiting order does
+		// not matter), and leave the reached nodes clean for the next
+		// source.
+		for _, v := range order[1:] {
+			d := dist[v]
+			p.PathCounts[d]++
+			sw.closeSum[v] += d
+			sw.closeReach[v]++
+			dist[v] = -1
+			sigma[v] = 0
+			delta[v] = 0
+		}
+		dist[s], sigma[s], delta[s] = -1, 0, 0
 	}
 	sw.order = order
 	if doBC {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,23 +21,30 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// profileMatchesNaive asserts the fused sweep reproduces the four naive
-// traversals bit-for-bit, path lengths in identical enumeration order.
+// pathHistogram is the oracle for Profile.PathCounts: the histogram of
+// ShortestPathLengths, indexed by distance over [0, n).
+func pathHistogram(g *Graph) []int {
+	h := make([]int, g.N())
+	for _, d := range g.ShortestPathLengths() {
+		h[int(d)]++
+	}
+	return h
+}
+
+// profileMatches reports whether the fused sweep reproduces the four naive
+// traversals: the centralities bit for bit, the path lengths as a
+// histogram.
+func profileMatches(g *Graph, p *Profile) bool {
+	return bitsEqual(p.Betweenness, g.BetweennessCentrality()) &&
+		bitsEqual(p.Closeness, g.ClosenessCentrality()) &&
+		bitsEqual(p.Degree, g.DegreeCentrality()) &&
+		slices.Equal(p.PathCounts, pathHistogram(g))
+}
+
 func profileMatchesNaive(t *testing.T, g *Graph, sw *Sweeper) {
 	t.Helper()
-	p := sw.Profile(g)
-	if got, want := p.Betweenness, g.BetweennessCentrality(); !bitsEqual(got, want) {
-		t.Errorf("n=%d m=%d: fused betweenness %v != naive %v", g.N(), g.M(), got, want)
-	}
-	if got, want := p.Closeness, g.ClosenessCentrality(); !bitsEqual(got, want) {
-		t.Errorf("n=%d m=%d: fused closeness %v != naive %v", g.N(), g.M(), got, want)
-	}
-	if got, want := p.Degree, g.DegreeCentrality(); !bitsEqual(got, want) {
-		t.Errorf("n=%d m=%d: fused degree %v != naive %v", g.N(), g.M(), got, want)
-	}
-	if got, want := p.PathLengths, g.ShortestPathLengths(); !bitsEqual(got, want) {
-		t.Errorf("n=%d m=%d: fused path multiset (len %d) != naive (len %d)",
-			g.N(), g.M(), len(got), len(want))
+	if p := sw.Profile(g); !profileMatches(g, p) {
+		t.Errorf("n=%d m=%d: fused profile %+v != naive (path histogram %v)", g.N(), g.M(), p, pathHistogram(g))
 	}
 }
 
@@ -70,11 +78,7 @@ func TestSweepMatchesNaiveRandom(t *testing.T) {
 		} else {
 			g = RandomFlow(rng, 1+rng.Intn(40), rng.Float64()*0.3)
 		}
-		p := sw.Profile(g)
-		return bitsEqual(p.Betweenness, g.BetweennessCentrality()) &&
-			bitsEqual(p.Closeness, g.ClosenessCentrality()) &&
-			bitsEqual(p.Degree, g.DegreeCentrality()) &&
-			bitsEqual(p.PathLengths, g.ShortestPathLengths())
+		return profileMatches(g, sw.Profile(g))
 	}, &quick.Config{MaxCount: 60})
 	if err != nil {
 		t.Error(err)
@@ -96,8 +100,24 @@ func TestSweepScratchReuse(t *testing.T) {
 	if !bitsEqual(cold.Betweenness, warm.Betweenness) ||
 		!bitsEqual(cold.Closeness, warm.Closeness) ||
 		!bitsEqual(cold.Degree, warm.Degree) ||
-		!bitsEqual(cold.PathLengths, warm.PathLengths) {
+		!slices.Equal(cold.PathCounts, warm.PathCounts) {
 		t.Error("warm sweeper diverged from cold sweeper on the same graph")
+	}
+}
+
+// TestSweepAllocFree: a Sweeper that has seen a graph profiles it, and
+// any smaller graph, without allocating.
+func TestSweepAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	big := RandomFlow(rng, 80, 0.1)
+	small := RandomDirected(rng, 30, 0.2)
+	sw := NewSweeper()
+	sw.Profile(big)
+	if allocs := testing.AllocsPerRun(20, func() {
+		sw.Profile(big)
+		sw.Profile(small)
+	}); allocs != 0 {
+		t.Errorf("warm Profile: %v allocs, want 0", allocs)
 	}
 }
 

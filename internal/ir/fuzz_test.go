@@ -1,21 +1,32 @@
 package ir
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// parseSeeds seeds both parser fuzzers.
+var parseSeeds = []string{
+	"movi r0, 1\nret",
+	"; name\n 0: jmp   @1\n 1: ret\n",
+	"cmpi r1, -3\njle @0\nret",
+	"load r7, [255]\nstore [0], r7\nsys 13\nret",
+	"garbage input !!!",
+	"movi r0\nret",
+}
 
 // FuzzParse feeds arbitrary text to the assembly parser: it must never
 // panic, and anything it accepts must validate, disassemble, and render
 // back to parseable text.
 func FuzzParse(f *testing.F) {
-	f.Add("movi r0, 1\nret")
-	f.Add("; name\n 0: jmp   @1\n 1: ret\n")
-	f.Add("cmpi r1, -3\njle @0\nret")
-	f.Add("load r7, [255]\nstore [0], r7\nsys 13\nret")
-	f.Add("garbage input !!!")
-	f.Add("movi r0\nret")
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := Parse(text)
 		if err != nil {
@@ -35,6 +46,52 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed length: %d -> %d", len(p.Code), len(back.Code))
 		}
 	})
+}
+
+// FuzzParseMatchesOracle checks Parse against the line-splitting parser
+// it replaced: both accept and reject the same texts, an accepted text
+// gives the same Program, and a rejection is ErrParse at the same line.
+func FuzzParseMatchesOracle(f *testing.F) {
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
+	f.Add("; crlf\r\nmovi r0, 1\r\n0: ret\r\n")
+	f.Add("movi\tr0,\t5\nadd\tr1,r0\nret\t")
+	f.Add("movi   r0 ,   5\n  2  :  store [ 3 ], r0\n\n ret  ")
+	f.Add("movi r0, 5,\nret")
+	f.Add("jmp @1,\nret,\n")
+	f.Add("movi\u00a0r0, 1\nmovi r0,\u20035\nret")
+	f.Fuzz(func(t *testing.T, text string) {
+		got, gotErr := Parse(text)
+		want, wantErr := oracleParse(text)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("Parse error %v, oracle error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if !errors.Is(gotErr, ErrParse) {
+				t.Fatalf("Parse error %v does not wrap ErrParse", gotErr)
+			}
+			if g, w := errLine(gotErr), errLine(wantErr); g != w {
+				t.Fatalf("Parse rejects at line %d (%v), oracle at line %d (%v)", g, gotErr, w, wantErr)
+			}
+			return
+		}
+		if got.Name != want.Name || !slices.Equal(got.Code, want.Code) {
+			t.Fatalf("Parse = %q %v, oracle = %q %v", got.Name, got.Code, want.Name, want.Code)
+		}
+	})
+}
+
+// errLine is the line number a parse error names, or 0 when it names
+// none (a size or validation failure).
+func errLine(err error) int {
+	rest, ok := strings.CutPrefix(err.Error(), ErrParse.Error()+": line ")
+	if !ok {
+		return 0
+	}
+	digits, _, _ := strings.Cut(rest, ":")
+	n, _ := strconv.Atoi(digits)
+	return n
 }
 
 // FuzzDisassemble feeds arbitrary instruction encodings: Disassemble

@@ -83,6 +83,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseAllocs: parsing allocates the Program and its Code, not a
+// string or slice per line.
+func TestParseAllocs(t *testing.T) {
+	a := NewAsm("allocs")
+	for i := 0; i < 999; i++ {
+		a.Emit(MovI, int32(i%NumRegs), int32(i))
+	}
+	text := mustBuild(t, a.Emit(Ret)).String()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Parse(text); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 40 {
+		t.Errorf("Parse of 1,000 instructions: %v allocs, want <= 40", allocs)
+	}
+}
+
 func TestAnalyze(t *testing.T) {
 	p := mustBuild(t, NewAsm("an").
 		Emit(CmpI, 0, 7).
