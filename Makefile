@@ -38,7 +38,9 @@ bench:
 # The gate. The nested benchmark module is vetted (by vet) and tested
 # here so a deletion that breaks its import surface fails before it
 # merges. The untrusted-input parser is fuzzed against its line-splitting
-# oracle beyond the committed seeds.
+# oracle, and the backward kernels against the allocating network, beyond
+# the committed seeds.
 check: build vet race smoke
 	cd benchmark && $(GO) test -short ./...
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesOracle -fuzztime 10s ./internal/ir
+	$(GO) test -run '^$$' -fuzz FuzzBackwardKernels -fuzztime 10s ./internal/nn

@@ -100,6 +100,15 @@ func l1norm(v []float64) float64 {
 
 func cloneVec(v []float64) []float64 { return append([]float64(nil), v...) }
 
+// marginSeed returns e_a - e_b over k logits: InputGrad seeded with it,
+// after a forward pass, is the input gradient of the margin z_a - z_b.
+func marginSeed(k, a, b int) []float64 {
+	s := make([]float64, k)
+	s[a]++
+	s[b]--
+	return s
+}
+
 // opposite returns the adversary's target class for a binary detector.
 func opposite(label int) int { return 1 - label }
 

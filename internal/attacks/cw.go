@@ -15,11 +15,12 @@ type CW struct {
 	targetSelector
 	LR    float64
 	Iters int
-	C     float64 // penalty weight; 0 means 10
+	C     float64 // penalty weight, used as given (NewCW's default is 10)
 	Kappa float64 // confidence margin; paper setting is 0
 }
 
 // NewCW returns a C&W-L2 attack; zero parameters select the paper's values.
+// Craft uses every field as given: the defaults live here only.
 func NewCW(lr float64, iters int, c float64) *CW {
 	if lr <= 0 {
 		lr = DefaultCWLR
@@ -52,9 +53,11 @@ func atanhClamped(x float64) float64 {
 
 // Craft implements Attack. It tracks the successful iterate with minimal
 // L2 distortion and returns it; if no iterate succeeds it returns the
-// final one.
+// final one. The margin term's gradient is one backward pass seeded with
+// e_label - e_target, run only while the hinge is active.
 func (a *CW) Craft(eng nn.Engine, x []float64, label int) []float64 {
 	target := a.target(eng, x, label)
+	seed := marginSeed(eng.NumClasses(), label, target)
 	dim := len(x)
 	w := make([]float64, dim)
 	for i, xi := range x {
@@ -74,7 +77,7 @@ func (a *CW) Craft(eng nn.Engine, x []float64, label int) []float64 {
 		for i := range adv {
 			adv[i] = (math.Tanh(w[i]) + 1) / 2
 		}
-		logits, jac := eng.Jacobian(adv)
+		logits := eng.Logits(adv)
 		// g = max(z_label - z_target, -kappa).
 		margin := logits[label] - logits[target]
 		dist2 := 0.0
@@ -87,10 +90,14 @@ func (a *CW) Craft(eng nn.Engine, x []float64, label int) []float64 {
 			copy(best, adv)
 			found = true
 		}
+		var mg []float64 // d(z_label - z_target)/d adv; nil while the hinge is flat
+		if margin > -a.Kappa {
+			mg = eng.InputGrad(seed)
+		}
 		for i := range grad {
 			g := 2 * (adv[i] - x[i])
-			if margin > -a.Kappa {
-				g += a.C * (jac[label][i] - jac[target][i])
+			if mg != nil {
+				g += a.C * mg[i]
 			}
 			th := math.Tanh(w[i])
 			grad[i] = g * (1 - th*th) / 2

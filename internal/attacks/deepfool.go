@@ -31,20 +31,19 @@ func (d *DeepFool) Name() string { return "DeepFool" }
 
 // Craft implements Attack. For the binary detector the boundary is
 // f(x) = z_t - z_y; each step moves -f(x)/||w||^2 * w with
-// w = dz_t/dx - dz_y/dx, scaled by (1+overshoot).
+// w = dz_t/dx - dz_y/dx, scaled by (1+overshoot). w is one backward pass
+// seeded with e_t - e_y.
 func (d *DeepFool) Craft(eng nn.Engine, x []float64, label int) []float64 {
 	target := d.target(eng, x, label)
+	seed := marginSeed(eng.NumClasses(), target, label)
 	adv := cloneVec(x)
-	w := make([]float64, len(adv)) // boundary normal, reused across iterations
 	for it := 0; it < d.Iters; it++ {
-		logits, jac := eng.Jacobian(adv)
+		logits := eng.Logits(adv)
 		if nn.Argmax(logits) == target {
 			break
 		}
 		f := logits[target] - logits[label]
-		for i := range w {
-			w[i] = jac[target][i] - jac[label][i]
-		}
+		w := eng.InputGrad(seed) // the boundary normal, one backward pass
 		norm2 := 0.0
 		for _, wi := range w {
 			norm2 += wi * wi

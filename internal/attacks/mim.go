@@ -12,10 +12,14 @@ type MIM struct {
 	targetSelector
 	Eps   float64
 	Iters int
-	Mu    float64 // decay factor; 0 means 1.0 (the MIM paper's default)
+	// Mu is the momentum decay factor, used as given: 0 is momentum-free
+	// MIM, which steps like PGD with Alpha = Eps/Iters. NewMIM sets 1.0,
+	// the MIM paper's default.
+	Mu float64
 }
 
 // NewMIM returns an MIM attack; zero parameters select the paper's values.
+// Craft uses every field as given: the defaults live here only.
 func NewMIM(eps float64, iters int) *MIM {
 	if eps <= 0 {
 		eps = DefaultEps
@@ -31,10 +35,6 @@ func (m *MIM) Name() string { return "MIM" }
 
 // Craft implements Attack.
 func (m *MIM) Craft(eng nn.Engine, x []float64, label int) []float64 {
-	mu := m.Mu
-	if mu == 0 {
-		mu = 1.0
-	}
 	lbl, dir := label, 1.0
 	if t := m.forcedTarget(); t >= 0 {
 		lbl, dir = t, -1.0 // targeted: descend the target-class loss
@@ -49,7 +49,7 @@ func (m *MIM) Craft(eng nn.Engine, x []float64, label int) []float64 {
 			n1 = 1
 		}
 		for i := range momentum {
-			momentum[i] = mu*momentum[i] + grad[i]/n1
+			momentum[i] = m.Mu*momentum[i] + grad[i]/n1
 		}
 		for i := range adv {
 			adv[i] += dir * alpha * sign(momentum[i])

@@ -11,12 +11,14 @@ type PGD struct {
 	targetSelector
 	Eps   float64
 	Iters int
-	// Alpha is the per-step size; 0 means 2.5*Eps/Iters, the standard
-	// choice that lets iterates traverse the ball.
+	// Alpha is the per-step size, used as given. NewPGD sets
+	// 2.5*Eps/Iters, the standard choice that lets iterates traverse the
+	// ball.
 	Alpha float64
 }
 
 // NewPGD returns a PGD attack; zero parameters select the paper's values.
+// Craft uses every field as given: the defaults live here only.
 func NewPGD(eps float64, iters int) *PGD {
 	if eps <= 0 {
 		eps = DefaultEps
@@ -24,7 +26,7 @@ func NewPGD(eps float64, iters int) *PGD {
 	if iters <= 0 {
 		iters = DefaultPGDIters
 	}
-	return &PGD{Eps: eps, Iters: iters}
+	return &PGD{Eps: eps, Iters: iters, Alpha: 2.5 * eps / float64(iters)}
 }
 
 // Name implements Attack.
@@ -32,10 +34,6 @@ func (p *PGD) Name() string { return "PGD" }
 
 // Craft implements Attack.
 func (p *PGD) Craft(eng nn.Engine, x []float64, label int) []float64 {
-	alpha := p.Alpha
-	if alpha <= 0 {
-		alpha = 2.5 * p.Eps / float64(p.Iters)
-	}
 	lbl, dir := label, 1.0
 	if t := p.forcedTarget(); t >= 0 {
 		lbl, dir = t, -1.0 // targeted: descend the target-class loss
@@ -44,7 +42,7 @@ func (p *PGD) Craft(eng nn.Engine, x []float64, label int) []float64 {
 	for it := 0; it < p.Iters; it++ {
 		_, grad := eng.LossGrad(adv, lbl)
 		for i := range adv {
-			adv[i] += dir * alpha * sign(grad[i])
+			adv[i] += dir * p.Alpha * sign(grad[i])
 		}
 		clipLinf(adv, x, p.Eps)
 		clipBox(adv)

@@ -15,11 +15,12 @@ import (
 type VAM struct {
 	Eps   float64
 	Iters int     // power iterations refining the direction
-	Xi    float64 // probe scale; 0 means 1e-2
+	Xi    float64 // probe scale, used as given (NewVAM's default is 1e-2)
 }
 
 // NewVAM returns a VAM attack; zero parameters select the paper's values
-// (eps=0.3, 40 iterations).
+// (eps=0.3, 40 iterations). Craft uses every field as given: the defaults
+// live here only.
 func NewVAM(eps float64, iters int) *VAM {
 	if eps <= 0 {
 		eps = DefaultEps
@@ -38,10 +39,6 @@ func (v *VAM) Name() string { return "VAM" }
 // power iteration refines the direction d; the attack returns
 // x + eps * d / ||d||_2.
 func (v *VAM) Craft(eng nn.Engine, x []float64, label int) []float64 {
-	xi := v.Xi
-	if xi <= 0 {
-		xi = 1e-2
-	}
 	// Probs may alias an engine buffer the next Forward clobbers; the
 	// anchor distribution survives the whole loop, so copy it.
 	p0 := cloneVec(eng.Probs(x))
@@ -56,10 +53,9 @@ func (v *VAM) Craft(eng nn.Engine, x []float64, label int) []float64 {
 	dLogits := make([]float64, len(p0))
 	for it := 0; it < v.Iters; it++ {
 		for i := range probe {
-			probe[i] = x[i] + xi*d[i]
+			probe[i] = x[i] + v.Xi*d[i]
 		}
-		logits := eng.Forward(probe, false)
-		nn.SoftmaxInto(p, logits)
+		nn.SoftmaxInto(p, eng.Logits(probe))
 		for k := range p {
 			dLogits[k] = p[k] - p0[k]
 		}

@@ -32,8 +32,7 @@ import (
 // Contract note: the batch path does not pass through the workspace's
 // single-row activation buffers, so after a ProbsBatch/PredictBatch call
 // acts/gbufs no longer describe any particular row. Backward-pass queries
-// keep their own per-row protocol; batched gradients go through
-// GradBatch.
+// keep their own per-row protocol; there is no batched backward pass.
 type batchPlan struct {
 	shapes  [][]int // boundary shapes, len(layers)+1
 	sizes   []int   // boundary sizes (product of shape dims)

@@ -32,14 +32,14 @@ type Engine interface {
 	// LossGrad returns the cross-entropy loss at x for label and the
 	// gradient of that loss with respect to the input (eval mode).
 	LossGrad(x []float64, label int) (float64, []float64)
-	// LogitGrad returns the logits and the gradient of logit k with
-	// respect to the input.
-	LogitGrad(x []float64, k int) ([]float64, []float64)
 	// Jacobian returns the logits and the full (nClasses x inputDim)
-	// Jacobian of the logits with respect to the input.
+	// Jacobian of the logits with respect to the input: one forward and
+	// nClasses backward passes, for an attack that reads every row (JSMA).
 	Jacobian(x []float64) ([]float64, [][]float64)
 	// InputGrad back-propagates dLogits through the network after a
 	// Forward and returns the gradient with respect to the flat input.
+	// Seeded with e_a - e_b it is the gradient of the margin z_a - z_b in
+	// one backward pass, which is how C&W, EAD and DeepFool read it.
 	InputGrad(dLogits []float64) []float64
 }
 

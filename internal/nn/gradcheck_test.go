@@ -113,15 +113,42 @@ func TestJacobianMatchesNumerical(t *testing.T) {
 	}
 }
 
-// TestLogitGradConsistentWithJacobian cross-checks the two gradient APIs.
-func TestLogitGradConsistentWithJacobian(t *testing.T) {
-	net := SmallMLP(14, 4, 8, 2)
-	x := []float64{0.1, -0.3, 0.7, 0.2}
-	_, jac := net.Jacobian(x)
-	for k := 0; k < 2; k++ {
-		_, g := net.LogitGrad(x, k)
-		if d := maxAbsDiff(g, jac[k]); d > 1e-12 {
-			t.Errorf("LogitGrad(%d) differs from Jacobian row by %v", k, d)
+// TestMarginGradMatchesJacobian pins the margin attacks' gradient: one
+// backward pass seeded with e_a - e_b, after the forward pass, is
+// jac[a] - jac[b]. The two round differently — the seed is propagated once
+// instead of two rows being propagated and then subtracted — so they agree
+// within 64 ulps of the rows' magnitude (8 at most on these inputs), not
+// bit for bit; the workspace and the oracle still agree with each other
+// exactly.
+func TestMarginGradMatchesJacobian(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, classes := range []int{2, 6} {
+		net := PaperCNNClasses(16, classes)
+		ws := net.CloneShared().WS()
+		for trial := 0; trial < 4; trial++ {
+			x := make([]float64, net.InputDim())
+			for i := range x {
+				x[i] = rng.Float64()
+			}
+			_, jac := net.Jacobian(x)
+			a, b := rng.Intn(classes), rng.Intn(classes-1)
+			if b >= a {
+				b++
+			}
+			seed := make([]float64, classes)
+			seed[a], seed[b] = 1, -1
+			ws.Logits(x)
+			got := ws.InputGrad(seed)
+			net.Logits(x)
+			bitsEqual(t, "oracle margin gradient", net.InputGrad(seed), got)
+			var scale, worst float64
+			for i := range got {
+				scale = math.Max(scale, math.Abs(jac[a][i])+math.Abs(jac[b][i]))
+				worst = math.Max(worst, math.Abs(got[i]-(jac[a][i]-jac[b][i])))
+			}
+			if tol := 64 * 0x1p-52 * scale; worst > tol {
+				t.Errorf("%d classes, margin %d-%d: off by %g, tolerance %g", classes, a, b, worst, tol)
+			}
 		}
 	}
 }

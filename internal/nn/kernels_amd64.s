@@ -122,3 +122,378 @@ inputs:
 	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET
+
+// The backward primitives of kernels_bwd.go. As above, a lane is one
+// output — here a dx or dw element — and runs that element's own chain.
+
+// func conv3BwdTileAVX(dx, dy, w *float64, cin, cout, l, lout int)
+//
+// dx[c*l+p] for c < 2, p < 8: +0 plus, over o < cout and then j < 3,
+// w[o*cin*3+c*3+j] * g[o*lout+p+2-j]. TAP's roles swap: the eight
+// "inputs" are output gradients, read at descending offsets as the tap
+// ascends, and the two weight pointers are two input channels.
+TEXT ·conv3BwdTileAVX(SB), NOSPLIT, $0-56
+	MOVQ   dx+0(FP), DI
+	MOVQ   dy+8(FP), DX
+	MOVQ   w+16(FP), R8
+	MOVQ   cin+24(FP), R10
+	LEAQ   (R10)(R10*2), R10
+	SHLQ   $3, R10                // weight stride per output channel in bytes
+	MOVQ   cout+32(FP), CX
+	MOVQ   l+40(FP), BX
+	SHLQ   $3, BX                 // dx row stride in bytes
+	MOVQ   lout+48(FP), R11
+	SHLQ   $3, R11                // g row stride in bytes
+	LEAQ   24(R8), R9             // the second channel's weights
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+bwdout:
+	TAP(16, 0)
+	TAP(8, 8)
+	TAP(0, 16)
+	ADDQ R11, DX
+	ADDQ R10, R8
+	ADDQ R10, R9
+	DECQ CX
+	JNZ  bwdout
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(BX*1)
+	VMOVUPD Y3, 32(DI)(BX*1)
+	VZEROUPPER
+	RET
+
+// One tap for four input channels: four output gradients at go(DX) times
+// the tap's weight in each channel, added to Y0..Y3.
+#define TAP4(go, wo) \
+	VMOVUPD      go(DX), Y4;    \
+	VBROADCASTSD wo(R8), Y5;    \
+	VBROADCASTSD wo+24(R8), Y6; \
+	VBROADCASTSD wo+48(R8), Y7; \
+	VBROADCASTSD wo+72(R8), Y8; \
+	VMULPD       Y4, Y5, Y5;    \
+	VMULPD       Y4, Y6, Y6;    \
+	VMULPD       Y4, Y7, Y7;    \
+	VMULPD       Y4, Y8, Y8;    \
+	VADDPD       Y5, Y0, Y0;    \
+	VADDPD       Y6, Y1, Y1;    \
+	VADDPD       Y7, Y2, Y2;    \
+	VADDPD       Y8, Y3, Y3
+
+// func conv3BwdTile4AVX(dx, dy, w *float64, cin, cout, l, lout int)
+//
+// conv3BwdTileAVX's sum for c < 4, p < 4.
+TEXT ·conv3BwdTile4AVX(SB), NOSPLIT, $0-56
+	MOVQ   dx+0(FP), DI
+	MOVQ   dy+8(FP), DX
+	MOVQ   w+16(FP), R8
+	MOVQ   cin+24(FP), R10
+	LEAQ   (R10)(R10*2), R10
+	SHLQ   $3, R10
+	MOVQ   cout+32(FP), CX
+	MOVQ   l+40(FP), BX
+	SHLQ   $3, BX
+	MOVQ   lout+48(FP), R11
+	SHLQ   $3, R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+bwdout4:
+	TAP4(16, 0)
+	TAP4(8, 8)
+	TAP4(0, 16)
+	ADDQ R11, DX
+	ADDQ R10, R8
+	DECQ CX
+	JNZ  bwdout4
+
+	LEAQ    (BX)(BX*2), R9
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(BX*1)
+	VMOVUPD Y2, (DI)(BX*2)
+	VMOVUPD Y3, (DI)(R9*1)
+	VZEROUPPER
+	RET
+
+// func convDwAVX(gw, dy, cols *float64, mask *uint64, n, s, lanes int)
+//
+// For e < lanes (a multiple of 4) and rows t < n (n >= 2) of cols at
+// stride s: gw[e] += +0 plus, over t ascending, g[t] * cols[t*s+e], the
+// product of row 0 ANDed with mask[e] and that of row n-1 with
+// mask[s+e]. Sixteen lanes at a time, then four.
+TEXT ·convDwAVX(SB), NOSPLIT, $0-56
+	MOVQ   gw+0(FP), DI
+	MOVQ   dy+8(FP), SI
+	MOVQ   cols+16(FP), DX
+	MOVQ   mask+24(FP), R8
+	MOVQ   n+32(FP), AX
+	DECQ   AX
+	SHLQ   $3, AX                 // byte offset of g[n-1]
+	MOVQ   s+40(FP), BX
+	SHLQ   $3, BX                 // row stride in bytes
+	MOVQ   lanes+48(FP), R9
+	VXORPD Y14, Y14, Y14
+
+dw16:
+	CMPQ R9, $16
+	JLT  dw4
+	VBROADCASTSD (SI), Y15
+	VMULPD       (DX), Y15, Y0
+	VMULPD       32(DX), Y15, Y1
+	VMULPD       64(DX), Y15, Y2
+	VMULPD       96(DX), Y15, Y3
+	VANDPD       (R8), Y0, Y0
+	VANDPD       32(R8), Y1, Y1
+	VANDPD       64(R8), Y2, Y2
+	VANDPD       96(R8), Y3, Y3
+	VADDPD       Y0, Y14, Y0
+	VADDPD       Y1, Y14, Y1
+	VADDPD       Y2, Y14, Y2
+	VADDPD       Y3, Y14, Y3
+	LEAQ         (DX)(BX*1), R10
+	MOVQ         $8, R11
+
+dw16rows:
+	CMPQ         R11, AX
+	JGE          dw16last
+	VBROADCASTSD (SI)(R11*1), Y15
+	VMULPD       (R10), Y15, Y4
+	VMULPD       32(R10), Y15, Y5
+	VMULPD       64(R10), Y15, Y6
+	VMULPD       96(R10), Y15, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	ADDQ         BX, R10
+	ADDQ         $8, R11
+	JMP          dw16rows
+
+dw16last:
+	VBROADCASTSD (SI)(AX*1), Y15
+	VMULPD       (R10), Y15, Y4
+	VMULPD       32(R10), Y15, Y5
+	VMULPD       64(R10), Y15, Y6
+	VMULPD       96(R10), Y15, Y7
+	VANDPD       (R8)(BX*1), Y4, Y4
+	VANDPD       32(R8)(BX*1), Y5, Y5
+	VANDPD       64(R8)(BX*1), Y6, Y6
+	VANDPD       96(R8)(BX*1), Y7, Y7
+	VADDPD       Y4, Y0, Y0
+	VADDPD       Y5, Y1, Y1
+	VADDPD       Y6, Y2, Y2
+	VADDPD       Y7, Y3, Y3
+	VADDPD       (DI), Y0, Y0
+	VADDPD       32(DI), Y1, Y1
+	VADDPD       64(DI), Y2, Y2
+	VADDPD       96(DI), Y3, Y3
+	VMOVUPD      Y0, (DI)
+	VMOVUPD      Y1, 32(DI)
+	VMOVUPD      Y2, 64(DI)
+	VMOVUPD      Y3, 96(DI)
+	ADDQ         $128, DI
+	ADDQ         $128, DX
+	ADDQ         $128, R8
+	SUBQ         $16, R9
+	JMP          dw16
+
+dw4:
+	TESTQ        R9, R9
+	JZ           dwdone
+	VBROADCASTSD (SI), Y15
+	VMULPD       (DX), Y15, Y0
+	VANDPD       (R8), Y0, Y0
+	VADDPD       Y0, Y14, Y0
+	LEAQ         (DX)(BX*1), R10
+	MOVQ         $8, R11
+
+dw4rows:
+	CMPQ         R11, AX
+	JGE          dw4last
+	VBROADCASTSD (SI)(R11*1), Y15
+	VMULPD       (R10), Y15, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         BX, R10
+	ADDQ         $8, R11
+	JMP          dw4rows
+
+dw4last:
+	VBROADCASTSD (SI)(AX*1), Y15
+	VMULPD       (R10), Y15, Y4
+	VANDPD       (R8)(BX*1), Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	VADDPD       (DI), Y0, Y0
+	VMOVUPD      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, DX
+	ADDQ         $32, R8
+	SUBQ         $4, R9
+	JMP          dw4
+
+dwdone:
+	VZEROUPPER
+	RET
+
+// func axpyAVX(y, x *float64, a float64, n int)
+//
+// y[i] += x[i] * a for i < n, a multiple of 4. Sixteen at a time, then
+// four.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	MOVQ         y+0(FP), DI
+	MOVQ         x+8(FP), SI
+	VBROADCASTSD a+16(FP), Y0
+	MOVQ         n+24(FP), CX
+	SHLQ         $3, CX
+	XORQ         AX, AX
+
+axpy16:
+	LEAQ    128(AX), DX
+	CMPQ    DX, CX
+	JGT     axpy4
+	VMULPD  (SI)(AX*1), Y0, Y1
+	VMULPD  32(SI)(AX*1), Y0, Y2
+	VMULPD  64(SI)(AX*1), Y0, Y3
+	VMULPD  96(SI)(AX*1), Y0, Y4
+	VADDPD  (DI)(AX*1), Y1, Y1
+	VADDPD  32(DI)(AX*1), Y2, Y2
+	VADDPD  64(DI)(AX*1), Y3, Y3
+	VADDPD  96(DI)(AX*1), Y4, Y4
+	VMOVUPD Y1, (DI)(AX*1)
+	VMOVUPD Y2, 32(DI)(AX*1)
+	VMOVUPD Y3, 64(DI)(AX*1)
+	VMOVUPD Y4, 96(DI)(AX*1)
+	MOVQ    DX, AX
+	JMP     axpy16
+
+axpy4:
+	CMPQ    AX, CX
+	JGE     axpydone
+	VMULPD  (SI)(AX*1), Y0, Y1
+	VADDPD  (DI)(AX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	JMP     axpy4
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// Stores the four lanes of acc (accx its low half) to base, base+BX, base+2*BX and base+R9
+// (R9 = 3*BX): one input position in four channel rows.
+#define SCATTER4(acc, accx, base) \
+	VMOVSD       accx, (base);             \
+	VMOVHPD      accx, (base)(BX*1);       \
+	VEXTRACTF128 $1, acc, X15;             \
+	VMOVSD       X15, (base)(BX*2);        \
+	VMOVHPD      X15, (base)(R9*1)
+
+// func conv3BwdEdgesAVX(dx, dy, w *float64, cin, cout, l, lout, pad int)
+//
+// The input gradient of 4 channels of a k=3 layer at the inputs that see
+// fewer than three taps — u = 0, 1, lout, lout+1 when pad is 0 (lout >= 3),
+// u = 0, l-1 when it is 1 (l >= 3) — with a lane per channel. The twelve
+// weights of one output channel, w[o*cin*3 .. +12], are transposed in
+// registers into T0..T2 (Y7..Y9), tap j of the four channels each; the
+// output gradients are broadcast.
+TEXT ·conv3BwdEdgesAVX(SB), NOSPLIT, $0-64
+	MOVQ   dx+0(FP), DI
+	MOVQ   dy+8(FP), DX
+	MOVQ   w+16(FP), R8
+	MOVQ   cin+24(FP), R10
+	LEAQ   (R10)(R10*2), R10
+	SHLQ   $3, R10
+	MOVQ   cout+32(FP), CX
+	MOVQ   l+40(FP), BX
+	SHLQ   $3, BX
+	MOVQ   lout+48(FP), R11
+	SHLQ   $3, R11
+	LEAQ   -8(R11), R12           // byte offset of g[lout-1]
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   pad+56(FP), AX
+	TESTQ  AX, AX
+	JNZ    edgesame
+
+edgevalid:
+	VMOVUPD      (R8), X4
+	VINSERTF128  $1, 48(R8), Y4, Y4 // a0 a1 a6 a7
+	VMOVUPD      16(R8), X5
+	VINSERTF128  $1, 64(R8), Y5, Y5 // a2 a3 a8 a9
+	VMOVUPD      32(R8), X6
+	VINSERTF128  $1, 80(R8), Y6, Y6 // a4 a5 a10 a11
+	VBLENDPD     $10, Y5, Y4, Y7    // tap 0: a0 a3 a6 a9
+	VSHUFPD      $5, Y6, Y4, Y8     // tap 1: a1 a4 a7 a10
+	VBLENDPD     $10, Y6, Y5, Y9    // tap 2: a2 a5 a8 a11
+	VBROADCASTSD (DX), Y10          // g[0]
+	VBROADCASTSD 8(DX), Y11         // g[1]
+	VBROADCASTSD -8(DX)(R12*1), Y12 // g[lout-2]
+	VBROADCASTSD (DX)(R12*1), Y13   // g[lout-1]
+	VMULPD       Y10, Y7, Y4        // u = 0: tap 0, t = 0
+	VADDPD       Y4, Y0, Y0
+	VMULPD       Y11, Y7, Y5        // u = 1: tap 0, t = 1; tap 1, t = 0
+	VADDPD       Y5, Y1, Y1
+	VMULPD       Y10, Y8, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       Y13, Y8, Y4        // u = lout: tap 1, t = lout-1; tap 2, t = lout-2
+	VADDPD       Y4, Y2, Y2
+	VMULPD       Y12, Y9, Y5
+	VADDPD       Y5, Y2, Y2
+	VMULPD       Y13, Y9, Y6        // u = lout+1: tap 2, t = lout-1
+	VADDPD       Y6, Y3, Y3
+	ADDQ         R11, DX
+	ADDQ         R10, R8
+	DECQ         CX
+	JNZ          edgevalid
+
+	LEAQ         (BX)(BX*2), R9
+	SCATTER4(Y0, X0, DI)
+	LEAQ         8(DI), SI
+	SCATTER4(Y1, X1, SI)
+	LEAQ         8(DI)(R12*1), SI
+	SCATTER4(Y2, X2, SI)
+	LEAQ         16(DI)(R12*1), SI
+	SCATTER4(Y3, X3, SI)
+	VZEROUPPER
+	RET
+
+edgesame:
+	VMOVUPD      (R8), X4
+	VINSERTF128  $1, 48(R8), Y4, Y4
+	VMOVUPD      16(R8), X5
+	VINSERTF128  $1, 64(R8), Y5, Y5
+	VMOVUPD      32(R8), X6
+	VINSERTF128  $1, 80(R8), Y6, Y6
+	VBLENDPD     $10, Y5, Y4, Y7
+	VSHUFPD      $5, Y6, Y4, Y8
+	VBLENDPD     $10, Y6, Y5, Y9
+	VBROADCASTSD (DX), Y10
+	VBROADCASTSD 8(DX), Y11
+	VBROADCASTSD -8(DX)(R12*1), Y12
+	VBROADCASTSD (DX)(R12*1), Y13
+	VMULPD       Y11, Y7, Y4        // u = 0: tap 0, t = 1; tap 1, t = 0
+	VADDPD       Y4, Y0, Y0
+	VMULPD       Y10, Y8, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       Y13, Y8, Y6        // u = l-1: tap 1, t = l-1; tap 2, t = l-2
+	VADDPD       Y6, Y1, Y1
+	VMULPD       Y12, Y9, Y4
+	VADDPD       Y4, Y1, Y1
+	ADDQ         R11, DX
+	ADDQ         R10, R8
+	DECQ         CX
+	JNZ          edgesame
+
+	LEAQ         (BX)(BX*2), R9
+	SCATTER4(Y0, X0, DI)
+	LEAQ         (DI)(R12*1), SI
+	SCATTER4(Y1, X1, SI)
+	VZEROUPPER
+	RET

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"advmal/internal/tensor"
 )
 
 func init() {
@@ -141,5 +143,110 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 			got[i] = y
 		}
 		sameFloats(t, what, got[0], got[1])
+	}
+}
+
+// TestBackwardKernelsAVXMatchPortable is TestKernelsAVXMatchPortable for
+// the backward pass, through its two drivers, with and without weight
+// gradients. The layer input and the output gradient sit in NaN, the
+// input gradient and both parameter gradients in a sentinel that must
+// come back untouched.
+func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX on this machine")
+	}
+	rng := rand.New(rand.NewSource(33))
+	defer func(saved bool) { useAVX = saved }(useAVX)
+
+	// run calls bwd once per implementation on fresh guarded copies of the
+	// starting gradients and compares what each wrote.
+	run := func(what string, dxLen int, grads [][]float64, bwd func(dx []float64, grads [][]float64)) {
+		t.Helper()
+		var got [2][][]float64
+		for i, on := range []bool{true, false} {
+			useAVX = on
+			dx, check := guarded(t, rng, dxLen, 12345.5)
+			outs, checks := [][]float64{dx}, []func(string){check}
+			var gs [][]float64
+			for _, g0 := range grads {
+				g, check := guarded(t, rng, len(g0), 12345.5)
+				copy(g, g0)
+				gs = append(gs, g)
+				outs, checks = append(outs, g), append(checks, check)
+			}
+			bwd(dx, gs)
+			for _, check := range checks {
+				check(what)
+			}
+			got[i] = outs
+		}
+		for j := range got[0] {
+			sameFloats(t, fmt.Sprintf("%s output %d", what, j), got[0][j], got[1][j])
+		}
+	}
+
+	for trial := 0; trial < 300; trial++ {
+		cin, cout := 1+rng.Intn(96), 1+rng.Intn(12)
+		l, same := 2+rng.Intn(39), rng.Intn(2) == 0
+		k := 3
+		if trial%10 == 9 {
+			k = 1 + 2*rng.Intn(3)
+		}
+		c := NewConv1D("conv", cin, cout, k, same, rng)
+		lout := c.OutLen(l)
+		if lout < 1 {
+			continue
+		}
+		x, _ := guarded(t, rng, cin*l, math.NaN())
+		g, _ := guarded(t, rng, cout*lout, math.NaN())
+		kernelValues(rng, trial, c.w.W)
+		kernelValues(rng, trial, x)
+		kernelValues(rng, trial, g)
+		gw, gb := make([]float64, len(c.w.G)), make([]float64, len(c.b.G))
+		kernelValues(rng, trial, gw)
+		kernelValues(rng, trial, gb)
+		s := &wsState{}
+		if k == 3 {
+			s.dwCols, s.dwMask = make([]float64, lout*cin*3), c.dwMask()
+		}
+		for _, accum := range []bool{false, true} {
+			what := fmt.Sprintf("conv cin=%d cout=%d k=%d l=%d same=%v accum=%v", cin, cout, k, l, same, accum)
+			run(what, cin*l, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
+				c.w.G, c.b.G = grads[0], grads[1]
+				c.bwdWS(s, &tensor.T{Shape: []int{cin, l}, Data: x},
+					&tensor.T{Shape: []int{cout, lout}, Data: g},
+					&tensor.T{Shape: []int{cin, l}, Data: dx}, accum)
+			})
+		}
+	}
+
+	for trial := 0; trial < 300; trial++ {
+		in, out := 1+rng.Intn(400), 1+rng.Intn(40)
+		if trial%4 < 2 {
+			in = 4 * (1 + rng.Intn(100))
+		}
+		d := NewDense("fc", in, out, rng)
+		x, _ := guarded(t, rng, in, math.NaN())
+		g, _ := guarded(t, rng, out, math.NaN())
+		kernelValues(rng, trial, d.w.W)
+		kernelValues(rng, trial, x)
+		kernelValues(rng, trial, g)
+		for o := range g {
+			if rng.Intn(3) == 0 {
+				g[o] = 0 // a ReLU-masked output: the row is skipped
+			}
+		}
+		gw, gb := make([]float64, len(d.w.G)), make([]float64, len(d.b.G))
+		kernelValues(rng, trial, gw)
+		kernelValues(rng, trial, gb)
+		for _, accum := range []bool{false, true} {
+			what := fmt.Sprintf("dense in=%d out=%d accum=%v", in, out, accum)
+			run(what, in, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
+				d.w.G, d.b.G = grads[0], grads[1]
+				d.bwdWS(nil, &tensor.T{Shape: []int{in}, Data: x},
+					&tensor.T{Shape: []int{out}, Data: g},
+					&tensor.T{Shape: []int{in}, Data: dx}, accum)
+			})
+		}
 	}
 }

@@ -7,3 +7,19 @@ func conv3Tile(y0, y1, x, w0, w1 []float64, b0, b1 float64, cin, l int) {
 }
 
 func dense8(y, x, w, b []float64) { denseGo(y, x, w, b) }
+
+func conv3BwdTile(dx, g, w []float64, cin, cout, l, lout int) {
+	conv3BwdTileGo(dx, g, w, cin, cout, l, lout)
+}
+
+func conv3BwdTile4(dx, g, w []float64, cin, cout, l, lout int) {
+	conv3BwdTile4Go(dx, g, w, cin, cout, l, lout)
+}
+
+func convDw(gw, g, cols []float64, mask []uint64, n, s int) { convDwGo(gw, g, cols, mask, n, s) }
+
+func axpy(y, x []float64, a float64) { axpyGo(y, x, a) }
+
+func conv3BwdEdges(dx, g, w []float64, cin, cout, l, lout, pad int) {
+	conv3BwdEdgesGo(dx, g, w, cin, cin, cout, l, lout, pad)
+}

@@ -175,16 +175,6 @@ func (n *Network) LossGrad(x []float64, label int) (float64, []float64) {
 	return loss, n.Backward(dLogits)
 }
 
-// LogitGrad returns logits and the gradient of logit k with respect to the
-// input.
-func (n *Network) LogitGrad(x []float64, k int) ([]float64, []float64) {
-	logits := n.Forward(x, false)
-	d := make([]float64, len(logits))
-	d[k] = 1
-	n.ZeroGrad()
-	return logits, n.Backward(d)
-}
-
 // Jacobian returns the full (nClasses x inputDim) Jacobian of the logits
 // with respect to the input, plus the logits themselves. It runs one
 // forward and nClasses backward passes.

@@ -19,10 +19,12 @@ import (
 // A workspace accumulates parameter gradients into the Param.G buffers of
 // the network view it was built from, exactly like the allocating path,
 // so the data-parallel trainer keeps its one-view-per-worker reduction.
-// The input-gradient queries (LossGrad, LogitGrad, Jacobian, InputGrad)
-// skip the parameter-gradient work entirely — attacks never read it — and
-// are therefore roughly twice as fast as a full Backward on dense-heavy
-// architectures.
+// The input-gradient queries (LossGrad, Jacobian, InputGrad) skip the
+// parameter-gradient work entirely — attacks never read it — and are
+// therefore roughly half the cost of a full Backward on the paper
+// architecture. The Conv1D and Dense backward passes run on the AVX
+// primitives of kernels_bwd.go, under the same bit-identity contract as
+// the forward ones.
 //
 // Slices returned by workspace methods alias internal buffers and are
 // valid only until the next call on the same workspace. A workspace is
@@ -55,6 +57,10 @@ type wsState struct {
 	fmask   []float64
 	rng     *rand.Rand
 	dropped bool
+	// A k=3 Conv1D's weight-gradient scratch: the im2col copy of its
+	// input and convDw's row masks (see Conv1D.bwdDw).
+	dwCols []float64
+	dwMask []uint64
 }
 
 // wsKernel is the workspace-execution contract a layer implements: run
@@ -118,10 +124,11 @@ func NewWorkspace(net *Network) *Workspace {
 		case *Dropout:
 			ws.states[i].fmask = make([]float64, outSize)
 			ws.states[i].rng = rand.New(rand.NewSource(1))
-		case *Conv1D, *Flatten, *Dense:
-			// No per-layer scratch beyond the boundary buffers.
-		default:
-			_ = l
+		case *Conv1D:
+			if l.k == 3 {
+				ws.states[i].dwCols = make([]float64, shapes[i+1][1]*l.cin*3)
+				ws.states[i].dwMask = l.dwMask()
+			}
 		}
 		if k, ok := l.(wsKernel); ok {
 			ws.kernels[i] = k
@@ -224,6 +231,8 @@ func (ws *Workspace) Backward(dLogits []float64) []float64 {
 // accumulation, the variant every attack loop wants. The returned values
 // are bit-identical to the oracle's ZeroGrad+Backward composition — the
 // input gradient never depends on the parameter-gradient accumulators.
+// After Logits, InputGrad seeded with e_a - e_b is the gradient of the
+// margin z_a - z_b: one backward pass where Jacobian runs one per class.
 func (ws *Workspace) InputGrad(dLogits []float64) []float64 {
 	return ws.backprop(dLogits, false)
 }
@@ -245,16 +254,6 @@ func (ws *Workspace) LossGrad(x []float64, label int) (float64, []float64) {
 	logits := ws.Forward(x, false)
 	loss := softmaxCEInto(ws.dlog, logits, label)
 	return loss, ws.backprop(ws.dlog, false)
-}
-
-// LogitGrad implements Engine: logits plus the input gradient of logit k.
-func (ws *Workspace) LogitGrad(x []float64, k int) ([]float64, []float64) {
-	logits := ws.Forward(x, false)
-	for i := range ws.dlog {
-		ws.dlog[i] = 0
-	}
-	ws.dlog[k] = 1
-	return logits, ws.backprop(ws.dlog, false)
 }
 
 // Jacobian implements Engine: one forward pass plus nClasses backward
@@ -335,25 +334,6 @@ func (ws *Workspace) PredictBatch(xs [][]float64, dst []int) []int {
 		dst[r] = Argmax(logits[r*stride : r*stride+ws.net.nClasses])
 	}
 	return dst
-}
-
-// GradBatch computes the cross-entropy loss and input gradient for every
-// (x, label) pair, amortizing dispatch: the batched counterpart of
-// LossGrad. Losses and gradient rows are written into the provided
-// slices, grown as needed and returned; reuse them across calls to stay
-// allocation-free.
-func (ws *Workspace) GradBatch(xs [][]float64, labels []int, losses []float64, grads [][]float64) ([]float64, [][]float64) {
-	if cap(losses) < len(xs) {
-		losses = make([]float64, len(xs))
-	}
-	losses = losses[:len(xs)]
-	grads = growRows(grads, len(xs), ws.inDim)
-	for i, x := range xs {
-		loss, g := ws.LossGrad(x, labels[i])
-		losses[i] = loss
-		copy(grads[i], g)
-	}
-	return losses, grads
 }
 
 // growRows resizes dst to n rows of width cols, reusing existing rows.

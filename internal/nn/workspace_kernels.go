@@ -9,14 +9,9 @@ import (
 // same order, as the layer's allocating Forward/Backward — that is the
 // invariant the bit-identity property tests enforce — but writes into
 // preallocated workspace buffers and keeps all mutable state in the
-// wsState, never in the layer. The Conv1D and Dense forward passes are
-// the shared kernels of kernels.go. The backward pass of the k=3
-// convolution (the only kernel size the paper's architecture uses) gets
-// a fused micro-kernel: the three taps are unrolled into one pass with an
-// interior/edge split so the inner loop is branch-free, and the input
-// gradient is computed gather-style (per input element, taps in
-// ascending order) so the per-element accumulation order matches the
-// oracle's tap-major loops bit for bit.
+// wsState, never in the layer. The Conv1D and Dense passes run on the
+// shared primitives of kernels.go (forward) and kernels_bwd.go
+// (backward).
 
 // ---------------------------------------------------------------------------
 // Conv1D
@@ -25,159 +20,148 @@ func (c *Conv1D) fwdWS(_ *wsState, x, y *tensor.T, _ bool) {
 	c.fwdRow(x.Data, y.Data, x.Cols(), y.Cols())
 }
 
-func (c *Conv1D) bwdWS(_ *wsState, x, grad, dx *tensor.T, accum bool) {
-	l := x.Cols()
-	pad := c.pad()
-	lout := grad.Cols()
-	dx.Zero()
-	for o := 0; o < c.cout; o++ {
-		gRow := grad.Row(o)
-		if accum {
+func (c *Conv1D) bwdWS(s *wsState, x, grad, dx *tensor.T, accum bool) {
+	l, lout := x.Cols(), grad.Cols()
+	g := grad.Data
+	if accum {
+		for o := 0; o < c.cout; o++ {
 			var gSum float64
-			for _, g := range gRow {
-				gSum += g
+			for _, v := range g[o*lout : (o+1)*lout] {
+				gSum += v
 			}
 			c.b.G[o] += gSum
 		}
-		for ci := 0; ci < c.cin; ci++ {
-			wBase := (o*c.cin + ci) * c.k
-			wRow := c.w.W[wBase : wBase+c.k]
-			xRow := x.Row(ci)
-			dxRow := dx.Row(ci)
-			if c.k == 3 {
-				// The fused kernel applies whenever the length guards hold.
-				if c.same && l >= 2 {
-					conv3BwdSameDx(dxRow, gRow, wRow, l)
-					if accum {
-						conv3BwdSameDw(c.w.G[wBase:wBase+3], gRow, xRow, l)
-					}
-					continue
-				}
-				if !c.same && lout >= 1 {
-					conv3BwdValidDx(dxRow, gRow, wRow, lout)
-					if accum {
-						conv3BwdValidDw(c.w.G[wBase:wBase+3], gRow, xRow, lout)
-					}
-					continue
-				}
+		if s.dwCols != nil && lout >= 2 {
+			c.bwdDw(s, x.Data, g, l, lout)
+		} else {
+			c.bwdDwRows(x.Data, g, l, lout)
+		}
+	}
+	c.bwdDx(dx.Data, g, l, lout)
+}
+
+// bwdDx computes the input gradient. A k=3 layer's interior — every input
+// all three of whose taps read an output in range: [2,lout) valid, [1,l-1)
+// same — goes to the tiles in channel pairs (or quads, when it is shorter
+// than a tile of 8) and the channels they leave over to conv3BwdQuad; the
+// ends of every row go to conv3BwdEdges. Other kernel sizes, and rows
+// whose interior is shorter than 4, run in the oracle's own loop order.
+func (c *Conv1D) bwdDx(dx, g []float64, l, lout int) {
+	pad := c.pad()
+	lo, hi := 2-pad, lout-pad
+	if c.k != 3 || hi-lo < 4 {
+		c.bwdDxRows(dx, g, l, lout)
+		return
+	}
+	w := c.w.W
+	ci := 0
+	// Tiles from lo; a ragged tail is one more tile ending at hi,
+	// recomputing what it shares with the tile before it.
+	if hi-lo >= 8 {
+		for ; ci+2 <= c.cin; ci += 2 {
+			for u := lo; u < hi; u += 8 {
+				u = min(u, hi-8)
+				conv3BwdTile(dx[ci*l+u:], g[u+pad-2:], w[ci*3:], c.cin, c.cout, l, lout)
 			}
-			for j := 0; j < c.k; j++ {
+		}
+	} else {
+		for ; ci+4 <= c.cin; ci += 4 {
+			for u := lo; u < hi; u += 4 {
+				u = min(u, hi-4)
+				conv3BwdTile4(dx[ci*l+u:], g[u+pad-2:], w[ci*3:], c.cin, c.cout, l, lout)
+			}
+		}
+	}
+	for ; ci < c.cin; ci++ {
+		for u := lo; u < hi; u += 4 {
+			u = min(u, hi-4)
+			conv3BwdQuad(dx[ci*l+u:ci*l+u+4], g[u+pad-2:], w[ci*3:], c.cin, c.cout, lout)
+		}
+	}
+	conv3BwdEdges(dx, g, w, c.cin, c.cout, l, lout, pad)
+}
+
+// bwdDxRows computes the input gradient for any kernel size in the
+// oracle's own loop order.
+func (c *Conv1D) bwdDxRows(dx, g []float64, l, lout int) {
+	pad := c.pad()
+	clear(dx)
+	for o := 0; o < c.cout; o++ {
+		gRow := g[o*lout : (o+1)*lout]
+		for ci := 0; ci < c.cin; ci++ {
+			wRow := c.w.W[(o*c.cin+ci)*c.k : (o*c.cin+ci+1)*c.k]
+			dxRow := dx[ci*l : (ci+1)*l]
+			for j, wj := range wRow {
 				off := j - pad
-				lo := 0
-				if off < 0 {
-					lo = -off
-				}
-				hi := lout
-				if hi > l-off {
-					hi = l - off
-				}
-				wj := wRow[j]
-				if accum {
-					var dwj float64
-					for t := lo; t < hi; t++ {
-						g := gRow[t]
-						dwj += g * xRow[t+off]
-						dxRow[t+off] += wj * g
-					}
-					c.w.G[wBase+j] += dwj
-				} else {
-					for t := lo; t < hi; t++ {
-						dxRow[t+off] += wj * gRow[t]
-					}
+				for t := max(0, -off); t < min(lout, l-off); t++ {
+					dxRow[t+off] += wj * gRow[t]
 				}
 			}
 		}
 	}
 }
 
-// conv3BwdSameDx adds one output channel's contribution to the input
-// gradient for k=3 "same" padding (lout == l >= 2), gather-style: each
-// input element u receives its three tap contributions in ascending tap
-// order (w0 from g[u+1], w1 from g[u], w2 from g[u-1]) — the same
-// per-element order the oracle's tap-major scatter produces.
-func conv3BwdSameDx(dxRow, gRow, wRow []float64, l int) {
-	w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-	// u = 0: no w2 contribution (it would come from g[-1]).
-	v := dxRow[0] + w0*gRow[1]
-	v += w1 * gRow[0]
-	dxRow[0] = v
-	for u := 1; u < l-1; u++ {
-		v := dxRow[u] + w0*gRow[u+1]
-		v += w1 * gRow[u]
-		v += w2 * gRow[u-1]
-		dxRow[u] = v
-	}
-	// u = l-1: no w0 contribution (it would come from g[l]).
-	v = dxRow[l-1] + w1*gRow[l-1]
-	v += w2 * gRow[l-2]
-	dxRow[l-1] = v
-}
-
-// conv3BwdSameDw accumulates the three weight gradients for one
-// (output, input) channel pair under "same" padding (l >= 2). Each tap's
-// scalar accumulator sums over ascending t, exactly like the oracle's
-// per-tap loops, with the three sums carried through one merged pass.
-func conv3BwdSameDw(gw, gRow, xRow []float64, l int) {
-	g0 := gRow[0]
-	var dw0 float64
-	dw1 := g0 * xRow[0]
-	dw2 := g0 * xRow[1]
-	for t := 1; t < l-1; t++ {
-		g := gRow[t]
-		dw0 += g * xRow[t-1]
-		dw1 += g * xRow[t]
-		dw2 += g * xRow[t+1]
-	}
-	gl := gRow[l-1]
-	dw0 += gl * xRow[l-2]
-	dw1 += gl * xRow[l-1]
-	gw[0] += dw0
-	gw[1] += dw1
-	gw[2] += dw2
-}
-
-// conv3BwdValidDx adds one output channel's contribution to the input
-// gradient for k=3 "valid" padding (lout == l-2 >= 1), gather-style with
-// per-element ascending tap order.
-func conv3BwdValidDx(dxRow, gRow, wRow []float64, lout int) {
-	w0, w1, w2 := wRow[0], wRow[1], wRow[2]
-	// Leading edge: u = 0 sees only w0, u = 1 sees w0 (when lout > 1)
-	// then w1.
-	dxRow[0] += w0 * gRow[0]
-	if lout > 1 {
-		dxRow[1] += w0 * gRow[1]
-	}
-	dxRow[1] += w1 * gRow[0]
-	for u := 2; u < lout; u++ {
-		v := dxRow[u] + w0*gRow[u]
-		v += w1 * gRow[u-1]
-		v += w2 * gRow[u-2]
-		dxRow[u] = v
-	}
-	// Trailing edge: u = lout sees w1 then w2 (w2 only when lout >= 2,
-	// and when lout == 1 that element is u = 1, handled above);
-	// u = lout+1 == l-1 sees only w2.
-	if lout >= 2 {
-		v := dxRow[lout] + w1*gRow[lout-1]
-		v += w2 * gRow[lout-2]
-		dxRow[lout] = v
-	}
-	dxRow[lout+1] += w2 * gRow[lout-1]
-}
-
-// conv3BwdValidDw accumulates the three weight gradients for one channel
-// pair under "valid" padding (lout >= 1) in one branch-free merged pass.
-func conv3BwdValidDw(gw, gRow, xRow []float64, lout int) {
-	var dw0, dw1, dw2 float64
+// bwdDw accumulates the weight gradients of a k=3 layer with convDw: row t
+// of s.dwCols holds, at lane ci*3+j, the input tap j of channel ci reads for
+// output t (0 where that falls off a "same" row, a lane s.mask drops).
+func (c *Conv1D) bwdDw(s *wsState, x, g []float64, l, lout int) {
+	m, pad := c.cin*3, c.pad()
+	cols := s.dwCols[:lout*m]
 	for t := 0; t < lout; t++ {
-		g := gRow[t]
-		dw0 += g * xRow[t]
-		dw1 += g * xRow[t+1]
-		dw2 += g * xRow[t+2]
+		row := cols[t*m : (t+1)*m]
+		for ci := 0; ci < c.cin; ci++ {
+			xRow := x[ci*l : (ci+1)*l]
+			for j := 0; j < 3; j++ {
+				v := 0.0
+				if u := t + j - pad; u >= 0 && u < l {
+					v = xRow[u]
+				}
+				row[ci*3+j] = v
+			}
+		}
 	}
-	gw[0] += dw0
-	gw[1] += dw1
-	gw[2] += dw2
+	for o := 0; o < c.cout; o++ {
+		convDw(c.w.G[o*m:(o+1)*m], g[o*lout:(o+1)*lout], cols, s.dwMask, lout, m)
+	}
+}
+
+// dwMask returns convDw's masks for a k=3 layer: row 0's drops tap 0 and
+// row lout-1's drops tap 2 when the padding is "same", where those taps
+// read past the row; "valid" drops nothing.
+func (c *Conv1D) dwMask() []uint64 {
+	m := c.cin * 3
+	mask := make([]uint64, 2*m)
+	for e := range mask {
+		mask[e] = ^uint64(0)
+	}
+	if c.same {
+		for ci := 0; ci < c.cin; ci++ {
+			mask[ci*3] = 0
+			mask[m+ci*3+2] = 0
+		}
+	}
+	return mask
+}
+
+// bwdDwRows accumulates the weight gradients for any kernel size in the
+// oracle's own loop order.
+func (c *Conv1D) bwdDwRows(x, g []float64, l, lout int) {
+	pad := c.pad()
+	for o := 0; o < c.cout; o++ {
+		gRow := g[o*lout : (o+1)*lout]
+		for ci := 0; ci < c.cin; ci++ {
+			base := (o*c.cin + ci) * c.k
+			xRow := x[ci*l : (ci+1)*l]
+			for j := 0; j < c.k; j++ {
+				off := j - pad
+				var dwj float64
+				for t := max(0, -off); t < min(lout, l-off); t++ {
+					dwj += gRow[t] * xRow[t+off]
+				}
+				c.w.G[base+j] += dwj
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -297,17 +281,9 @@ func (d *Dense) bwdWS(_ *wsState, x, grad, dx *tensor.T, accum bool) {
 		if g == 0 {
 			continue
 		}
-		row := d.w.W[o*d.in : (o+1)*d.in]
+		axpy(dx.Data, d.w.W[o*d.in:(o+1)*d.in], g)
 		if accum {
-			gw := d.w.G[o*d.in : (o+1)*d.in]
-			for i, xi := range x.Data {
-				gw[i] += g * xi
-				dx.Data[i] += row[i] * g
-			}
-		} else {
-			for i := range x.Data {
-				dx.Data[i] += row[i] * g
-			}
+			axpy(d.w.G[o*d.in:(o+1)*d.in], x.Data, g)
 		}
 	}
 }

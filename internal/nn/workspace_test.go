@@ -87,7 +87,7 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // TestWorkspaceBitIdentical is the central property test: on random
 // architectures (kernel sizes 1/3/5, both paddings, random pools and
 // dropouts) and random inputs, every workspace query — eval and train
-// forward, probs, loss/logit gradients, Jacobian, and full backward with
+// forward, probs, loss gradient, Jacobian, and full backward with
 // parameter accumulation — is bit-for-bit identical to the allocating
 // oracle.
 func TestWorkspaceBitIdentical(t *testing.T) {
@@ -124,12 +124,6 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 				t.Fatalf("loss: ws %v oracle %v", wl, nl)
 			}
 			bitsEqual(t, "loss input-grad", wg, ng)
-
-			k := rng.Intn(net.NumClasses())
-			wlog, wgk := ws.LogitGrad(x, k)
-			nlog, ngk := net.LogitGrad(x, k)
-			bitsEqual(t, "logitgrad logits", wlog, nlog)
-			bitsEqual(t, "logitgrad grad", wgk, ngk)
 
 			wjl, wj := ws.Jacobian(x)
 			njl, nj := net.Jacobian(x)
@@ -242,40 +236,31 @@ func TestWorkspaceFallbackKernel(t *testing.T) {
 	}
 }
 
-// TestWorkspaceBatchAPIs pins ProbsBatch/PredictBatch/GradBatch to their
-// single-call counterparts and checks the dst-reuse contract.
+// TestWorkspaceBatchAPIs pins ProbsBatch/PredictBatch to their single-call
+// counterparts and checks the dst-reuse contract.
 func TestWorkspaceBatchAPIs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := PaperCNN(2)
 	ws := net.WS()
 	n := 12
 	xs := make([][]float64, n)
-	labels := make([]int, n)
 	for i := range xs {
 		xs[i] = randVec(rng, net.InputDim())
-		labels[i] = i % 2
 	}
 
 	probs := ws.ProbsBatch(xs, nil)
 	preds := ws.PredictBatch(xs, nil)
-	losses, grads := ws.GradBatch(xs, labels, nil, nil)
 	for i := range xs {
 		bitsEqual(t, "batch probs", probs[i], net.Probs(xs[i]))
 		if want := net.Predict(xs[i]); preds[i] != want {
 			t.Fatalf("batch predict %d: got %d want %d", i, preds[i], want)
 		}
-		wl, wg := net.LossGrad(xs[i], labels[i])
-		if math.Float64bits(losses[i]) != math.Float64bits(wl) {
-			t.Fatalf("batch loss %d: got %v want %v", i, losses[i], wl)
-		}
-		bitsEqual(t, "batch grad", grads[i], wg)
 	}
 
 	// Reusing the returned buffers must not allocate new rows.
-	p0, g0 := probs[0], grads[0]
+	p0 := probs[0]
 	probs = ws.ProbsBatch(xs, probs)
-	_, grads = ws.GradBatch(xs, labels, losses, grads)
-	if &probs[0][0] != &p0[0] || &grads[0][0] != &g0[0] {
+	if &probs[0][0] != &p0[0] {
 		t.Fatal("batch APIs did not reuse caller buffers")
 	}
 }
