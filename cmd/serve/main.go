@@ -62,8 +62,6 @@ func run() error {
 		grace   = flag.Duration("grace", 30*time.Second, "drain deadline after SIGTERM")
 		chaos   = flag.Bool("chaos", false, "arm the fault-injection surface (/chaosz) — test harnesses only")
 		idx     = flag.String("index", "", "similarity corpus snapshot (build one with classify -train -index); arms /v1/similar and classify triage")
-		quant   = flag.Bool("quant", false, "serve bulk traffic on the int8 quantized tier (detector must carry calibration ranges)")
-		band    = flag.Float64("band", 0.2, "with -quant: escalate rows whose quantized top-two margin is below this to the float engine (negative = never)")
 		admin   = flag.Bool("admin", false, "mount POST /admin/swap (hot-swap a model gob into the serving handle)")
 
 		retrain       = flag.Bool("retrain", false, "run the online retraining loop: train candidates on a drifting sample stream, canary-gate them against the live model, hot-swap on pass")
@@ -110,11 +108,6 @@ func run() error {
 		Workers:        *workers,
 		RequestTimeout: *timeout,
 		Corpus:         corpus,
-		Quantize:       *quant,
-		Band:           *band,
-	}
-	if *quant {
-		fmt.Fprintf(os.Stderr, "serve: int8 quantized tier armed (escalation band %.2f)\n", *band)
 	}
 	if *admin {
 		fmt.Fprintln(os.Stderr, "serve: admin swap endpoint armed (POST /admin/swap)")

@@ -10,8 +10,8 @@ import (
 // stack holds one Handle for the life of the process and reads the
 // current Model per batch; Swap installs a new snapshot with zero
 // dropped requests — in-flight batches finish on the Model they were
-// bound to (whose workspace pool and quantized tier they own), and the
-// next batch each worker picks up binds to the new one.
+// bound to (whose workspace pool they own), and the next batch each
+// worker picks up binds to the new one.
 //
 // All methods are safe for concurrent use. The one protocol requirement
 // is on the Models themselves: a Model passed to Swap must not be

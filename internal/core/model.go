@@ -14,15 +14,14 @@ import (
 )
 
 // Model is the immutable deployable snapshot: the fitted scaler, the
-// trained CNN weights, the int8 calibration ranges, and a version stamp.
-// Once a Model is published (returned by System.Snapshot, LoadModel, or
-// installed into a Handle) nothing in it is mutated again — retraining
-// produces a NEW Model and the serving stack swaps the Handle's pointer.
+// trained CNN weights, and a version stamp. Once a Model is published
+// (returned by System.Snapshot, LoadModel, or installed into a Handle)
+// nothing in it is mutated again — retraining produces a NEW Model and the
+// serving stack swaps the Handle's pointer.
 //
 // A Model is safe for concurrent use: Classify borrows a per-call
 // inference workspace from the Model's OWN pool of weight-sharing network
-// clones, and the quantized engine is compiled once per Model. Because
-// the pool and the quantized tier belong to the snapshot — not to a
+// clones. Because the pool belongs to the snapshot — not to a
 // process-wide singleton — a hot swap re-pools by construction: workers
 // that re-bind to the new Model acquire workspaces cloned from the new
 // weights, while in-flight batches finish on the old Model's pool. Mixed-
@@ -42,15 +41,6 @@ type Model struct {
 	// mismatch is a descriptive load error instead of a failure deep
 	// inside inference.
 	Classes int
-	// Calib holds the per-boundary activation ranges observed on the
-	// training split, enabling the int8 quantized inference tier (see
-	// Quantized). Nil means no calibration pass ran — float-only serving.
-	// Persisted alongside the weights: a saved model can serve the
-	// quantized tier without access to the training corpus. Retraining
-	// re-runs the calibration pass (System.Snapshot calibrates on the new
-	// training matrix), so a swapped-in candidate never serves int8 with
-	// ranges observed on another model's activations.
-	Calib *nn.Calibration
 	// Extractor serves classification through the fused sweep engine and
 	// its two-level cache (program text, then GraphKey); nil uses
 	// features.Shared. Not persisted — the cache is derived state. Feature
@@ -62,11 +52,6 @@ type Model struct {
 	// Lazily populated; the zero value is ready to use. Per-Model by
 	// design: see the stale-workspace hazard note on the type.
 	ws sync.Pool
-
-	// Lazily compiled quantized model (see Quantized).
-	quantOnce  sync.Once
-	quantModel *nn.QuantModel
-	quantErr   error
 }
 
 // AcquireWS borrows an inference workspace over a weight-sharing clone
@@ -86,50 +71,16 @@ func (d *Model) AcquireWS() *nn.Workspace {
 // pool.
 func (d *Model) ReleaseWS(w *nn.Workspace) { d.ws.Put(w) }
 
-// Quantized returns the int8 quantized model compiled from this model's
-// network and calibration, building it once on first call. It fails with
-// nn.ErrNoCalibration when the model carries no activation ranges (an
-// un-calibrated or pre-calibration save), and with
-// nn.ErrQuantUnsupported for architectures the int8 compiler cannot
-// express. The returned model is immutable and safe for concurrent use;
-// serving workers derive per-goroutine workspaces from it with NewWS.
-func (d *Model) Quantized() (*nn.QuantModel, error) {
-	d.quantOnce.Do(func() {
-		if d.Calib == nil {
-			d.quantErr = fmt.Errorf("core: quantized: %w: model has no calibration ranges", nn.ErrNoCalibration)
-			return
-		}
-		m, err := nn.Quantize(d.Net, d.Calib)
-		if err != nil {
-			d.quantErr = fmt.Errorf("core: quantized: %w", err)
-			return
-		}
-		d.quantModel = m
-	})
-	return d.quantModel, d.quantErr
-}
-
-// Snapshot returns the system's deployable model snapshot, sharing the
-// system's feature cache, stamped version 1. When the training design
-// matrix is still in memory it also runs the activation-calibration pass
-// over it, so the snapshot (and any save of it) can serve the int8
-// quantized tier. Each call returns a fresh snapshot over the system's
-// current weights; retraining the system and snapshotting again yields
-// an independent Model whose calibration reflects the new weights.
+// Snapshot returns the system's deployable model snapshot over its
+// current scaler and weights, sharing the system's feature cache, stamped
+// version 1. It reads nothing of the training split, so its cost does not
+// grow with the corpus. Each call returns a fresh Model.
 func (s *System) Snapshot() (*Model, error) {
 	if s.Net == nil {
 		return nil, ErrNotTrained
 	}
-	d := &Model{Version: 1, Scaler: s.Scaler, Net: s.Net, Extractor: s.Extractor,
-		Classes: s.Net.NumClasses()}
-	if len(s.TrainX) > 0 {
-		calib, err := nn.Calibrate(s.Net, s.TrainX)
-		if err != nil {
-			return nil, fmt.Errorf("core: calibrate: %w", err)
-		}
-		d.Calib = calib
-	}
-	return d, nil
+	return &Model{Version: 1, Scaler: s.Scaler, Net: s.Net, Extractor: s.Extractor,
+		Classes: s.Net.NumClasses()}, nil
 }
 
 // Classify runs the full pipeline on one untrusted program. Faults in
@@ -188,16 +139,16 @@ func (d *Model) RawFeatures(prog *ir.Program) (raw []float64, blocks, edges int,
 }
 
 // modelEnvelope is the on-disk format: the scaler ranges plus the gob
-// weight snapshot produced by nn.Network.Save. CalibMin/CalibMax carry
-// the quantization calibration ranges and Version the lineage stamp; gob
-// tolerates their absence in both directions, so pre-split detector
-// files load as version-1 models and new files load under pre-split
-// code (which simply ignores the Version field).
+// weight snapshot produced by nn.Network.Save, and Version the lineage
+// stamp. gob matches fields by name and skips what the destination
+// lacks, in both directions: pre-split detector files load as version-1
+// models, new files load under pre-split code (which ignores Version),
+// and files that still carry the activation ranges of the retired int8
+// tier (CalibMin/CalibMax) load with those ranges unread.
 type modelEnvelope struct {
-	Min, Max           []float64
-	Weights            []byte
-	CalibMin, CalibMax []float64
-	Version            uint64
+	Min, Max []float64
+	Weights  []byte
+	Version  uint64
 	// Classes labels the softmax head width the weights were trained
 	// with. Zero on pre-family files; the loader then trusts the width
 	// it peeks from the weight blob itself. Non-zero values are
@@ -206,9 +157,9 @@ type modelEnvelope struct {
 	Classes int
 }
 
-// Save writes the model (scaler ranges + CNN weights + calibration
-// ranges when present + version stamp). The architecture is code
-// (PaperCNN), so only parameters are persisted.
+// Save writes the model (scaler ranges + CNN weights + version stamp +
+// head width). The architecture is code (PaperCNN), so only parameters
+// are persisted.
 func (d *Model) Save(w io.Writer) error {
 	if d.Scaler == nil || !d.Scaler.Fitted() || d.Net == nil {
 		return fmt.Errorf("core: save: model incomplete")
@@ -218,10 +169,6 @@ func (d *Model) Save(w io.Writer) error {
 	env.Classes = d.Net.NumClasses()
 	env.Min = append([]float64(nil), d.Scaler.Min...)
 	env.Max = append([]float64(nil), d.Scaler.Max...)
-	if d.Calib != nil {
-		env.CalibMin = append([]float64(nil), d.Calib.Min...)
-		env.CalibMax = append([]float64(nil), d.Calib.Max...)
-	}
 	var buf bytes.Buffer
 	if err := d.Net.Save(&buf); err != nil {
 		return err
@@ -301,14 +248,6 @@ func LoadModel(r io.Reader) (d *Model, err error) {
 	}
 	if err := d.Net.Load(bytes.NewReader(env.Weights)); err != nil {
 		return nil, fmt.Errorf("core: load model: weights: %w", err)
-	}
-	if len(env.CalibMin) > 0 || len(env.CalibMax) > 0 {
-		calib := &nn.Calibration{Min: env.CalibMin, Max: env.CalibMax}
-		if !calib.Valid(len(d.Net.Layers())) {
-			return nil, fmt.Errorf("core: load model: bad calibration ranges (%d min, %d max for %d layers)",
-				len(env.CalibMin), len(env.CalibMax), len(d.Net.Layers()))
-		}
-		d.Calib = calib
 	}
 	return d, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"testing"
 
 	"advmal/internal/features"
@@ -47,9 +48,6 @@ func TestLoadModelLegacyEnvelope(t *testing.T) {
 	}
 	if m.Version != 1 {
 		t.Fatalf("legacy file loaded as version %d, want 1", m.Version)
-	}
-	if m.Calib != nil {
-		t.Fatal("legacy file conjured calibration ranges from nothing")
 	}
 	_, want, err := det.Classify(prog)
 	if err != nil {
@@ -97,6 +95,93 @@ func TestSaveReadableByLegacyDecoder(t *testing.T) {
 	}
 	if !matchesOracle(got, [][]float64{want}) {
 		t.Fatalf("legacy-shape rebuild diverged: got %v, want %v", got, want)
+	}
+}
+
+// calibratedEnvelope is the on-disk format as written while models still
+// carried the int8 tier's activation ranges: one min/max per layer
+// boundary beside the current fields. Nothing reads those ranges any
+// more, so files in this shape must load whatever the ranges hold.
+type calibratedEnvelope struct {
+	Min, Max           []float64
+	Weights            []byte
+	CalibMin, CalibMax []float64
+	Version            uint64
+	Classes            int
+}
+
+// TestLoadModelCalibratedEnvelope loads files written with calibration
+// ranges — valid ones, and the truncated, non-finite and inverted ranges
+// the loader used to reject. Each must keep its version stamp and head
+// width and classify bitwise-identically to the model that wrote it.
+func TestLoadModelCalibratedEnvelope(t *testing.T) {
+	det, _ := savedDetector(t)
+	prog := smallSystem(t).TestSamples()[0].Prog
+	_, want, err := det.Classify(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var weights bytes.Buffer
+	if err := det.Net.Save(&weights); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(lo, hi []float64) ([]float64, []float64)
+	}{
+		{"valid", func(lo, hi []float64) ([]float64, []float64) { return lo, hi }},
+		{"truncated", func(lo, hi []float64) ([]float64, []float64) { return lo[:3], hi }},
+		{"nan", func(lo, hi []float64) ([]float64, []float64) { hi[2] = math.NaN(); return lo, hi }},
+		{"inverted", func(lo, hi []float64) ([]float64, []float64) { lo[1], hi[1] = 5, -5; return lo, hi }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			boundaries := len(det.Net.Layers()) + 1
+			lo, hi := make([]float64, boundaries), make([]float64, boundaries)
+			for i := range lo {
+				lo[i], hi[i] = -float64(i+1), float64(i+1)
+			}
+			env := calibratedEnvelope{
+				Min: det.Scaler.Min, Max: det.Scaler.Max, Weights: weights.Bytes(),
+				Version: 7, Classes: det.Net.NumClasses(),
+			}
+			env.CalibMin, env.CalibMax = tc.mut(lo, hi)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(env); err != nil {
+				t.Fatal(err)
+			}
+			m, err := LoadModel(&buf)
+			if err != nil {
+				t.Fatalf("calibrated file rejected: %v", err)
+			}
+			if m.Version != 7 || m.Classes != env.Classes {
+				t.Fatalf("loaded version %d, classes %d; want 7, %d", m.Version, m.Classes, env.Classes)
+			}
+			_, got, err := m.Classify(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matchesOracle(got, [][]float64{want}) {
+				t.Fatalf("calibrated-file model diverged: got %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestSaveReadableByCalibratedDecoder pins the reverse direction: a file
+// written by the current Save decodes under the calibrated envelope shape
+// with its version stamp and head width intact and no ranges.
+func TestSaveReadableByCalibratedDecoder(t *testing.T) {
+	det, blob := savedDetector(t)
+	var env calibratedEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
+		t.Fatalf("calibrated-shape decoder rejected a current model file: %v", err)
+	}
+	if env.Version != det.Version || env.Classes != det.Net.NumClasses() || len(env.Weights) == 0 {
+		t.Fatalf("decoded version %d, classes %d, %d weight bytes; want %d, %d, non-empty",
+			env.Version, env.Classes, len(env.Weights), det.Version, det.Net.NumClasses())
+	}
+	if env.CalibMin != nil || env.CalibMax != nil {
+		t.Fatal("current file carries calibration ranges")
 	}
 }
 

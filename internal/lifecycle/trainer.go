@@ -54,9 +54,7 @@ type Candidate struct {
 	Window int
 }
 
-// Train fits one candidate on the window and snapshots it (including the
-// int8 calibration pass over the new training matrix, so a quantized
-// fleet can swap the candidate in without serving stale ranges).
+// Train fits one candidate on the window and snapshots it.
 func (t *Trainer) Train(ctx context.Context, samples []*synth.Sample) (*Candidate, error) {
 	epochs := t.Epochs
 	if epochs <= 0 {

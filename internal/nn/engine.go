@@ -1,8 +1,9 @@
 package nn
 
 // Engine is the inference/gradient surface the adversarial attacks,
-// evaluation harnesses, and serving paths drive. Two implementations
-// exist:
+// evaluation harnesses, and serving paths drive. There is one arithmetic,
+// float64 throughout: the verdict a replica serves and the gradient an
+// attack reads come from the same computation. Two implementations exist:
 //
 //   - *Network — the allocating reference path ("the oracle"): every call
 //     returns freshly allocated slices. Simple, obviously correct, and the
@@ -43,30 +44,9 @@ type Engine interface {
 	InputGrad(dLogits []float64) []float64
 }
 
-// InferenceEngine is the forward-only subset of Engine — what a serving
-// tier needs and nothing more. The int8 quantized engine (*QuantWS)
-// implements exactly this subset: it cannot honestly provide gradients
-// (its arithmetic is not the differentiable float64 computation the
-// attacks assume), so it deliberately does not implement Engine.
-type InferenceEngine interface {
-	// NumClasses returns the logit dimension.
-	NumClasses() int
-	// Logits is an eval-mode forward pass.
-	Logits(x []float64) []float64
-	// Probs returns the softmax class probabilities (eval mode).
-	Probs(x []float64) []float64
-	// Predict returns the argmax class (eval mode).
-	Predict(x []float64) int
-}
-
 // Interface compliance: the allocating oracle and the workspace engine
-// expose the same surface, so attacks and harnesses run on either; the
-// quantized workspace joins them on the inference-only subset.
+// expose the same surface, so attacks and harnesses run on either.
 var (
 	_ Engine = (*Network)(nil)
 	_ Engine = (*Workspace)(nil)
-
-	_ InferenceEngine = (*Network)(nil)
-	_ InferenceEngine = (*Workspace)(nil)
-	_ InferenceEngine = (*QuantWS)(nil)
 )

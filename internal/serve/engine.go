@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"advmal/internal/core"
+	"advmal/internal/nn"
 )
 
 // handleEngine is the BatchEngine the serving stack runs on after the
@@ -15,54 +16,36 @@ import (
 // the old or the new snapshot, never a mix.
 //
 // Binding is per-batch and per-engine: when the snapshot pointer
-// changes, the engine builds a fresh inner engine from the NEW Model's
-// workspace pool (and its int8 quantized tier when armed). The old
-// Model's workspace is not returned anywhere — it drains and dies with
-// its snapshot, which is exactly how the per-Model pools make mixed-
+// changes, the engine takes a float workspace from the NEW Model's pool.
+// The old Model's workspace is not returned anywhere — it drains and dies
+// with its snapshot, which is exactly how the per-Model pools make mixed-
 // version inference structurally impossible.
 type handleEngine struct {
-	h        *core.Handle
-	quantize bool
-	band     float64
-	m        *Metrics
+	h *core.Handle
 
-	cur    *core.Model // snapshot the inner engine is bound to
-	inner  BatchEngine // scaled-space engine over cur's pool/tier
-	scaled [][]float64 // per-engine scratch for scaled rows
-}
-
-func newHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) *handleEngine {
-	return &handleEngine{h: h, quantize: quantize, band: band, m: m}
+	cur    *core.Model   // snapshot the workspace is bound to
+	inner  *nn.Workspace // scaled-space engine from cur's pool
+	scaled [][]float64   // per-engine scratch for scaled rows
 }
 
 // NewHandleEngine exposes the serving engine for external harnesses
 // (benchmark/ traces the batcher through it); the server builds its
 // own instances, one per batcher engine. Rows submitted through it must
-// be RAW (unscaled) feature vectors.
-func NewHandleEngine(h *core.Handle, quantize bool, band float64, m *Metrics) BatchEngine {
-	return newHandleEngine(h, quantize, band, m)
+// be RAW (unscaled) feature vectors. The last three parameters are
+// ignored; they are kept only because the frozen benchmark harness
+// (benchmark/layers.go) still passes them.
+func NewHandleEngine(h *core.Handle, _ bool, _ float64, _ *Metrics) BatchEngine {
+	return &handleEngine{h: h}
 }
 
-// bind re-resolves the handle's current snapshot, rebuilding the inner
-// engine when it changed since the last batch. One goroutine at a time,
+// bind re-resolves the handle's current snapshot, taking a workspace from
+// its pool when it changed since the last batch. One goroutine at a time,
 // per the BatchEngine contract.
-func (e *handleEngine) bind() BatchEngine {
-	mdl := e.h.Current()
-	if mdl == e.cur {
-		return e.inner
+func (e *handleEngine) bind() *nn.Workspace {
+	if mdl := e.h.Current(); mdl != e.cur {
+		e.cur, e.inner = mdl, mdl.AcquireWS()
 	}
-	var inner BatchEngine = mdl.AcquireWS()
-	if e.quantize {
-		// A candidate without calibration (or with an architecture the
-		// int8 compiler cannot express) serves float-only: correctness
-		// over throughput, and the canary gates keep such candidates out
-		// of quantized fleets anyway.
-		if qm, err := mdl.Quantized(); err == nil {
-			inner = newTieredEngine(qm.NewWS(), inner, e.band, e.m)
-		}
-	}
-	e.cur, e.inner = mdl, inner
-	return inner
+	return e.inner
 }
 
 // ModelVersion reports the version of the snapshot the last batch ran
@@ -77,7 +60,7 @@ func (e *handleEngine) ModelVersion() uint64 {
 }
 
 // ProbsBatch scales the raw rows with the pinned snapshot's scaler into
-// per-engine scratch and runs the batch on the snapshot's engine.
+// per-engine scratch and runs the batch on the snapshot's workspace.
 func (e *handleEngine) ProbsBatch(xs [][]float64, dst [][]float64) [][]float64 {
 	inner := e.bind()
 	for len(e.scaled) < len(xs) {

@@ -52,12 +52,6 @@ type Metrics struct {
 	Similar       atomic.Uint64
 	TriageFlagged atomic.Uint64
 
-	// Quantized-tier row counters: rows answered by the int8 bulk
-	// engine, and rows escalated to the float engine (borderline margin
-	// or bulk-side fault). Zero unless Config.Quantize is on.
-	TierBulk      atomic.Uint64
-	TierEscalated atomic.Uint64
-
 	// Distributions.
 	BatchSize *metrics.Histogram // rows per executed batch
 	QueueWait *metrics.Histogram // enqueue → batch start, seconds
@@ -109,8 +103,6 @@ func (m *Metrics) WriteText(w io.Writer, cache features.CacheStats) {
 	}
 	fmt.Fprintf(w, "advmal_similar_requests_total %d\n", m.Similar.Load())
 	fmt.Fprintf(w, "advmal_triage_flagged_total %d\n", m.TriageFlagged.Load())
-	fmt.Fprintf(w, "advmal_tier_rows_total{tier=\"bulk\"} %d\n", m.TierBulk.Load())
-	fmt.Fprintf(w, "advmal_tier_rows_total{tier=\"escalated\"} %d\n", m.TierEscalated.Load())
 	m.BatchSize.WritePrometheus(w, "advmal_batch_size")
 	m.QueueWait.WritePrometheus(w, "advmal_queue_wait_seconds")
 	m.InferLat.WritePrometheus(w, "advmal_inference_seconds")

@@ -49,18 +49,6 @@ type Config struct {
 	// engines RAW (unscaled) rows — the default engine scales them under
 	// its pinned snapshot; a custom engine must cope with raw input.
 	NewEngine func() BatchEngine
-	// Quantize routes bulk traffic to the model's int8 quantized
-	// compilation, escalating borderline rows to the float engine (see
-	// Band). Requires an initial model with calibration ranges — New
-	// fails fast otherwise. A hot-swapped candidate that cannot quantize
-	// serves float-only rather than failing. Ignored when NewEngine is
-	// set.
-	Quantize bool
-	// Band is the escalation band for the quantized tier: a row whose
-	// quantized top-two probability margin is below Band re-runs on the
-	// float engine. Default 0.2; negative disables escalation (pure
-	// quantized serving). Only meaningful with Quantize.
-	Band float64
 	// Corpus, when non-nil, arms the similarity layer: /v1/similar
 	// (k-NN family attribution over the labeled training corpus) and
 	// the triage block on classify verdicts. Load one with index.Load
@@ -86,11 +74,6 @@ type Server struct {
 	// until SetLifecycle publishes one.
 	lc atomic.Pointer[LifecycleStatus]
 }
-
-// defaultBand is the default quantized-tier escalation band, matching
-// the margin at which the nn property tests pin quant/float argmax
-// agreement.
-const defaultBand = 0.2
 
 // New builds the server and its batcher.
 func New(cfg Config) (*Server, error) {
@@ -120,24 +103,7 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.Classes = h.Current().Net.NumClasses()
 	newEngine := cfg.NewEngine
 	if newEngine == nil {
-		band := cfg.Band
-		if band == 0 {
-			band = defaultBand
-		} else if band < 0 {
-			band = 0
-		}
-		if cfg.Quantize {
-			// Fail fast on the INITIAL model: starting a quantized fleet
-			// on an uncalibrated model is a configuration error. Swapped-in
-			// candidates degrade to float-only instead (see handleEngine).
-			if _, err := h.Current().Quantized(); err != nil {
-				return nil, fmt.Errorf("serve: quantized tier: %w", err)
-			}
-		}
-		quantize, metrics := cfg.Quantize, s.metrics
-		newEngine = func() BatchEngine {
-			return newHandleEngine(h, quantize, band, metrics)
-		}
+		newEngine = func() BatchEngine { return &handleEngine{h: h} }
 	}
 	if cfg.Chaos != nil {
 		inner := newEngine
