@@ -39,7 +39,7 @@ bench:
 # here so a deletion that breaks its import surface fails before it
 # merges. The untrusted-input parser is fuzzed against its line-splitting
 # oracle, and the forward kernels (the one inference path) and backward
-# kernels against the allocating network, beyond the committed seeds.
+# kernels against the test oracle, beyond the committed seeds.
 check: build vet race smoke
 	cd benchmark && $(GO) test -short ./...
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesOracle -fuzztime 10s ./internal/ir

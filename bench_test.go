@@ -157,9 +157,10 @@ func BenchmarkTableII_FeatureExtractionCached(b *testing.B) {
 func BenchmarkFig5_Forward(b *testing.B) {
 	sys := trainedBenchSystem(b)
 	x := sys.TestX[0]
+	ws := sys.Net.WS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Net.Logits(x)
+		ws.Logits(x)
 	}
 }
 
@@ -182,14 +183,14 @@ func BenchmarkFig5_TrainingEpoch(b *testing.B) {
 // bench samples.
 func benchAttack(b *testing.B, atk attacks.Attack) {
 	sys := trainedBenchSystem(b)
-	idx := attacks.Eligible(sys.Net, sys.TestX, sys.TestY, 0)
+	idx := attacks.Eligible(sys.Net.WS(), sys.TestX, sys.TestY, 0)
 	if len(idx) == 0 {
 		b.Fatal("no eligible samples")
 	}
 	res := attacks.Evaluate(sys.Net, []attacks.Attack{atk}, sys.TestX, sys.TestY,
 		attacks.Options{MaxSamples: 25})
 	b.Logf("Table III row: %v", res[0])
-	clone := sys.Net.CloneShared()
+	clone := sys.Net.CloneShared().WS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := idx[i%len(idx)]
@@ -366,9 +367,9 @@ func BenchmarkAblation_EpsSweepPGD(b *testing.B) {
 			sys.TestX, sys.TestY, attacks.Options{MaxSamples: 20})
 		b.Logf("PGD eps=%.2f MR=%.1f%%", eps, res[0].MR*100)
 	}
-	idx := attacks.Eligible(sys.Net, sys.TestX, sys.TestY, 0)
+	idx := attacks.Eligible(sys.Net.WS(), sys.TestX, sys.TestY, 0)
 	atk := attacks.NewPGD(0.1, 20)
-	clone := sys.Net.CloneShared()
+	clone := sys.Net.CloneShared().WS()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := idx[i%len(idx)]

@@ -43,9 +43,10 @@ func run() error {
 	fmt.Println("detector:", m)
 
 	// First correctly classified malware sample in the held-out split.
+	ws := sys.Net.WS()
 	idx := -1
 	for i, y := range sys.TestY {
-		if y == nn.ClassMalware && sys.Net.Predict(sys.TestX[i]) == y {
+		if y == nn.ClassMalware && ws.Predict(sys.TestX[i]) == y {
 			idx = i
 			break
 		}
@@ -55,12 +56,12 @@ func run() error {
 	}
 	x := sys.TestX[idx]
 	name := sys.Test.Records[idx].Sample.Name
-	fmt.Printf("\nvictim: %s (malware, p=%.3f)\n", name, sys.Net.Probs(x)[nn.ClassMalware])
+	fmt.Printf("\nvictim: %s (malware, p=%.3f)\n", name, ws.Probs(x)[nn.ClassMalware])
 
 	names := features.Names()
 	for _, atk := range []attacks.Attack{attacks.NewJSMA(0, 0), attacks.NewFGSM(0)} {
-		adv := atk.Craft(sys.Net, x, nn.ClassMalware)
-		probs := sys.Net.Probs(adv)
+		adv := atk.Craft(ws, x, nn.ClassMalware)
+		probs := ws.Probs(adv)
 		pred := nn.Argmax(probs)
 		verdict := "still MALWARE"
 		if pred == nn.ClassBenign {

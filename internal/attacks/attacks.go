@@ -26,12 +26,11 @@ import (
 // return a best-effort adversarial vector inside the [0,1] box; they do
 // not fail.
 //
-// Attacks drive the model through the nn.Engine surface, so they run
-// unchanged on the allocating *nn.Network oracle or on an *nn.Workspace
-// (the zero-allocation engine every hot path uses). Implementations
-// respect the engine contract: slices an engine returns may alias its
-// internal buffers and are consumed — or copied — before the next engine
-// call invalidates them.
+// Attacks drive the model through the nn.Engine surface — in production
+// an *nn.Workspace, the zero-allocation engine. Implementations respect
+// the engine contract: slices an engine returns may alias its internal
+// buffers and are consumed — or copied — before the next engine call
+// invalidates them (TestAttacksOracleWorkspaceIdentical pins it).
 type Attack interface {
 	Name() string
 	Craft(eng nn.Engine, x []float64, label int) []float64

@@ -82,14 +82,14 @@ func TestAttacksStayInBoxAndAreDeterministic(t *testing.T) {
 	for _, atk := range All() {
 		t.Run(atk.Name(), func(t *testing.T) {
 			for i := 0; i < 6; i++ {
-				a := atk.Craft(net, x[i], y[i])
+				a := atk.Craft(net.WS(), x[i], y[i])
 				if !inBox(a) {
 					t.Fatalf("sample %d escaped the box: %v", i, a)
 				}
 				if len(a) != len(x[i]) {
 					t.Fatalf("sample %d changed dimension", i)
 				}
-				b := atk.Craft(net, x[i], y[i])
+				b := atk.Craft(net.WS(), x[i], y[i])
 				for j := range a {
 					if a[j] != b[j] {
 						t.Fatalf("sample %d not deterministic at feature %d", i, j)
@@ -105,7 +105,7 @@ func TestAttacksDoNotMutateInput(t *testing.T) {
 	net, x, y := trainedModel(t)
 	for _, atk := range All() {
 		orig := append([]float64(nil), x[0]...)
-		atk.Craft(net, x[0], y[0])
+		atk.Craft(net.WS(), x[0], y[0])
 		for j := range orig {
 			if x[0][j] != orig[j] {
 				t.Fatalf("%s mutated its input", atk.Name())
@@ -124,11 +124,11 @@ func TestIterativeAttacksFoolEasyModel(t *testing.T) {
 		flipped := 0
 		total := 10
 		for i := 0; i < total; i++ {
-			if net.Predict(x[i]) != y[i] {
+			if net.WS().Predict(x[i]) != y[i] {
 				continue
 			}
-			adv := atk.Craft(net, x[i], y[i])
-			if net.Predict(adv) != y[i] {
+			adv := atk.Craft(net.WS(), x[i], y[i])
+			if net.WS().Predict(adv) != y[i] {
 				flipped++
 			}
 		}
@@ -141,8 +141,8 @@ func TestIterativeAttacksFoolEasyModel(t *testing.T) {
 func TestCWMinimizesDistortion(t *testing.T) {
 	net, x, y := trainedModel(t)
 	cw := NewCW(0, 0, 0)
-	adv := cw.Craft(net, x[0], y[0])
-	if net.Predict(adv) == y[0] {
+	adv := cw.Craft(net.WS(), x[0], y[0])
+	if net.WS().Predict(adv) == y[0] {
 		t.Fatal("C&W failed on easy model")
 	}
 	var dist float64
@@ -160,7 +160,7 @@ func TestCWMinimizesDistortion(t *testing.T) {
 func TestJSMAChangesFewFeatures(t *testing.T) {
 	net, x, y := trainedModel(t)
 	jsma := NewJSMA(0, 0)
-	adv := jsma.Craft(net, x[0], y[0])
+	adv := jsma.Craft(net.WS(), x[0], y[0])
 	changed := 0
 	for i := range adv {
 		if math.Abs(adv[i]-x[0][i]) > 1e-9 {
@@ -171,7 +171,7 @@ func TestJSMAChangesFewFeatures(t *testing.T) {
 	if changed > budget {
 		t.Errorf("JSMA changed %d features, budget %d", changed, budget)
 	}
-	if changed == 0 && net.Predict(x[0]) == y[0] {
+	if changed == 0 && net.WS().Predict(x[0]) == y[0] {
 		t.Error("JSMA changed nothing on a correctly classified sample")
 	}
 }
@@ -179,7 +179,7 @@ func TestJSMAChangesFewFeatures(t *testing.T) {
 func TestFGSMRespectsEps(t *testing.T) {
 	net, x, y := trainedModel(t)
 	eps := 0.1
-	adv := NewFGSM(eps).Craft(net, x[0], y[0])
+	adv := NewFGSM(eps).Craft(net.WS(), x[0], y[0])
 	for i := range adv {
 		if d := math.Abs(adv[i] - x[0][i]); d > eps+1e-12 {
 			t.Errorf("feature %d moved %v > eps %v", i, d, eps)
@@ -190,7 +190,7 @@ func TestFGSMRespectsEps(t *testing.T) {
 func TestPGDAndMIMRespectEpsBall(t *testing.T) {
 	net, x, y := trainedModel(t)
 	for _, atk := range []Attack{NewPGD(0.2, 10), NewMIM(0.2, 5)} {
-		adv := atk.Craft(net, x[1], y[1])
+		adv := atk.Craft(net.WS(), x[1], y[1])
 		for i := range adv {
 			if d := math.Abs(adv[i] - x[1][i]); d > 0.2+1e-9 {
 				t.Errorf("%s: feature %d moved %v > 0.2", atk.Name(), i, d)
@@ -201,7 +201,7 @@ func TestPGDAndMIMRespectEpsBall(t *testing.T) {
 
 func TestVAMRespectsEps(t *testing.T) {
 	net, x, y := trainedModel(t)
-	adv := NewVAM(0.25, 5).Craft(net, x[2], y[2])
+	adv := NewVAM(0.25, 5).Craft(net.WS(), x[2], y[2])
 	var dist float64
 	for i := range adv {
 		d := adv[i] - x[2][i]

@@ -8,9 +8,9 @@ import (
 
 func TestEligibleFiltersMisclassified(t *testing.T) {
 	net, x, y := trainedModel(t)
-	idx := Eligible(net, x, y, 0)
+	idx := Eligible(net.WS(), x, y, 0)
 	for _, i := range idx {
-		if net.Predict(x[i]) != y[i] {
+		if net.WS().Predict(x[i]) != y[i] {
 			t.Fatalf("Eligible returned misclassified sample %d", i)
 		}
 	}
@@ -21,13 +21,13 @@ func TestEligibleFiltersMisclassified(t *testing.T) {
 
 func TestEligibleSubsampling(t *testing.T) {
 	net, x, y := trainedModel(t)
-	all := Eligible(net, x, y, 0)
-	capped := Eligible(net, x, y, 10)
+	all := Eligible(net.WS(), x, y, 0)
+	capped := Eligible(net.WS(), x, y, 10)
 	if len(capped) != 10 {
 		t.Fatalf("capped = %d, want 10", len(capped))
 	}
 	// Deterministic and sorted (evenly spaced over the eligible list).
-	again := Eligible(net, x, y, 10)
+	again := Eligible(net.WS(), x, y, 10)
 	for i := range capped {
 		if capped[i] != again[i] {
 			t.Fatal("subsample not deterministic")
@@ -40,7 +40,7 @@ func TestEligibleSubsampling(t *testing.T) {
 		t.Error("subsample not spread")
 	}
 	// Cap above population returns everything.
-	if got := Eligible(net, x, y, len(all)+100); len(got) != len(all) {
+	if got := Eligible(net.WS(), x, y, len(all)+100); len(got) != len(all) {
 		t.Errorf("over-cap returned %d, want %d", len(got), len(all))
 	}
 }

@@ -80,12 +80,12 @@ func TestTargetSelectorBinary(t *testing.T) {
 	net, x, y := trainedModel(t)
 	var ts targetSelector
 	for i := 0; i < 8; i++ {
-		if got := ts.target(net, x[i], y[i]); got != opposite(y[i]) {
+		if got := ts.target(net.WS(), x[i], y[i]); got != opposite(y[i]) {
 			t.Fatalf("sample %d: untargeted binary target %d, want %d", i, got, opposite(y[i]))
 		}
 	}
 	ts.SetTarget(0)
-	if got := ts.target(net, x[0], y[0]); got != 0 {
+	if got := ts.target(net.WS(), x[0], y[0]); got != 0 {
 		t.Fatalf("forced target ignored: %d", got)
 	}
 	if got := ts.forcedTarget(); got != 0 {
@@ -103,11 +103,11 @@ func TestTargetSelectorRunnerUp(t *testing.T) {
 	net, x, y := familyModel(t)
 	var ts targetSelector
 	for i := 0; i < len(x); i += 17 {
-		got := ts.target(net, x[i], y[i])
+		got := ts.target(net.WS(), x[i], y[i])
 		if got == y[i] {
 			t.Fatalf("sample %d: untargeted target equals the true class", i)
 		}
-		logits := net.Logits(x[i])
+		logits := net.WS().Logits(x[i])
 		for c := range logits {
 			if c != y[i] && c != got && logits[c] > logits[got] {
 				t.Fatalf("sample %d: target %d is not the runner-up (class %d has higher logit)", i, got, c)

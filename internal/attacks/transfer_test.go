@@ -14,7 +14,7 @@ func TestTrainSubstituteImitatesVictim(t *testing.T) {
 	}
 	agree := 0
 	for _, xi := range x {
-		if sub.Predict(xi) == victim.Predict(xi) {
+		if sub.WS().Predict(xi) == victim.WS().Predict(xi) {
 			agree++
 		}
 	}

@@ -246,7 +246,7 @@ func TestSaveLoadDetector(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := s.TestX[0]
-	a, b := s.Net.Logits(x), restored.Logits(x)
+	a, b := s.Net.WS().Logits(x), restored.WS().Logits(x)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("restored detector differs")

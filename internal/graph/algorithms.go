@@ -1,60 +1,5 @@
 package graph
 
-import (
-	"math"
-)
-
-// EigenvectorCentrality computes eigenvector centrality by power
-// iteration on the adjacency matrix (incoming-edge convention: a node is
-// central if central nodes point at it), the third centrality the paper's
-// §II-B names. maxIter bounds the iterations (0 means 100); the result is
-// L2-normalized. Graphs whose iteration does not converge (e.g. DAGs,
-// where mass drains to sinks) still return the final iterate, which is
-// deterministic.
-func (g *Graph) EigenvectorCentrality(maxIter int) []float64 {
-	n := g.N()
-	if n == 0 {
-		return nil
-	}
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	v := make([]float64, n)
-	next := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(n))
-	}
-	const tol = 1e-10
-	for it := 0; it < maxIter; it++ {
-		for i := range next {
-			next[i] = v[i] * 1e-4 // damping keeps DAG iterates nonzero
-		}
-		for u := 0; u < n; u++ {
-			for _, w := range g.out[u] {
-				next[w] += v[u]
-			}
-		}
-		var norm float64
-		for _, x := range next {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			break
-		}
-		var delta float64
-		for i := range next {
-			next[i] /= norm
-			delta += math.Abs(next[i] - v[i])
-		}
-		v, next = next, v
-		if delta < tol {
-			break
-		}
-	}
-	return v
-}
-
 // SCCs returns the strongly connected components in reverse topological
 // order (Tarjan's algorithm, iterative). Every node appears in exactly
 // one component. CFG loops show up as multi-node (or self-loop) SCCs.
@@ -125,20 +70,6 @@ func (g *Graph) SCCs() [][]int {
 		}
 	}
 	return comps
-}
-
-// Diameter returns the longest finite shortest-path distance in the
-// graph, 0 for graphs with no reachable pairs.
-func (g *Graph) Diameter() int {
-	best := 0
-	for s := 0; s < g.N(); s++ {
-		for _, d := range g.BFSFrom(s) {
-			if d > best {
-				best = d
-			}
-		}
-	}
-	return best
 }
 
 // Dominators computes the immediate dominator of every node for flow

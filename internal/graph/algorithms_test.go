@@ -1,45 +1,10 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
 )
-
-func TestEigenvectorCentralityCycle(t *testing.T) {
-	// On a cycle every node is equally central: 1/sqrt(n) each.
-	n := 6
-	g := cycle(t, n)
-	c := g.EigenvectorCentrality(0)
-	want := 1 / math.Sqrt(float64(n))
-	for i, x := range c {
-		if math.Abs(x-want) > 1e-6 {
-			t.Errorf("eigen[%d] = %v, want %v", i, x, want)
-		}
-	}
-}
-
-func TestEigenvectorCentralityHub(t *testing.T) {
-	// Everyone points at node 0; node 0 must dominate.
-	b := NewBuilder(5)
-	for i := 1; i < 5; i++ {
-		mustEdge(t, b, i, 0)
-		mustEdge(t, b, 0, i) // back edges keep the iteration alive
-	}
-	c := b.Build().EigenvectorCentrality(0)
-	for i := 1; i < 5; i++ {
-		if c[0] <= c[i] {
-			t.Errorf("hub centrality %v not above leaf %v", c[0], c[i])
-		}
-	}
-}
-
-func TestEigenvectorCentralityEmpty(t *testing.T) {
-	if c := NewBuilder(0).Build().EigenvectorCentrality(0); c != nil {
-		t.Errorf("empty graph eigenvector = %v, want nil", c)
-	}
-}
 
 func TestSCCsLinearChain(t *testing.T) {
 	g := path(t, 4)
@@ -90,18 +55,6 @@ func TestSCCsPartition(t *testing.T) {
 				t.Fatalf("node %d appears in %d SCCs", v, cnt)
 			}
 		}
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	if d := path(t, 5).Diameter(); d != 4 {
-		t.Errorf("path diameter = %d, want 4", d)
-	}
-	if d := cycle(t, 5).Diameter(); d != 4 {
-		t.Errorf("cycle diameter = %d, want 4", d)
-	}
-	if d := NewBuilder(3).Build().Diameter(); d != 0 {
-		t.Errorf("edgeless diameter = %d, want 0", d)
 	}
 }
 

@@ -39,17 +39,17 @@ func PaperCNNClasses(seed int64, classes int) *Network {
 		NewConv1D("conv2", 46, 46, 3, false, rng),
 		NewReLU("relu2"),
 		NewMaxPool1D("pool1", 2),
-		NewDropout("drop1", 0.25, seed+101),
+		NewDropout("drop1", 0.25),
 		NewConv1D("conv3", 46, 92, 3, true, rng),
 		NewReLU("relu3"),
 		NewConv1D("conv4", 92, 92, 3, false, rng),
 		NewReLU("relu4"),
 		NewMaxPool1D("pool2", 2),
-		NewDropout("drop2", 0.25, seed+202),
+		NewDropout("drop2", 0.25),
 		NewFlatten("flatten"),
 		NewDense("fc1", PaperFlattenLen, 512, rng),
 		NewReLU("relu5"),
-		NewDropout("drop3", 0.5, seed+303),
+		NewDropout("drop3", 0.5),
 		NewDense("logits", 512, classes, rng),
 	)
 }

@@ -4,15 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"advmal/internal/tensor"
 )
 
 // FuzzBackwardKernels is the differential fuzzer of the backward pass: on
 // a conv/conv/dense/dense network whose shape, weights, input and logit
 // gradient all come from the fuzz input, workspace backprop — with and
 // without weight-gradient accumulation, on every kernel implementation
-// the platform has — must agree with the allocating oracle bit for bit at
+// the platform has — must agree with the test oracle bit for bit at
 // every layer boundary and in every parameter gradient. The seeds below
 // run in every `go test`.
 func FuzzBackwardKernels(f *testing.F) {
@@ -71,17 +69,15 @@ func FuzzBackwardKernels(f *testing.F) {
 
 		// The oracle, one layer at a time.
 		layers := net.Layers()
-		act := &tensor.T{Shape: []int{1, l}, Data: append([]float64(nil), x...)}
-		for _, layer := range layers {
-			act = layer.Forward(act, false)
-		}
+		o := newOracle(net)
+		o.Forward(x, false)
 		net.ZeroGrad()
 		want := make([][]float64, len(layers)+1)
-		g := &tensor.T{Shape: []int{2}, Data: append([]float64(nil), dlog...)}
-		want[len(layers)] = g.Data
+		g := &tensor{shape: []int{2}, data: append([]float64(nil), dlog...)}
+		want[len(layers)] = g.data
 		for li := len(layers) - 1; li >= 0; li-- {
-			g = layers[li].Backward(g)
-			want[li] = append([]float64(nil), g.Data...)
+			g = o.layers[li].backward(g)
+			want[li] = append([]float64(nil), g.data...)
 		}
 		var wantG [][]float64
 		for _, p := range net.Params() {
@@ -96,7 +92,7 @@ func FuzzBackwardKernels(f *testing.F) {
 				ws.Forward(x, false)
 				ws.backprop(dlog, accum)
 				for li := len(layers) - 1; li >= 0; li-- {
-					sameFloats(t, what+" dx of "+layers[li].Name(), ws.gbufs[li].Data, want[li])
+					sameFloats(t, what+" dx of "+layers[li].Name(), ws.gbufs[li], want[li])
 				}
 				for pi, p := range view.Params() {
 					wg := wantG[pi]

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"advmal/internal/tensor"
-)
+import "fmt"
 
 // Batch-major eval forward: the serving-path engine behind ProbsBatch and
 // PredictBatch. It runs layers outside and rows inside over two packed
@@ -21,8 +17,8 @@ import (
 //     Dropout is the identity and vanishes.
 //
 // The kernels are the per-row path's, so the batch path is bit-for-bit
-// identical to it and to the allocating oracle
-// (TestBatchForwardBitIdentical, TestBatchForwardZeroTaps).
+// identical to it and to the test oracle (TestBatchForwardBitIdentical,
+// TestBatchForwardZeroTaps).
 //
 // The plan owns two ping-pong arenas sized maxBoundary x rows; they are
 // grown on demand and reused, so steady-state batched inference performs
@@ -34,13 +30,11 @@ import (
 // acts/gbufs no longer describe any particular row. Backward-pass queries
 // keep their own per-row protocol; there is no batched backward pass.
 type batchPlan struct {
-	shapes  [][]int // boundary shapes, len(layers)+1
-	sizes   []int   // boundary sizes (product of shape dims)
+	sizes   []int // boundary sizes (product of shape dims), len(layers)+1
 	maxSize int
 	rows    int       // allocated row capacity of the arenas
 	ping    []float64 // arena A: rows x maxSize
 	pong    []float64 // arena B: rows x maxSize
-	xt, yt  tensor.T  // reusable per-row views for generic kernels
 }
 
 // ensureBatchPlan returns the workspace's batch plan, building it on first
@@ -48,12 +42,9 @@ type batchPlan struct {
 func (ws *Workspace) ensureBatchPlan(rows int) *batchPlan {
 	bp := ws.bp
 	if bp == nil {
-		bp = &batchPlan{shapes: ws.shapes, sizes: make([]int, len(ws.shapes))}
+		bp = &batchPlan{sizes: make([]int, len(ws.shapes))}
 		for i, shape := range ws.shapes {
-			size := 1
-			for _, d := range shape {
-				size *= d
-			}
+			size := shapeSize(shape)
 			bp.sizes[i] = size
 			if size > bp.maxSize {
 				bp.maxSize = size
@@ -86,9 +77,9 @@ func (ws *Workspace) forwardBatch(xs [][]float64) (out []float64, stride int) {
 		}
 		copy(in[r*inSize:(r+1)*inSize], x)
 	}
-	for li, k := range ws.kernels {
+	for li, l := range ws.net.layers {
 		outSize := bp.sizes[li+1]
-		switch l := ws.net.layers[li].(type) {
+		switch l := l.(type) {
 		case *Flatten:
 			// Pure reshape: the arena layout is already flat, and the
 			// boundary sizes are equal, so the layer vanishes.
@@ -99,7 +90,7 @@ func (ws *Workspace) forwardBatch(xs [][]float64) (out []float64, stride int) {
 		case *Dense:
 			l.fwdRows(in, nxt, n, inSize, outSize)
 		case *Conv1D:
-			cols, outCols := bp.shapes[li][1], bp.shapes[li+1][1]
+			cols, outCols := shapeCols(ws.shapes[li]), shapeCols(ws.shapes[li+1])
 			for r := 0; r < n; r++ {
 				l.fwdRow(in[r*inSize:(r+1)*inSize], nxt[r*outSize:(r+1)*outSize], cols, outCols)
 			}
@@ -107,15 +98,7 @@ func (ws *Workspace) forwardBatch(xs [][]float64) (out []float64, stride int) {
 			reluFwdBatch(in[:n*inSize], nxt)
 		case *MaxPool1D:
 			poolFwdBatch(l, in, nxt, n, inSize, outSize,
-				bp.shapes[li], bp.shapes[li+1])
-		default:
-			// Any other layer (an external fallback) runs its per-row
-			// workspace kernel over reusable row views.
-			for r := 0; r < n; r++ {
-				bp.xt.Shape, bp.xt.Data = bp.shapes[li], in[r*inSize:r*inSize+inSize]
-				bp.yt.Shape, bp.yt.Data = bp.shapes[li+1], nxt[r*outSize:r*outSize+outSize]
-				k.fwdWS(&ws.states[li], &bp.xt, &bp.yt, false)
-			}
+				ws.shapes[li], ws.shapes[li+1])
 		}
 		in, nxt = nxt, in
 		inSize = outSize
@@ -139,9 +122,7 @@ func reluFwdBatch(in, out []float64) {
 // bookkeeping. Ties keep the earliest element, like the per-row kernel's
 // index comparison.
 func poolFwdBatch(m *MaxPool1D, in, out []float64, rows, inSize, outSize int, inShape, outShape []int) {
-	chans := inShape[0]
-	l := inShape[len(inShape)-1]
-	lout := outShape[len(outShape)-1]
+	chans, l, lout := shapeRows(inShape), shapeCols(inShape), shapeCols(outShape)
 	for r := 0; r < rows; r++ {
 		for ch := 0; ch < chans; ch++ {
 			xRow := in[r*inSize+ch*l : r*inSize+(ch+1)*l]

@@ -8,7 +8,7 @@ import (
 // TestBatchForwardBitIdentical is the batch-major counterpart of
 // TestWorkspaceBitIdentical: on random architectures (kernel sizes 1/3/5,
 // both paddings, random pools and dropouts) and random batches,
-// ProbsBatch and PredictBatch are bit-for-bit identical to the allocating
+// ProbsBatch and PredictBatch are bit-for-bit identical to the test
 // oracle applied row by row — reordering layers outside and rows inside
 // must not change a single bit.
 func TestBatchForwardBitIdentical(t *testing.T) {
@@ -20,6 +20,7 @@ func TestBatchForwardBitIdentical(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		net := buildRandomNet(rng)
 		ws := NewWorkspace(net.CloneShared())
+		o := newOracle(net)
 		dim := net.InputDim()
 
 		// Vary the batch size across calls so arena growth and reuse both
@@ -32,9 +33,9 @@ func TestBatchForwardBitIdentical(t *testing.T) {
 			probs := ws.ProbsBatch(xs, nil)
 			preds := ws.PredictBatch(xs, nil)
 			for i, x := range xs {
-				bitsEqual(t, "batch probs", probs[i], net.Probs(x))
-				if preds[i] != net.Predict(x) {
-					t.Fatalf("batch predict row %d: ws %d oracle %d", i, preds[i], net.Predict(x))
+				bitsEqual(t, "batch probs", probs[i], o.Probs(x))
+				if preds[i] != o.Predict(x) {
+					t.Fatalf("batch predict row %d: ws %d oracle %d", i, preds[i], o.Predict(x))
 				}
 			}
 		}
@@ -56,13 +57,14 @@ func TestBatchForwardZeroTaps(t *testing.T) {
 		}
 	}
 	ws := NewWorkspace(net.CloneShared())
+	o := newOracle(net)
 	xs := make([][]float64, 9)
 	for i := range xs {
 		xs[i] = randVec(rng, net.InputDim())
 	}
 	probs := ws.ProbsBatch(xs, nil)
 	for i, x := range xs {
-		bitsEqual(t, "zero-tap batch probs", probs[i], net.Probs(x))
+		bitsEqual(t, "zero-tap batch probs", probs[i], o.Probs(x))
 		bitsEqual(t, "zero-tap per-row probs", ws.Probs(x), probs[i])
 	}
 }

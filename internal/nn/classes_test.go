@@ -43,11 +43,11 @@ func TestPaperCNNClassesHeadWidth(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	logits := net.Logits(x)
+	logits := net.WS().Logits(x)
 	if len(logits) != k {
 		t.Fatalf("logits length %d, want %d", len(logits), k)
 	}
-	probs := Softmax(logits)
+	probs := SoftmaxInto(make([]float64, k), logits)
 	sum := 0.0
 	for _, p := range probs {
 		sum += p

@@ -3,8 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"advmal/internal/tensor"
 )
 
 // Conv1D is a 1-D convolution over (channels, length) activations with
@@ -17,7 +15,6 @@ type Conv1D struct {
 	same      bool
 	w         *Param // cout * cin * k
 	b         *Param // cout
-	x         *tensor.T
 }
 
 // NewConv1D returns a Conv1D with He-initialized weights.
@@ -58,88 +55,9 @@ func (c *Conv1D) pad() int {
 // OutLen returns the output length for input length l.
 func (c *Conv1D) OutLen(l int) int { return l + 2*c.pad() - c.k + 1 }
 
-// Forward implements Layer. Input shape (cin, L); output (cout, OutLen(L)).
-func (c *Conv1D) Forward(x *tensor.T, _ bool) *tensor.T {
-	if x.Rows() != c.cin {
-		panic(fmt.Sprintf("nn: %s: input channels %d, want %d", c.name, x.Rows(), c.cin))
+func (c *Conv1D) outShape(in []int) []int {
+	if rows := shapeRows(in); rows != c.cin {
+		panic(fmt.Sprintf("nn: %s: input channels %d, want %d", c.name, rows, c.cin))
 	}
-	c.x = x
-	l := x.Cols()
-	pad := c.pad()
-	lout := c.OutLen(l)
-	y := tensor.New2D(c.cout, lout)
-	for o := 0; o < c.cout; o++ {
-		yRow := y.Row(o)
-		bias := c.b.W[o]
-		for t := range yRow {
-			yRow[t] = bias
-		}
-		for ci := 0; ci < c.cin; ci++ {
-			wBase := (o*c.cin + ci) * c.k
-			wRow := c.w.W[wBase : wBase+c.k]
-			xRow := x.Row(ci)
-			for j, wj := range wRow {
-				// y[t] += w[j] * x[t+j-pad]
-				off := j - pad
-				lo := 0
-				if off < 0 {
-					lo = -off
-				}
-				hi := lout
-				if hi > l-off {
-					hi = l - off
-				}
-				for t := lo; t < hi; t++ {
-					yRow[t] += wj * xRow[t+off]
-				}
-			}
-		}
-	}
-	return y
+	return []int{c.cout, c.OutLen(shapeCols(in))}
 }
-
-// Backward implements Layer.
-func (c *Conv1D) Backward(grad *tensor.T) *tensor.T {
-	x := c.x
-	l := x.Cols()
-	pad := c.pad()
-	lout := grad.Cols()
-	dx := tensor.New2D(c.cin, l)
-	for o := 0; o < c.cout; o++ {
-		gRow := grad.Row(o)
-		var gSum float64
-		for _, g := range gRow {
-			gSum += g
-		}
-		c.b.G[o] += gSum
-		for ci := 0; ci < c.cin; ci++ {
-			wBase := (o*c.cin + ci) * c.k
-			wRow := c.w.W[wBase : wBase+c.k]
-			gw := c.w.G[wBase : wBase+c.k]
-			xRow := x.Row(ci)
-			dxRow := dx.Row(ci)
-			for j := 0; j < c.k; j++ {
-				off := j - pad
-				lo := 0
-				if off < 0 {
-					lo = -off
-				}
-				hi := lout
-				if hi > l-off {
-					hi = l - off
-				}
-				var dwj float64
-				wj := wRow[j]
-				for t := lo; t < hi; t++ {
-					g := gRow[t]
-					dwj += g * xRow[t+off]
-					dxRow[t+off] += wj * g
-				}
-				gw[j] += dwj
-			}
-		}
-	}
-	return dx
-}
-
-var _ Layer = (*Conv1D)(nil)

@@ -3,22 +3,18 @@ package nn
 // Engine is the inference/gradient surface the adversarial attacks,
 // evaluation harnesses, and serving paths drive. There is one arithmetic,
 // float64 throughout: the verdict a replica serves and the gradient an
-// attack reads come from the same computation. Two implementations exist:
+// attack reads come from the same computation. *Workspace is the one
+// implementation in this package — all activation, mask, argmax, and
+// gradient buffers are preallocated once from the layer shapes, and
+// every call writes into them. The interface stays so tests can put
+// something in its place: this package's bit-identity tests run an
+// allocating reference beside it, and the attack tests a wrapper that
+// copies every slice it returns.
 //
-//   - *Network — the allocating reference path ("the oracle"): every call
-//     returns freshly allocated slices. Simple, obviously correct, and the
-//     ground truth the property tests compare against.
-//   - *Workspace — the zero-allocation engine: all activation, mask,
-//     argmax, and gradient buffers are preallocated once from the layer
-//     shapes, and every call writes into them. Bit-for-bit identical to
-//     the oracle, several times faster, and the path every hot loop
-//     (attack iteration, training step, GEA classify probe) runs on.
-//
-// Contract difference callers must respect: slices returned by a
-// *Workspace alias internal buffers and are only valid until the next
-// call on the same workspace — copy them if they must survive. Neither
-// implementation is safe for concurrent use; give each goroutine its own
-// CloneShared view and workspace (see Network.WS).
+// Slices a *Workspace returns alias internal buffers and are only valid
+// until the next call on the same workspace — copy them if they must
+// survive. A workspace is not safe for concurrent use; give each
+// goroutine its own CloneShared view and workspace (see Network.WS).
 type Engine interface {
 	// NumClasses returns the logit dimension.
 	NumClasses() int
@@ -44,9 +40,4 @@ type Engine interface {
 	InputGrad(dLogits []float64) []float64
 }
 
-// Interface compliance: the allocating oracle and the workspace engine
-// expose the same surface, so attacks and harnesses run on either.
-var (
-	_ Engine = (*Network)(nil)
-	_ Engine = (*Workspace)(nil)
-)
+var _ Engine = (*Workspace)(nil)

@@ -4,20 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"advmal/internal/tensor"
 )
 
 // numericalInputGrad estimates dLoss/dx by central finite differences.
-func numericalInputGrad(net *Network, x []float64, label int) []float64 {
+func numericalInputGrad(o *oracle, x []float64, label int) []float64 {
 	const h = 1e-5
 	grad := make([]float64, len(x))
 	for i := range x {
 		orig := x[i]
 		x[i] = orig + h
-		lp, _ := SoftmaxCE(net.Forward(x, false), label)
+		lp, _ := softmaxCE(o.Forward(x, false), label)
 		x[i] = orig - h
-		lm, _ := SoftmaxCE(net.Forward(x, false), label)
+		lm, _ := softmaxCE(o.Forward(x, false), label)
 		x[i] = orig
 		grad[i] = (lp - lm) / (2 * h)
 	}
@@ -38,15 +36,15 @@ func maxAbsDiff(a, b []float64) float64 {
 // every layer type of the paper architecture against finite differences.
 func TestInputGradientMatchesNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	net := PaperCNN(11)
+	o := newOracle(PaperCNN(11))
 	for trial := 0; trial < 3; trial++ {
 		x := make([]float64, PaperInputLen)
 		for i := range x {
 			x[i] = rng.Float64()
 		}
 		label := trial % 2
-		_, analytic := net.LossGrad(x, label)
-		numeric := numericalInputGrad(net, x, label)
+		_, analytic := o.LossGrad(x, label)
+		numeric := numericalInputGrad(o, x, label)
 		if d := maxAbsDiff(analytic, numeric); d > 1e-4 {
 			t.Errorf("trial %d: input gradient mismatch %v", trial, d)
 		}
@@ -58,12 +56,13 @@ func TestInputGradientMatchesNumerical(t *testing.T) {
 func TestParamGradientsMatchNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := PaperCNN(12)
+	o := newOracle(net)
 	x := make([]float64, PaperInputLen)
 	for i := range x {
 		x[i] = rng.Float64()
 	}
 	label := 1
-	_, _ = net.LossGrad(x, label) // fills p.G
+	_, _ = o.LossGrad(x, label) // fills p.G
 	const h = 1e-5
 	for _, p := range net.Params() {
 		// Check a few entries per parameter tensor.
@@ -71,9 +70,9 @@ func TestParamGradientsMatchNumerical(t *testing.T) {
 			j := (probe * 7919) % len(p.W)
 			orig := p.W[j]
 			p.W[j] = orig + h
-			lp, _ := SoftmaxCE(net.Forward(x, false), label)
+			lp, _ := softmaxCE(o.Forward(x, false), label)
 			p.W[j] = orig - h
-			lm, _ := SoftmaxCE(net.Forward(x, false), label)
+			lm, _ := softmaxCE(o.Forward(x, false), label)
 			p.W[j] = orig
 			numeric := (lp - lm) / (2 * h)
 			if d := math.Abs(p.G[j] - numeric); d > 1e-4 {
@@ -87,12 +86,12 @@ func TestParamGradientsMatchNumerical(t *testing.T) {
 // JSMA, DeepFool, and C&W depend on.
 func TestJacobianMatchesNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	net := SmallMLP(13, 6, 10, 3)
+	o := newOracle(SmallMLP(13, 6, 10, 3))
 	x := make([]float64, 6)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	logits, jac := net.Jacobian(x)
+	logits, jac := o.Jacobian(x)
 	if len(jac) != 3 {
 		t.Fatalf("Jacobian rows = %d, want 3", len(jac))
 	}
@@ -101,9 +100,9 @@ func TestJacobianMatchesNumerical(t *testing.T) {
 		for i := range x {
 			orig := x[i]
 			x[i] = orig + h
-			zp := net.Forward(x, false)[k]
+			zp := o.Forward(x, false)[k]
 			x[i] = orig - h
-			zm := net.Forward(x, false)[k]
+			zm := o.Forward(x, false)[k]
 			x[i] = orig
 			numeric := (zp - zm) / (2 * h)
 			if d := math.Abs(jac[k][i] - numeric); d > 1e-4 {
@@ -125,12 +124,13 @@ func TestMarginGradMatchesJacobian(t *testing.T) {
 	for _, classes := range []int{2, 6} {
 		net := PaperCNNClasses(16, classes)
 		ws := net.CloneShared().WS()
+		o := newOracle(net)
 		for trial := 0; trial < 4; trial++ {
 			x := make([]float64, net.InputDim())
 			for i := range x {
 				x[i] = rng.Float64()
 			}
-			_, jac := net.Jacobian(x)
+			_, jac := o.Jacobian(x)
 			a, b := rng.Intn(classes), rng.Intn(classes-1)
 			if b >= a {
 				b++
@@ -139,8 +139,8 @@ func TestMarginGradMatchesJacobian(t *testing.T) {
 			seed[a], seed[b] = 1, -1
 			ws.Logits(x)
 			got := ws.InputGrad(seed)
-			net.Logits(x)
-			bitsEqual(t, "oracle margin gradient", net.InputGrad(seed), got)
+			o.Logits(x)
+			bitsEqual(t, "oracle margin gradient", o.InputGrad(seed), got)
 			var scale, worst float64
 			for i := range got {
 				scale = math.Max(scale, math.Abs(jac[a][i])+math.Abs(jac[b][i]))
@@ -160,16 +160,15 @@ func TestConvolutionKnownValues(t *testing.T) {
 	// Kernel [1, 2, 3], bias 10.
 	copy(c.w.W, []float64{1, 2, 3})
 	c.b.W[0] = 10
-	in := &tensor.T{Shape: []int{1, 4}, Data: []float64{1, 0, -1, 2}}
-	out := c.Forward(in, false)
+	out := layerWS([]int{1, 4}, c).Forward([]float64{1, 0, -1, 2}, false)
 	// valid positions: [1*1+0*2+(-1)*3, 0*1+(-1)*2+2*3] + 10 = [8, 14]
 	want := []float64{8, 14}
-	if out.Cols() != 2 {
-		t.Fatalf("out len = %d, want 2", out.Cols())
+	if len(out) != 2 {
+		t.Fatalf("out len = %d, want 2", len(out))
 	}
 	for i := range want {
-		if math.Abs(out.Data[i]-want[i]) > 1e-12 {
-			t.Errorf("out[%d] = %v, want %v", i, out.Data[i], want[i])
+		if math.Abs(out[i]-want[i]) > 1e-12 {
+			t.Errorf("out[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
 }
@@ -179,16 +178,15 @@ func TestConvolutionSamePadding(t *testing.T) {
 	c := NewConv1D("c", 1, 1, 3, true, rng)
 	copy(c.w.W, []float64{1, 1, 1})
 	c.b.W[0] = 0
-	in := &tensor.T{Shape: []int{1, 3}, Data: []float64{1, 2, 3}}
-	out := c.Forward(in, false)
+	out := layerWS([]int{1, 3}, c).Forward([]float64{1, 2, 3}, false)
 	// same padding: [0+1+2, 1+2+3, 2+3+0]
 	want := []float64{3, 6, 5}
-	if out.Cols() != 3 {
-		t.Fatalf("same-pad out len = %d, want 3", out.Cols())
+	if len(out) != 3 {
+		t.Fatalf("same-pad out len = %d, want 3", len(out))
 	}
 	for i := range want {
-		if math.Abs(out.Data[i]-want[i]) > 1e-12 {
-			t.Errorf("out[%d] = %v, want %v", i, out.Data[i], want[i])
+		if math.Abs(out[i]-want[i]) > 1e-12 {
+			t.Errorf("out[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
 }

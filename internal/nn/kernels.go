@@ -1,13 +1,14 @@
 package nn
 
-// Forward kernels. There is one contract, the oracle's: every output
-// element is its bias followed by one separately rounded multiply and one
-// separately rounded add per term, terms in ascending (input channel,
-// tap) order for Conv1D.Forward and ascending input index for
-// Dense.Forward. Outputs do not depend on each other, so a kernel may
-// compute as many of them side by side as it likes — in registers, in
-// vector lanes — and stay bit-identical to the oracle as long as each
-// one keeps its own chain. A chain is never split, reassociated or fused.
+// Forward kernels. There is one contract, the test oracle's
+// (oracle_test.go): every output element is its bias followed by one
+// separately rounded multiply and one separately rounded add per term,
+// terms in ascending (input channel, tap) order for a convolution and
+// ascending input index for a dense layer. Outputs do not depend on each
+// other, so a kernel may compute as many of them side by side as it
+// likes — in registers, in vector lanes — and stay bit-identical to the
+// oracle as long as each one keeps its own chain. A chain is never
+// split, reassociated or fused.
 //
 // Two primitives do nearly all of the paper network's arithmetic:
 //

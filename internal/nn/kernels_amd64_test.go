@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"advmal/internal/tensor"
 )
 
 func init() {
@@ -205,7 +203,7 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 		gw, gb := make([]float64, len(c.w.G)), make([]float64, len(c.b.G))
 		kernelValues(rng, trial, gw)
 		kernelValues(rng, trial, gb)
-		s := &wsState{}
+		s := &wsState{in: []int{cin, l}, out: []int{cout, lout}}
 		if k == 3 {
 			s.dwCols, s.dwMask = make([]float64, lout*cin*3), c.dwMask()
 		}
@@ -213,9 +211,7 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 			what := fmt.Sprintf("conv cin=%d cout=%d k=%d l=%d same=%v accum=%v", cin, cout, k, l, same, accum)
 			run(what, cin*l, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
 				c.w.G, c.b.G = grads[0], grads[1]
-				c.bwdWS(s, &tensor.T{Shape: []int{cin, l}, Data: x},
-					&tensor.T{Shape: []int{cout, lout}, Data: g},
-					&tensor.T{Shape: []int{cin, l}, Data: dx}, accum)
+				c.bwdWS(s, x, g, dx, accum)
 			})
 		}
 	}
@@ -243,9 +239,7 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 			what := fmt.Sprintf("dense in=%d out=%d accum=%v", in, out, accum)
 			run(what, in, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
 				d.w.G, d.b.G = grads[0], grads[1]
-				d.bwdWS(nil, &tensor.T{Shape: []int{in}, Data: x},
-					&tensor.T{Shape: []int{out}, Data: g},
-					&tensor.T{Shape: []int{in}, Data: dx}, accum)
+				d.bwdWS(nil, x, g, dx, accum)
 			})
 		}
 	}

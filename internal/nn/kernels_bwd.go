@@ -2,8 +2,8 @@ package nn
 
 import "math"
 
-// Backward kernels. The contract is the oracle's (Conv1D.Backward,
-// Dense.Backward), and like the forward one it makes every element its
+// Backward kernels. The contract is the test oracle's (oracleConv and
+// oracleDense in oracle_test.go), and like the forward one it makes every element its
 // own chain:
 //
 //   - conv dx[ci,u] starts at +0 and adds w[o,ci,j] * g[o,u+pad-j] over

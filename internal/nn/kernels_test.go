@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"advmal/internal/tensor"
 )
 
 // eachKernelImpl runs f once per implementation of the forward primitives
@@ -53,7 +51,7 @@ func fuzzValue(b byte) float64 {
 // FuzzForwardKernels is the differential fuzzer of the forward pass: on a
 // conv/conv/dense/dense network whose shape, weights and inputs all come
 // from the fuzz input, the per-row workspace path must agree with the
-// allocating oracle bit for bit at every layer boundary, and the batch
+// test oracle bit for bit at every layer boundary, and the batch
 // path on the result, on every kernel implementation the platform has.
 // The seeds below run in every `go test`.
 func FuzzForwardKernels(f *testing.F) {
@@ -114,17 +112,18 @@ func FuzzForwardKernels(f *testing.F) {
 				}
 			}
 		}
+		o := newOracle(net)
 		eachKernelImpl(t, func(impl string) {
 			ws := NewWorkspace(net.CloneShared())
 			batch := ws.ProbsBatch(xs, nil)
 			for r, x := range xs {
 				ws.Logits(x)
-				act := &tensor.T{Shape: []int{1, l}, Data: x}
+				act := &tensor{shape: []int{1, l}, data: x}
 				for li, layer := range net.Layers() {
-					act = layer.Forward(act, false)
-					sameFloats(t, impl+" per-row "+layer.Name(), ws.acts[li+1].Data, act.Data)
+					act = o.layers[li].forward(act, false)
+					sameFloats(t, impl+" per-row "+layer.Name(), ws.acts[li+1], act.data)
 				}
-				sameFloats(t, impl+" batch probs", batch[r], net.Probs(x))
+				sameFloats(t, impl+" batch probs", batch[r], o.Probs(x))
 			}
 		})
 	})
@@ -146,7 +145,7 @@ func scaledInputs(rng *rand.Rand, n, dim int) [][]float64 {
 }
 
 // BenchmarkForward is the forward pass of the paper network per input row:
-// the allocating oracle, which uses no float kernel, and the three
+// the test oracle, which uses no float kernel, and the three
 // workspace entry points on every kernel implementation.
 func BenchmarkForward(b *testing.B) {
 	net := PaperCNN(31)
@@ -160,7 +159,8 @@ func BenchmarkForward(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 	}
 	var dst [][]float64
-	b.Run("oracle", func(b *testing.B) { perRow(b, 1, func() { net.Probs(xs[0]) }) })
+	o := newOracle(net)
+	b.Run("oracle", func(b *testing.B) { perRow(b, 1, func() { o.Probs(xs[0]) }) })
 	eachKernelImpl(b, func(impl string) {
 		ws := net.CloneShared().WS()
 		b.Run(impl+"/Probs", func(b *testing.B) { perRow(b, 1, func() { ws.Probs(xs[0]) }) })

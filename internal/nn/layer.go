@@ -4,17 +4,18 @@
 // metrics (accuracy / FNR / FPR), and the input-gradient and per-logit
 // Jacobian queries the adversarial attacks require.
 //
-// Networks are not safe for concurrent use; CloneShared produces a view
-// that shares weights but has private activation caches and gradients, so
-// clones may run forward/backward in parallel as long as nobody is
+// A Network is architecture plus parameters; a Workspace executes it. A
+// network's layers hold only their configuration and weights, and every
+// buffer a pass writes — activations, masks, argmax indices, dropout
+// streams — lives in the workspace. CloneShared produces a view that
+// shares weights but has private gradient buffers and its own workspace,
+// so clones may run forward/backward in parallel as long as nobody is
 // updating the shared weights at the same time.
 package nn
 
 import (
 	"math"
 	"math/rand"
-
-	"advmal/internal/tensor"
 )
 
 // Param is one learnable parameter tensor. W is shared between a network
@@ -32,25 +33,46 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// Layer is one differentiable stage of the network. Forward caches
-// whatever Backward needs; Backward consumes the gradient w.r.t. the
-// layer's output and returns the gradient w.r.t. its input, accumulating
-// parameter gradients into Params().
+// Layer is one differentiable stage of the network. The interface is
+// sealed: its kernels are unexported, so every layer is one of this
+// package's six types and every layer runs on a workspace kernel.
 type Layer interface {
 	Name() string
-	Forward(x *tensor.T, train bool) *tensor.T
-	Backward(grad *tensor.T) *tensor.T
 	Params() []*Param
-	// CloneShared returns a view sharing weights but with private caches
-	// and gradient buffers.
+	// CloneShared returns a view sharing weights but with private
+	// gradient buffers.
 	CloneShared() Layer
+	// outShape returns the layer's output shape for input shape in,
+	// panicking, with the layer's name, on an input it cannot take.
+	outShape(in []int) []int
+	// fwdWS runs the layer forward from x into y, and bwdWS back from the
+	// output gradient grad into dx, using only the per-layer state in s
+	// (never the layer's own fields). x is the layer input the workspace
+	// kept from the forward pass; accum selects whether parameter
+	// gradients accumulate into the layer's Param.G.
+	fwdWS(s *wsState, x, y []float64, train bool)
+	bwdWS(s *wsState, x, grad, dx []float64, accum bool)
 }
 
-// Reseeder is implemented by stochastic layers (Dropout) so the trainer
-// can give each data-parallel worker a deterministic, distinct stream.
-type Reseeder interface {
-	Reseed(seed int64)
+// shapeSize is the element count of shape.
+func shapeSize(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
+
+// shapeRows is the first dimension of a (rows, cols) shape, 1 for a flat
+// one; shapeCols is the last dimension.
+func shapeRows(shape []int) int {
+	if len(shape) < 2 {
+		return 1
+	}
+	return shape[0]
+}
+
+func shapeCols(shape []int) int { return shape[len(shape)-1] }
 
 // heInit fills w with He-normal initialization for fanIn inputs.
 func heInit(rng *rand.Rand, w []float64, fanIn int) {

@@ -3,16 +3,11 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-
-	"advmal/internal/tensor"
 )
 
 // ReLU is the rectified-linear activation used after every convolutional
 // and fully connected layer in the paper's network.
-type ReLU struct {
-	name string
-	mask []bool
-}
+type ReLU struct{ name string }
 
 // NewReLU returns a ReLU layer.
 func NewReLU(name string) *ReLU { return &ReLU{name: name} }
@@ -26,44 +21,14 @@ func (r *ReLU) Params() []*Param { return nil }
 // CloneShared implements Layer.
 func (r *ReLU) CloneShared() Layer { return &ReLU{name: r.name} }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.T, _ bool) *tensor.T {
-	y := x.Clone()
-	if cap(r.mask) < len(y.Data) {
-		r.mask = make([]bool, len(y.Data))
-	}
-	r.mask = r.mask[:len(y.Data)]
-	for i, v := range y.Data {
-		if v > 0 {
-			r.mask[i] = true
-			continue
-		}
-		r.mask[i] = false
-		y.Data[i] = 0
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (r *ReLU) Backward(grad *tensor.T) *tensor.T {
-	dx := grad.Clone()
-	for i := range dx.Data {
-		if !r.mask[i] {
-			dx.Data[i] = 0
-		}
-	}
-	return dx
-}
+func (r *ReLU) outShape(in []int) []int { return in }
 
 // MaxPool1D is a max pooling layer with equal size and stride (the paper
 // uses 2/2). Trailing elements that do not fill a window are dropped,
 // matching standard "valid" pooling.
 type MaxPool1D struct {
-	name   string
-	size   int
-	argmax []int
-	inCols int
-	inRows int
+	name string
+	size int
 }
 
 // NewMaxPool1D returns a MaxPool1D with the given window size (== stride).
@@ -80,61 +45,22 @@ func (m *MaxPool1D) Params() []*Param { return nil }
 // CloneShared implements Layer.
 func (m *MaxPool1D) CloneShared() Layer { return &MaxPool1D{name: m.name, size: m.size} }
 
-// Forward implements Layer.
-func (m *MaxPool1D) Forward(x *tensor.T, _ bool) *tensor.T {
-	rows, cols := x.Rows(), x.Cols()
-	lout := cols / m.size
-	m.inRows, m.inCols = rows, cols
-	y := tensor.New2D(rows, lout)
-	if cap(m.argmax) < rows*lout {
-		m.argmax = make([]int, rows*lout)
-	}
-	m.argmax = m.argmax[:rows*lout]
-	for r := 0; r < rows; r++ {
-		xRow := x.Row(r)
-		yRow := y.Row(r)
-		for t := 0; t < lout; t++ {
-			base := t * m.size
-			best := base
-			for j := base + 1; j < base+m.size; j++ {
-				if xRow[j] > xRow[best] {
-					best = j
-				}
-			}
-			yRow[t] = xRow[best]
-			m.argmax[r*lout+t] = best
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (m *MaxPool1D) Backward(grad *tensor.T) *tensor.T {
-	dx := tensor.New2D(m.inRows, m.inCols)
-	lout := grad.Cols()
-	for r := 0; r < m.inRows; r++ {
-		gRow := grad.Row(r)
-		dxRow := dx.Row(r)
-		for t := 0; t < lout; t++ {
-			dxRow[m.argmax[r*lout+t]] += gRow[t]
-		}
-	}
-	return dx
+func (m *MaxPool1D) outShape(in []int) []int {
+	return []int{shapeRows(in), shapeCols(in) / m.size}
 }
 
 // Dropout is inverted dropout: at train time activations are dropped with
 // probability p and survivors scaled by 1/(1-p); at eval time it is the
-// identity, so attack gradients are exact.
+// identity, so attack gradients are exact. Its random stream belongs to
+// the workspace (see Workspace.Reseed).
 type Dropout struct {
 	name string
 	p    float64
-	rng  *rand.Rand
-	mask []float64
 }
 
 // NewDropout returns a Dropout layer with drop probability p.
-func NewDropout(name string, p float64, seed int64) *Dropout {
-	return &Dropout{name: name, p: p, rng: rand.New(rand.NewSource(seed))}
+func NewDropout(name string, p float64) *Dropout {
+	return &Dropout{name: name, p: p}
 }
 
 // Name implements Layer.
@@ -144,55 +70,12 @@ func (d *Dropout) Name() string { return d.name }
 func (d *Dropout) Params() []*Param { return nil }
 
 // CloneShared implements Layer.
-func (d *Dropout) CloneShared() Layer {
-	return &Dropout{name: d.name, p: d.p, rng: rand.New(rand.NewSource(1))}
-}
+func (d *Dropout) CloneShared() Layer { return &Dropout{name: d.name, p: d.p} }
 
-// Reseed implements Reseeder.
-func (d *Dropout) Reseed(seed int64) { d.rng = rand.New(rand.NewSource(seed)) }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.T, train bool) *tensor.T {
-	if !train || d.p <= 0 {
-		d.mask = nil
-		return x
-	}
-	keep := 1 - d.p
-	scale := 1 / keep
-	y := x.Clone()
-	if cap(d.mask) < len(y.Data) {
-		d.mask = make([]float64, len(y.Data))
-	}
-	d.mask = d.mask[:len(y.Data)]
-	for i := range y.Data {
-		if d.rng.Float64() < keep {
-			d.mask[i] = scale
-			y.Data[i] *= scale
-		} else {
-			d.mask[i] = 0
-			y.Data[i] = 0
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.T) *tensor.T {
-	if d.mask == nil {
-		return grad
-	}
-	dx := grad.Clone()
-	for i := range dx.Data {
-		dx.Data[i] *= d.mask[i]
-	}
-	return dx
-}
+func (d *Dropout) outShape(in []int) []int { return in }
 
 // Flatten reshapes (C, L) activations to a flat vector.
-type Flatten struct {
-	name    string
-	inShape []int
-}
+type Flatten struct{ name string }
 
 // NewFlatten returns a Flatten layer.
 func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
@@ -206,16 +89,7 @@ func (f *Flatten) Params() []*Param { return nil }
 // CloneShared implements Layer.
 func (f *Flatten) CloneShared() Layer { return &Flatten{name: f.name} }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.T, _ bool) *tensor.T {
-	f.inShape = append(f.inShape[:0], x.Shape...)
-	return &tensor.T{Shape: []int{x.Size()}, Data: x.Data}
-}
-
-// Backward implements Layer.
-func (f *Flatten) Backward(grad *tensor.T) *tensor.T {
-	return &tensor.T{Shape: append([]int(nil), f.inShape...), Data: grad.Data}
-}
+func (f *Flatten) outShape(in []int) []int { return []int{shapeSize(in)} }
 
 // Dense is a fully connected layer: y = W x + b.
 type Dense struct {
@@ -223,7 +97,6 @@ type Dense struct {
 	in, out int
 	w       *Param // out * in
 	b       *Param // out
-	x       *tensor.T
 }
 
 // NewDense returns a He-initialized Dense layer.
@@ -252,49 +125,9 @@ func (d *Dense) CloneShared() Layer {
 	}
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.T, _ bool) *tensor.T {
-	if x.Size() != d.in {
-		panic(fmt.Sprintf("nn: %s: input size %d, want %d", d.name, x.Size(), d.in))
+func (d *Dense) outShape(in []int) []int {
+	if n := shapeSize(in); n != d.in {
+		panic(fmt.Sprintf("nn: %s: input size %d, want %d", d.name, n, d.in))
 	}
-	d.x = x
-	y := tensor.New(d.out)
-	for o := 0; o < d.out; o++ {
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		sum := d.b.W[o]
-		for i, xi := range x.Data {
-			sum += row[i] * xi
-		}
-		y.Data[o] = sum
-	}
-	return y
+	return []int{d.out}
 }
-
-// Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.T) *tensor.T {
-	dx := tensor.New(d.in)
-	for o := 0; o < d.out; o++ {
-		g := grad.Data[o]
-		d.b.G[o] += g
-		if g == 0 {
-			continue
-		}
-		row := d.w.W[o*d.in : (o+1)*d.in]
-		gw := d.w.G[o*d.in : (o+1)*d.in]
-		for i, xi := range d.x.Data {
-			gw[i] += g * xi
-			dx.Data[i] += row[i] * g
-		}
-	}
-	return dx
-}
-
-// Interface compliance checks.
-var (
-	_ Layer    = (*ReLU)(nil)
-	_ Layer    = (*MaxPool1D)(nil)
-	_ Layer    = (*Dropout)(nil)
-	_ Layer    = (*Flatten)(nil)
-	_ Layer    = (*Dense)(nil)
-	_ Reseeder = (*Dropout)(nil)
-)

@@ -1,11 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
-
-	"advmal/internal/tensor"
 )
 
 // TestFig5ArchitectureShapes verifies the exact tensor shapes the paper
@@ -13,7 +12,6 @@ import (
 // 92x10 -> 92x8 -> 92x4 -> 368 -> 512 -> 2.
 func TestFig5ArchitectureShapes(t *testing.T) {
 	net := PaperCNN(1)
-	x := tensor.New(1, PaperInputLen)
 	wantShapes := map[string][]int{
 		"conv1":   {46, 23},
 		"conv2":   {46, 21},
@@ -25,19 +23,19 @@ func TestFig5ArchitectureShapes(t *testing.T) {
 		"fc1":     {512},
 		"logits":  {2},
 	}
-	cur := x
+	cur := []int{1, PaperInputLen}
 	for _, l := range net.Layers() {
-		cur = l.Forward(cur, false)
+		cur = l.outShape(cur)
 		want, ok := wantShapes[l.Name()]
 		if !ok {
 			continue
 		}
-		if len(cur.Shape) != len(want) {
-			t.Fatalf("%s: shape %v, want %v", l.Name(), cur.Shape, want)
+		if len(cur) != len(want) {
+			t.Fatalf("%s: shape %v, want %v", l.Name(), cur, want)
 		}
 		for i := range want {
-			if cur.Shape[i] != want[i] {
-				t.Fatalf("%s: shape %v, want %v", l.Name(), cur.Shape, want)
+			if cur[i] != want[i] {
+				t.Fatalf("%s: shape %v, want %v", l.Name(), cur, want)
 			}
 		}
 	}
@@ -46,6 +44,28 @@ func TestFig5ArchitectureShapes(t *testing.T) {
 	}
 }
 
+// fig5Summary is PaperCNN(1).Summary() as cmd/repro and cmd/train print it.
+const fig5Summary = `Input: [1 23]
+conv1        -> [46           23          ] params=184
+relu1        -> [46           23          ] params=0
+conv2        -> [46           21          ] params=6394
+relu2        -> [46           21          ] params=0
+pool1        -> [46           10          ] params=0
+drop1        -> [46           10          ] params=0
+conv3        -> [92           10          ] params=12788
+relu3        -> [92           10          ] params=0
+conv4        -> [92           8           ] params=25484
+relu4        -> [92           8           ] params=0
+pool2        -> [92           4           ] params=0
+drop2        -> [92           4           ] params=0
+flatten      -> [368         ] params=0
+fc1          -> [512         ] params=188928
+relu5        -> [512         ] params=0
+drop3        -> [512         ] params=0
+logits       -> [2           ] params=1026
+Total params: 234804
+`
+
 func TestSummaryMentionsEveryLayer(t *testing.T) {
 	s := PaperCNN(1).Summary()
 	for _, name := range []string{"conv1", "conv4", "pool2", "flatten", "fc1", "logits", "Total params"} {
@@ -53,79 +73,88 @@ func TestSummaryMentionsEveryLayer(t *testing.T) {
 			t.Errorf("Summary missing %q:\n%s", name, s)
 		}
 	}
+	if s != fig5Summary {
+		t.Errorf("Summary changed:\n%s\nwant:\n%s", s, fig5Summary)
+	}
+}
+
+// layerWS runs a single layer on a workspace: a network of just l on
+// inputs of shape in, whose "logits" are the layer's output.
+func layerWS(in []int, l Layer) *Workspace {
+	return NewWorkspace(NewNetwork(in, shapeSize(l.outShape(in)), l))
 }
 
 func TestReLU(t *testing.T) {
-	r := NewReLU("r")
-	in := tensor.FromSlice([]float64{-1, 0, 2})
-	out := r.Forward(in, true)
+	ws := layerWS([]int{3}, NewReLU("r"))
+	out := ws.Forward([]float64{-1, 0, 2}, true)
 	want := []float64{0, 0, 2}
 	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Errorf("relu[%d] = %v, want %v", i, out.Data[i], want[i])
+		if out[i] != want[i] {
+			t.Errorf("relu[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
-	grad := r.Backward(tensor.FromSlice([]float64{5, 5, 5}))
+	grad := ws.Backward([]float64{5, 5, 5})
 	wantG := []float64{0, 0, 5}
 	for i := range wantG {
-		if grad.Data[i] != wantG[i] {
-			t.Errorf("relu grad[%d] = %v, want %v", i, grad.Data[i], wantG[i])
+		if grad[i] != wantG[i] {
+			t.Errorf("relu grad[%d] = %v, want %v", i, grad[i], wantG[i])
 		}
 	}
 }
 
 func TestMaxPool(t *testing.T) {
 	m := NewMaxPool1D("m", 2)
-	in := &tensor.T{Shape: []int{2, 5}, Data: []float64{
+	if shape := m.outShape([]int{2, 5}); len(shape) != 2 || shape[0] != 2 || shape[1] != 2 {
+		t.Fatalf("pool out shape %v, want (2,2)", shape)
+	}
+	ws := layerWS([]int{2, 5}, m)
+	out := ws.Forward([]float64{
 		1, 3, 2, 2, 9, // trailing 9 dropped (odd length)
 		4, 1, 0, 5, 7,
-	}}
-	out := m.Forward(in, true)
-	if out.Rows() != 2 || out.Cols() != 2 {
-		t.Fatalf("pool out shape %v, want (2,2)", out.Shape)
-	}
+	}, true)
 	want := []float64{3, 2, 4, 5}
 	for i := range want {
-		if out.Data[i] != want[i] {
-			t.Errorf("pool[%d] = %v, want %v", i, out.Data[i], want[i])
+		if out[i] != want[i] {
+			t.Errorf("pool[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
-	grad := m.Backward(&tensor.T{Shape: []int{2, 2}, Data: []float64{10, 20, 30, 40}})
+	grad := ws.Backward([]float64{10, 20, 30, 40})
 	wantG := []float64{0, 10, 20, 0, 0, 30, 0, 0, 40, 0}
 	for i := range wantG {
-		if grad.Data[i] != wantG[i] {
-			t.Errorf("pool grad[%d] = %v, want %v", i, grad.Data[i], wantG[i])
+		if grad[i] != wantG[i] {
+			t.Errorf("pool grad[%d] = %v, want %v", i, grad[i], wantG[i])
 		}
 	}
 }
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
-	d := NewDropout("d", 0.5, 1)
-	in := tensor.FromSlice([]float64{1, 2, 3})
-	out := d.Forward(in, false)
-	for i := range in.Data {
-		if out.Data[i] != in.Data[i] {
+	ws := layerWS([]int{3}, NewDropout("d", 0.5))
+	in := []float64{1, 2, 3}
+	out := ws.Forward(in, false)
+	for i := range in {
+		if out[i] != in[i] {
 			t.Error("dropout at eval changed values")
 		}
 	}
 	// Backward after eval forward is also identity.
-	g := d.Backward(tensor.FromSlice([]float64{4, 5, 6}))
-	if g.Data[0] != 4 {
+	g := ws.Backward([]float64{4, 5, 6})
+	if g[0] != 4 {
 		t.Error("dropout backward after eval not identity")
 	}
 }
 
 func TestDropoutTrainScalesSurvivors(t *testing.T) {
-	d := NewDropout("d", 0.5, 42)
 	n := 10000
-	in := tensor.New(n)
-	for i := range in.Data {
-		in.Data[i] = 1
+	ws := layerWS([]int{n}, NewDropout("d", 0.5))
+	ws.Reseed(42)
+	in := make([]float64, n)
+	for i := range in {
+		in[i] = 1
 	}
-	out := d.Forward(in, true)
+	out := ws.Forward(in, true)
 	var sum float64
 	zeros := 0
-	for _, v := range out.Data {
+	for _, v := range out {
 		switch v {
 		case 0:
 			zeros++
@@ -145,17 +174,17 @@ func TestDropoutTrainScalesSurvivors(t *testing.T) {
 }
 
 func TestDropoutReseedReproduces(t *testing.T) {
-	d := NewDropout("d", 0.5, 0)
-	in := tensor.FromSlice(make([]float64, 64))
-	for i := range in.Data {
-		in.Data[i] = 1
+	ws := layerWS([]int{64}, NewDropout("d", 0.5))
+	in := make([]float64, 64)
+	for i := range in {
+		in[i] = 1
 	}
-	d.Reseed(99)
-	a := d.Forward(in, true).Clone()
-	d.Reseed(99)
-	b := d.Forward(in, true)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+	ws.Reseed(99)
+	a := append([]float64(nil), ws.Forward(in, true)...)
+	ws.Reseed(99)
+	b := ws.Forward(in, true)
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatal("Reseed did not reproduce the mask stream")
 		}
 	}
@@ -163,35 +192,47 @@ func TestDropoutReseedReproduces(t *testing.T) {
 
 func TestFlattenRoundTrip(t *testing.T) {
 	f := NewFlatten("f")
-	in := &tensor.T{Shape: []int{2, 3}, Data: []float64{1, 2, 3, 4, 5, 6}}
-	out := f.Forward(in, true)
-	if len(out.Shape) != 1 || out.Size() != 6 {
-		t.Fatalf("flatten shape %v", out.Shape)
+	if shape := f.outShape([]int{2, 3}); len(shape) != 1 || shape[0] != 6 {
+		t.Fatalf("flatten shape %v", shape)
 	}
-	back := f.Backward(out)
-	if back.Rows() != 2 || back.Cols() != 3 {
-		t.Errorf("flatten backward shape %v, want (2,3)", back.Shape)
-	}
+	ws := layerWS([]int{2, 3}, f)
+	in := []float64{1, 2, 3, 4, 5, 6}
+	bitsEqual(t, "flatten forward", ws.Forward(in, true), in)
+	bitsEqual(t, "flatten backward", ws.Backward(in), in)
+}
+
+// requirePanicNaming runs f and requires it to panic with a message that
+// names the layer.
+func requirePanicNaming(t *testing.T, layer string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("mis-wired %s was accepted", layer)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, layer) {
+			t.Fatalf("panic %q does not name layer %s", msg, layer)
+		}
+	}()
+	f()
 }
 
 func TestDensePanicsOnWrongInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Dense accepted wrong input size")
-		}
-	}()
-	d := NewDense("d", 4, 2, newTestRNG())
-	d.Forward(tensor.New(3), false)
+	requirePanicNaming(t, "fc9", func() {
+		NewWorkspace(NewNetwork([]int{3}, 2, NewDense("fc9", 4, 2, newTestRNG())))
+	})
+	// A stack whose first layer is right and second is not fails too.
+	requirePanicNaming(t, "fc2", func() {
+		rng := newTestRNG()
+		NewWorkspace(NewNetwork([]int{4}, 2, NewDense("fc1", 4, 8, rng), NewDense("fc2", 6, 2, rng)))
+	})
 }
 
 func TestConvPanicsOnWrongChannels(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Conv1D accepted wrong channel count")
-		}
-	}()
-	c := NewConv1D("c", 2, 4, 3, true, newTestRNG())
-	c.Forward(tensor.New(3, 5), false)
+	requirePanicNaming(t, "conv9", func() {
+		NewWorkspace(NewNetwork([]int{3, 5}, 2, NewConv1D("conv9", 2, 4, 3, true, newTestRNG())))
+	})
 }
 
 func TestCloneSharedSharesWeightsNotGrads(t *testing.T) {
@@ -205,11 +246,11 @@ func TestCloneSharedSharesWeightsNotGrads(t *testing.T) {
 	if &p0.G[0] == &c0.G[0] {
 		t.Error("CloneShared must not share gradient storage")
 	}
-	// Clone forward/backward must not clobber the original's caches.
+	// Clone forward/backward must not clobber the original's buffers.
 	x := []float64{1, 0, -1, 2}
-	want := net.Logits(x)
-	clone.LossGrad([]float64{9, 9, 9, 9}, 0)
-	got := net.Logits(x)
+	want := append([]float64(nil), net.WS().Logits(x)...)
+	clone.WS().LossGrad([]float64{9, 9, 9, 9}, 0)
+	got := net.WS().Logits(x)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Error("clone activity changed original outputs")
@@ -218,17 +259,17 @@ func TestCloneSharedSharesWeightsNotGrads(t *testing.T) {
 }
 
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1, 1})
+	p := SoftmaxInto(make([]float64, 2), []float64{1, 1})
 	if math.Abs(p[0]-0.5) > 1e-12 || math.Abs(p[1]-0.5) > 1e-12 {
 		t.Errorf("Softmax(1,1) = %v", p)
 	}
 	// Large logits must not overflow.
-	p = Softmax([]float64{1000, 0})
+	p = SoftmaxInto(p, []float64{1000, 0})
 	if math.IsNaN(p[0]) || p[0] < 0.999 {
 		t.Errorf("Softmax(1000,0) = %v", p)
 	}
 	var sum float64
-	for _, x := range Softmax([]float64{0.3, -2, 5}) {
+	for _, x := range SoftmaxInto(make([]float64, 3), []float64{0.3, -2, 5}) {
 		sum += x
 	}
 	if math.Abs(sum-1) > 1e-12 {
@@ -237,7 +278,8 @@ func TestSoftmax(t *testing.T) {
 }
 
 func TestSoftmaxCE(t *testing.T) {
-	loss, grad := SoftmaxCE([]float64{0, 0}, 1)
+	grad := make([]float64, 2)
+	loss := softmaxCEInto(grad, []float64{0, 0}, 1)
 	if math.Abs(loss-math.Log(2)) > 1e-12 {
 		t.Errorf("loss = %v, want ln 2", loss)
 	}
@@ -245,7 +287,7 @@ func TestSoftmaxCE(t *testing.T) {
 		t.Errorf("grad = %v, want [0.5 -0.5]", grad)
 	}
 	// Saturated wrong prediction has huge but finite loss.
-	loss, _ = SoftmaxCE([]float64{1000, 0}, 1)
+	loss = softmaxCEInto(grad, []float64{1000, 0}, 1)
 	if math.IsInf(loss, 0) || math.IsNaN(loss) {
 		t.Errorf("saturated loss = %v", loss)
 	}

@@ -66,14 +66,14 @@ func TestFitCapturesLayerPanic(t *testing.T) {
 // TestSafeForwardRejectsBadInput checks the recover boundary on the
 // inference path: wrong-dimension inputs are errors, never panics.
 func TestSafeForwardRejectsBadInput(t *testing.T) {
-	net := SmallMLP(1, 4, 8, 2)
-	if _, err := net.SafeForward([]float64{1, 2}, false); !errors.Is(err, ErrBadInput) {
+	ws := SmallMLP(1, 4, 8, 2).WS()
+	if _, err := ws.SafeProbs([]float64{1, 2}); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("want ErrBadInput, got %v", err)
 	}
-	if _, err := net.SafeProbs(nil); !errors.Is(err, ErrBadInput) {
+	if _, err := ws.SafeProbs(nil); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("SafeProbs(nil): want ErrBadInput, got %v", err)
 	}
-	out, err := net.SafeForward([]float64{1, 2, 3, 4}, false)
+	out, err := ws.SafeProbs([]float64{1, 2, 3, 4})
 	if err != nil || len(out) != 2 {
 		t.Fatalf("valid input rejected: out=%v err=%v", out, err)
 	}

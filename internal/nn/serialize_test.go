@@ -17,12 +17,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i) / PaperInputLen
 	}
-	before := dst.Logits(x)
+	before := append([]float64(nil), dst.WS().Logits(x)...)
 	if err := dst.Load(&buf); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	after := dst.Logits(x)
-	want := src.Logits(x)
+	after := dst.WS().Logits(x)
+	want := src.WS().Logits(x)
 	same := true
 	for i := range want {
 		if after[i] != want[i] {

@@ -290,9 +290,9 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 	rng := rand.New(rand.NewSource(t.Seed))
 	// One shared-weight view per worker, each executed through its
 	// zero-allocation workspace: parameter gradients accumulate into the
-	// view's private Param.G exactly as the allocating path did, and the
-	// workspace dropout streams use the same per-worker seed derivation,
-	// so training remains byte-identical for a fixed Seed and Workers.
+	// view's private Param.G, and each workspace's dropout streams derive
+	// from a per-worker seed, so training is byte-identical for a fixed
+	// Seed and Workers.
 	clones := make([]*Network, workers)
 	wss := make([]*Workspace, workers)
 	var scratch []*Network

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// oracleFit replicates the trainer's algorithm on the allocating oracle
-// path — Forward/SoftmaxCE/Backward on per-worker CloneShared views with
+// oracleFit replicates the trainer's algorithm on the test oracle —
+// Forward/softmaxCE/Backward on per-worker CloneShared views with
 // the strided worker binding, the fixed pairwise-tree gradient reduction
 // with fused zeroing (serially, whole tensors at a time: the trainer's
 // element-range chunking only distributes disjoint work and cannot
@@ -16,9 +16,9 @@ import (
 // can pin the workspace-backed Trainer to byte-identical weights.
 func oracleFit(net *Network, x [][]float64, y []int, seed int64, epochs, batch, workers int, classWeights []float64) {
 	rng := rand.New(rand.NewSource(seed))
-	clones := make([]*Network, workers)
+	clones := make([]*oracle, workers)
 	for w := range clones {
-		clones[w] = net.CloneShared()
+		clones[w] = newOracle(net.CloneShared())
 		clones[w].Reseed(seed + int64(w+1)*104729)
 	}
 	params := net.Params()
@@ -44,7 +44,7 @@ func oracleFit(net *Network, x [][]float64, y []int, seed int64, epochs, batch, 
 					c := clones[w]
 					i := chunk[k]
 					logits := c.Forward(x[i], true)
-					_, dLogits := SoftmaxCE(logits, y[i])
+					_, dLogits := softmaxCE(logits, y[i])
 					if classWeights != nil {
 						cw := classWeights[y[i]]
 						for j := range dLogits {
@@ -56,7 +56,7 @@ func oracleFit(net *Network, x [][]float64, y []int, seed int64, epochs, batch, 
 			}
 			for stride := 1; stride < workers; stride *= 2 {
 				for a := 0; a+stride < workers; a += 2 * stride {
-					ap, bp := clones[a].Params(), clones[a+stride].Params()
+					ap, bp := clones[a].net.Params(), clones[a+stride].net.Params()
 					for pi := range params {
 						dst, src := ap[pi].G, bp[pi].G
 						for j := range dst {
@@ -67,7 +67,7 @@ func oracleFit(net *Network, x [][]float64, y []int, seed int64, epochs, batch, 
 				}
 			}
 			for pi, p := range params {
-				root := clones[0].Params()[pi].G
+				root := clones[0].net.Params()[pi].G
 				for j := range p.G {
 					p.G[j] = root[j]
 					root[j] = 0
@@ -79,7 +79,7 @@ func oracleFit(net *Network, x [][]float64, y []int, seed int64, epochs, batch, 
 }
 
 // TestTrainerWorkspaceParity trains the paper CNN twice — once with the
-// workspace-backed Trainer, once with the replicated allocating loop —
+// workspace-backed Trainer, once with the replicated oracle loop —
 // and requires every weight to come out bit-identical. This is the
 // guarantee that moving the trainer onto the workspace engine changed
 // nothing about training, down to the dropout streams and the order of

@@ -70,7 +70,7 @@ func TestTrainerDeterministic(t *testing.T) {
 		if _, err := tr.Fit(net, x, y); err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
-		return net.Logits([]float64{0.5, -0.5, 0.2})
+		return net.WS().Logits([]float64{0.5, -0.5, 0.2})
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -126,7 +126,7 @@ func TestTrainerWorkerCountInvariance(t *testing.T) {
 		if _, err := tr.Fit(net, x, y); err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
-		return net.Logits([]float64{1, 2, 3})
+		return net.WS().Logits([]float64{1, 2, 3})
 	}
 	a, b := run(1), run(2)
 	for i := range a {

@@ -4,21 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"advmal/internal/tensor"
 )
 
-// Workspace is the zero-allocation execution engine for one Network view.
-// It preallocates every buffer a forward/backward pass needs — one
-// activation tensor per layer boundary, one gradient tensor per boundary,
+// Workspace is the execution engine for one Network view, and the only
+// one: every verdict, training step and attack gradient runs here. It
+// preallocates every buffer a forward/backward pass needs — one
+// activation buffer per layer boundary, one gradient buffer per boundary,
 // per-layer mask/argmax/dropout scratch, and the softmax/Jacobian output
 // buffers — sized once from the architecture, so the steady-state hot
 // loops (attack iterations, training steps, classify probes) run with
 // zero heap allocations.
 //
 // A workspace accumulates parameter gradients into the Param.G buffers of
-// the network view it was built from, exactly like the allocating path,
-// so the data-parallel trainer keeps its one-view-per-worker reduction.
+// the network view it was built from, so the data-parallel trainer keeps
+// its one-view-per-worker reduction.
 // The input-gradient queries (LossGrad, Jacobian, InputGrad) skip the
 // parameter-gradient work entirely — attacks never read it — and are
 // therefore roughly half the cost of a full Backward on the paper
@@ -32,13 +31,12 @@ import (
 // view and workspace (weights stay shared, everything mutable is
 // per-workspace).
 type Workspace struct {
-	net     *Network
-	kernels []wsKernel
-	states  []wsState
+	net    *Network
+	states []wsState
 	// acts[i] is the input of layer i; acts[len(layers)] the logits.
-	acts []*tensor.T
+	acts [][]float64
 	// gbufs[i] is the gradient w.r.t. acts[i].
-	gbufs  []*tensor.T
+	gbufs  [][]float64
 	params []*Param
 	dlog   []float64   // dLoss/dLogits scratch
 	probs  []float64   // softmax output
@@ -48,10 +46,12 @@ type Workspace struct {
 	bp     *batchPlan // batch-major eval buffers, built on first batch call
 }
 
-// wsState is the per-layer mutable state a workspace owns so running the
-// engine never mutates the Network's layers: ReLU masks, MaxPool argmax
-// indices, Dropout masks and RNG streams.
+// wsState is the per-layer state a workspace owns so running the engine
+// never mutates the Network's layers: the layer's input and output
+// shapes, ReLU masks, MaxPool argmax indices, Dropout masks and RNG
+// streams.
 type wsState struct {
+	in, out []int
 	mask    []bool
 	argmax  []int
 	fmask   []float64
@@ -63,59 +63,38 @@ type wsState struct {
 	dwMask []uint64
 }
 
-// wsKernel is the workspace-execution contract a layer implements: run
-// forward writing into y, and backward writing into dx, using only the
-// state in s (never the layer's own caches). x is the layer input the
-// workspace cached during the forward pass. accum controls whether
-// parameter gradients are accumulated into the layer's Param.G.
-type wsKernel interface {
-	fwdWS(s *wsState, x, y *tensor.T, train bool)
-	bwdWS(s *wsState, x, grad, dx *tensor.T, accum bool)
-}
-
 // NewWorkspace builds a workspace for net, preallocating every buffer
-// from the architecture's layer shapes. Dropout streams start from the
-// same deterministic default as CloneShared views (seed 1); call Reseed
-// before train-mode use when a specific stream is required.
+// from the shape each layer's outShape gives at its boundary; a layer
+// that cannot take its input shape panics here, naming itself. Dropout
+// streams start from the same deterministic default for every view (seed
+// 1); call Reseed before train-mode use when a specific stream is
+// required.
 func NewWorkspace(net *Network) *Workspace {
-	// Infer the activation shape at every layer boundary by running a
-	// zero tensor through a shared-weight clone (so the live network's
-	// layer caches are untouched) — the same trick Summary uses.
-	probe := net.CloneShared()
-	shapes := make([][]int, 0, len(net.layers)+1)
-	t := tensor.New(net.inShape...)
-	shapes = append(shapes, t.Shape)
-	for _, l := range probe.layers {
-		t = l.Forward(t, false)
-		shapes = append(shapes, t.Shape)
-	}
-
+	shapes := net.shapes()
 	ws := &Workspace{
-		net:     net,
-		kernels: make([]wsKernel, len(net.layers)),
-		states:  make([]wsState, len(net.layers)),
-		acts:    make([]*tensor.T, len(net.layers)+1),
-		gbufs:   make([]*tensor.T, len(net.layers)+1),
-		params:  net.Params(),
-		dlog:    make([]float64, net.nClasses),
-		probs:   make([]float64, net.nClasses),
-		inDim:   net.InputDim(),
-		shapes:  shapes,
+		net:    net,
+		states: make([]wsState, len(net.layers)),
+		acts:   make([][]float64, len(net.layers)+1),
+		gbufs:  make([][]float64, len(net.layers)+1),
+		params: net.Params(),
+		dlog:   make([]float64, net.nClasses),
+		probs:  make([]float64, net.nClasses),
+		inDim:  net.InputDim(),
+		shapes: shapes,
 	}
-	ws.acts[0] = tensor.New(shapes[0]...)
-	ws.gbufs[0] = tensor.New(shapes[0]...)
+	ws.acts[0] = make([]float64, ws.inDim)
+	ws.gbufs[0] = make([]float64, ws.inDim)
 	for i, l := range net.layers {
+		outSize := shapeSize(shapes[i+1])
 		if _, isFlatten := l.(*Flatten); isFlatten {
-			// Flatten is a pure reshape: its output tensors alias the
-			// input tensors' data with a flat shape, so forward and
-			// backward through it are no-ops.
-			ws.acts[i+1] = &tensor.T{Shape: append([]int(nil), shapes[i+1]...), Data: ws.acts[i].Data}
-			ws.gbufs[i+1] = &tensor.T{Shape: append([]int(nil), shapes[i+1]...), Data: ws.gbufs[i].Data}
+			// Flatten is a pure reshape: its output buffers are its input
+			// buffers, so forward and backward through it are no-ops.
+			ws.acts[i+1], ws.gbufs[i+1] = ws.acts[i], ws.gbufs[i]
 		} else {
-			ws.acts[i+1] = tensor.New(shapes[i+1]...)
-			ws.gbufs[i+1] = tensor.New(shapes[i+1]...)
+			ws.acts[i+1] = make([]float64, outSize)
+			ws.gbufs[i+1] = make([]float64, outSize)
 		}
-		outSize := ws.acts[i+1].Size()
+		ws.states[i].in, ws.states[i].out = shapes[i], shapes[i+1]
 		switch l := l.(type) {
 		case *ReLU:
 			ws.states[i].mask = make([]bool, outSize)
@@ -126,19 +105,9 @@ func NewWorkspace(net *Network) *Workspace {
 			ws.states[i].rng = rand.New(rand.NewSource(1))
 		case *Conv1D:
 			if l.k == 3 {
-				ws.states[i].dwCols = make([]float64, shapes[i+1][1]*l.cin*3)
+				ws.states[i].dwCols = make([]float64, shapeCols(shapes[i+1])*l.cin*3)
 				ws.states[i].dwMask = l.dwMask()
 			}
-		}
-		if k, ok := l.(wsKernel); ok {
-			ws.kernels[i] = k
-		} else {
-			// A layer type without a workspace kernel (an external Layer
-			// implementation) falls back to its own allocating
-			// Forward/Backward, copied into the workspace buffers. The
-			// zero-alloc guarantee is lost for that layer, correctness is
-			// not.
-			ws.kernels[i] = &oracleKernel{l: l}
 		}
 	}
 	ws.jac = make([][]float64, net.nClasses)
@@ -150,9 +119,9 @@ func NewWorkspace(net *Network) *Workspace {
 }
 
 // WS returns the workspace lazily attached to this network view, creating
-// it on first use. Like the view itself, the workspace is single-threaded:
-// per-worker CloneShared views each get their own via this method. The
-// allocating Network methods remain available as the reference oracle.
+// it on first use; it is how code outside this package runs a network.
+// Like the view itself, the workspace is single-threaded: per-worker
+// CloneShared views each get their own via this method.
 func (n *Network) WS() *Workspace {
 	if n.ws == nil {
 		n.ws = NewWorkspace(n)
@@ -169,18 +138,12 @@ func (ws *Workspace) NumClasses() int { return ws.net.nClasses }
 // InputDim returns the flat input dimension.
 func (ws *Workspace) InputDim() int { return ws.inDim }
 
-// Reseed gives every stochastic layer a deterministic stream derived from
-// seed, using the same per-layer derivation as Network.Reseed, so a
-// workspace and an oracle network reseeded identically produce identical
-// dropout masks.
+// Reseed gives every Dropout layer a deterministic stream derived from
+// seed: layer i draws from seed + i*7919.
 func (ws *Workspace) Reseed(seed int64) {
 	for i, l := range ws.net.layers {
-		switch l := l.(type) {
-		case *Dropout:
+		if _, ok := l.(*Dropout); ok {
 			ws.states[i].rng = rand.New(rand.NewSource(seed + int64(i)*7919))
-		case Reseeder:
-			// Fallback-kernel stochastic layers keep their own stream.
-			l.Reseed(seed + int64(i)*7919)
 		}
 	}
 }
@@ -194,17 +157,17 @@ func (ws *Workspace) ZeroGrad() {
 
 // Forward runs the network on a flat input vector and returns the logits
 // (aliasing an internal buffer). train enables dropout. The input length
-// must equal InputDim; a mismatch panics like the oracle layers do (use
-// SafeProbs on untrusted inputs).
+// must equal InputDim; a mismatch panics (use SafeProbs on untrusted
+// inputs).
 func (ws *Workspace) Forward(x []float64, train bool) []float64 {
 	if len(x) != ws.inDim {
 		panic(fmt.Sprintf("nn: workspace: input size %d, want %d", len(x), ws.inDim))
 	}
-	copy(ws.acts[0].Data, x)
-	for i, k := range ws.kernels {
-		k.fwdWS(&ws.states[i], ws.acts[i], ws.acts[i+1], train)
+	copy(ws.acts[0], x)
+	for i, l := range ws.net.layers {
+		l.fwdWS(&ws.states[i], ws.acts[i], ws.acts[i+1], train)
 	}
-	return ws.acts[len(ws.acts)-1].Data
+	return ws.acts[len(ws.acts)-1]
 }
 
 // backprop propagates dLogits back through the buffers filled by the last
@@ -212,25 +175,25 @@ func (ws *Workspace) Forward(x []float64, train bool) []float64 {
 // parameter gradients accumulate into the view's Param.G.
 func (ws *Workspace) backprop(dLogits []float64, accum bool) []float64 {
 	last := len(ws.gbufs) - 1
-	copy(ws.gbufs[last].Data, dLogits)
-	for i := len(ws.kernels) - 1; i >= 0; i-- {
-		ws.kernels[i].bwdWS(&ws.states[i], ws.acts[i], ws.gbufs[i+1], ws.gbufs[i], accum)
+	copy(ws.gbufs[last], dLogits)
+	for i := last - 1; i >= 0; i-- {
+		ws.net.layers[i].bwdWS(&ws.states[i], ws.acts[i], ws.gbufs[i+1], ws.gbufs[i], accum)
 	}
-	return ws.gbufs[0].Data
+	return ws.gbufs[0]
 }
 
 // Backward propagates dLogits back through the network (after a Forward),
-// accumulates parameter gradients into the view's Param.G exactly like
-// the allocating path, and returns the gradient with respect to the flat
-// input (aliasing an internal buffer).
+// accumulates parameter gradients into the view's Param.G, and returns
+// the gradient with respect to the flat input (aliasing an internal
+// buffer).
 func (ws *Workspace) Backward(dLogits []float64) []float64 {
 	return ws.backprop(dLogits, true)
 }
 
 // InputGrad implements Engine: Backward without the parameter-gradient
 // accumulation, the variant every attack loop wants. The returned values
-// are bit-identical to the oracle's ZeroGrad+Backward composition — the
-// input gradient never depends on the parameter-gradient accumulators.
+// are bit-identical to Backward's — the input gradient never depends on
+// the parameter-gradient accumulators.
 // After Logits, InputGrad seeded with e_a - e_b is the gradient of the
 // margin z_a - z_b: one backward pass where Jacobian runs one per class.
 func (ws *Workspace) InputGrad(dLogits []float64) []float64 {
@@ -353,8 +316,7 @@ func growRows(dst [][]float64, n, cols int) [][]float64 {
 }
 
 // SoftmaxInto writes the numerically stable softmax of logits into dst
-// (which must have the same length) and returns dst. It performs exactly
-// the same operations as Softmax, so results are bit-identical.
+// (which must have the same length) and returns dst.
 func SoftmaxInto(dst, logits []float64) []float64 {
 	maxL := math.Inf(-1)
 	for _, l := range logits {
@@ -374,9 +336,9 @@ func SoftmaxInto(dst, logits []float64) []float64 {
 	return dst
 }
 
-// softmaxCEInto is the allocation-free SoftmaxCE: it writes the loss
-// gradient (p - onehot) into d and returns the cross-entropy loss,
-// bit-identical to the allocating version.
+// softmaxCEInto writes the gradient of the cross-entropy loss of logits
+// against label with respect to the logits (p - onehot) into d and
+// returns the loss, clamped to stay finite on saturated predictions.
 func softmaxCEInto(d, logits []float64, label int) float64 {
 	SoftmaxInto(d, logits)
 	q := d[label]
@@ -385,20 +347,4 @@ func softmaxCEInto(d, logits []float64, label int) float64 {
 		q = 1e-300
 	}
 	return -math.Log(q)
-}
-
-// oracleKernel adapts a Layer without a workspace kernel (an external
-// implementation) by delegating to its allocating Forward/Backward and
-// copying the result into the workspace buffers. Correct, not
-// allocation-free; every layer this package defines has a real kernel.
-type oracleKernel struct{ l Layer }
-
-func (o *oracleKernel) fwdWS(_ *wsState, x, y *tensor.T, train bool) {
-	out := o.l.Forward(x, train)
-	copy(y.Data, out.Data)
-}
-
-func (o *oracleKernel) bwdWS(_ *wsState, _, grad, dx *tensor.T, _ bool) {
-	out := o.l.Backward(grad)
-	copy(dx.Data, out.Data)
 }

@@ -1,28 +1,24 @@
 package nn
 
-import (
-	"advmal/internal/tensor"
-)
-
 // Workspace kernels: the per-layer fwdWS/bwdWS implementations. Each one
 // computes exactly the same floating-point operations, in exactly the
-// same order, as the layer's allocating Forward/Backward — that is the
-// invariant the bit-identity property tests enforce — but writes into
-// preallocated workspace buffers and keeps all mutable state in the
-// wsState, never in the layer. The Conv1D and Dense passes run on the
-// shared primitives of kernels.go (forward) and kernels_bwd.go
+// same order, as the allocating reference in the package's tests
+// (oracle_test.go) — that is the invariant the bit-identity property
+// tests enforce — but writes into preallocated workspace buffers and
+// keeps all mutable state, the layer's input and output shapes included,
+// in the wsState, never in the layer. The Conv1D and Dense passes run on
+// the shared primitives of kernels.go (forward) and kernels_bwd.go
 // (backward).
 
 // ---------------------------------------------------------------------------
 // Conv1D
 
-func (c *Conv1D) fwdWS(_ *wsState, x, y *tensor.T, _ bool) {
-	c.fwdRow(x.Data, y.Data, x.Cols(), y.Cols())
+func (c *Conv1D) fwdWS(s *wsState, x, y []float64, _ bool) {
+	c.fwdRow(x, y, shapeCols(s.in), shapeCols(s.out))
 }
 
-func (c *Conv1D) bwdWS(s *wsState, x, grad, dx *tensor.T, accum bool) {
-	l, lout := x.Cols(), grad.Cols()
-	g := grad.Data
+func (c *Conv1D) bwdWS(s *wsState, x, g, dx []float64, accum bool) {
+	l, lout := shapeCols(s.in), shapeCols(s.out)
 	if accum {
 		for o := 0; o < c.cout; o++ {
 			var gSum float64
@@ -32,12 +28,12 @@ func (c *Conv1D) bwdWS(s *wsState, x, grad, dx *tensor.T, accum bool) {
 			c.b.G[o] += gSum
 		}
 		if s.dwCols != nil && lout >= 2 {
-			c.bwdDw(s, x.Data, g, l, lout)
+			c.bwdDw(s, x, g, l, lout)
 		} else {
-			c.bwdDwRows(x.Data, g, l, lout)
+			c.bwdDwRows(x, g, l, lout)
 		}
 	}
-	c.bwdDx(dx.Data, g, l, lout)
+	c.bwdDx(dx, g, l, lout)
 }
 
 // bwdDx computes the input gradient. A k=3 layer's interior — every input
@@ -167,24 +163,24 @@ func (c *Conv1D) bwdDwRows(x, g []float64, l, lout int) {
 // ---------------------------------------------------------------------------
 // ReLU
 
-func (r *ReLU) fwdWS(s *wsState, x, y *tensor.T, _ bool) {
-	for i, v := range x.Data {
+func (r *ReLU) fwdWS(s *wsState, x, y []float64, _ bool) {
+	for i, v := range x {
 		if v > 0 {
 			s.mask[i] = true
-			y.Data[i] = v
+			y[i] = v
 		} else {
 			s.mask[i] = false
-			y.Data[i] = 0
+			y[i] = 0
 		}
 	}
 }
 
-func (r *ReLU) bwdWS(s *wsState, _, grad, dx *tensor.T, _ bool) {
-	for i, g := range grad.Data {
+func (r *ReLU) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
+	for i, g := range grad {
 		if s.mask[i] {
-			dx.Data[i] = g
+			dx[i] = g
 		} else {
-			dx.Data[i] = 0
+			dx[i] = 0
 		}
 	}
 }
@@ -192,11 +188,11 @@ func (r *ReLU) bwdWS(s *wsState, _, grad, dx *tensor.T, _ bool) {
 // ---------------------------------------------------------------------------
 // MaxPool1D
 
-func (m *MaxPool1D) fwdWS(s *wsState, x, y *tensor.T, _ bool) {
-	rows, lout := y.Rows(), y.Cols()
+func (m *MaxPool1D) fwdWS(s *wsState, x, y []float64, _ bool) {
+	l, rows, lout := shapeCols(s.in), shapeRows(s.out), shapeCols(s.out)
 	for r := 0; r < rows; r++ {
-		xRow := x.Row(r)
-		yRow := y.Row(r)
+		xRow := x[r*l : (r+1)*l]
+		yRow := y[r*lout : (r+1)*lout]
 		for t := 0; t < lout; t++ {
 			base := t * m.size
 			best := base
@@ -211,12 +207,12 @@ func (m *MaxPool1D) fwdWS(s *wsState, x, y *tensor.T, _ bool) {
 	}
 }
 
-func (m *MaxPool1D) bwdWS(s *wsState, _, grad, dx *tensor.T, _ bool) {
-	dx.Zero()
-	rows, lout := grad.Rows(), grad.Cols()
+func (m *MaxPool1D) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
+	clear(dx)
+	l, rows, lout := shapeCols(s.in), shapeRows(s.out), shapeCols(s.out)
 	for r := 0; r < rows; r++ {
-		gRow := grad.Row(r)
-		dxRow := dx.Row(r)
+		gRow := grad[r*lout : (r+1)*lout]
+		dxRow := dx[r*l : (r+1)*l]
 		for t := 0; t < lout; t++ {
 			dxRow[s.argmax[r*lout+t]] += gRow[t]
 		}
@@ -226,33 +222,33 @@ func (m *MaxPool1D) bwdWS(s *wsState, _, grad, dx *tensor.T, _ bool) {
 // ---------------------------------------------------------------------------
 // Dropout
 
-func (d *Dropout) fwdWS(s *wsState, x, y *tensor.T, train bool) {
+func (d *Dropout) fwdWS(s *wsState, x, y []float64, train bool) {
 	if !train || d.p <= 0 {
 		s.dropped = false
-		copy(y.Data, x.Data)
+		copy(y, x)
 		return
 	}
 	s.dropped = true
 	keep := 1 - d.p
 	scale := 1 / keep
-	for i, v := range x.Data {
+	for i, v := range x {
 		if s.rng.Float64() < keep {
 			s.fmask[i] = scale
-			y.Data[i] = v * scale
+			y[i] = v * scale
 		} else {
 			s.fmask[i] = 0
-			y.Data[i] = 0
+			y[i] = 0
 		}
 	}
 }
 
-func (d *Dropout) bwdWS(s *wsState, _, grad, dx *tensor.T, _ bool) {
+func (d *Dropout) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
 	if !s.dropped {
-		copy(dx.Data, grad.Data)
+		copy(dx, grad)
 		return
 	}
-	for i, g := range grad.Data {
-		dx.Data[i] = g * s.fmask[i]
+	for i, g := range grad {
+		dx[i] = g * s.fmask[i]
 	}
 }
 
@@ -260,42 +256,30 @@ func (d *Dropout) bwdWS(s *wsState, _, grad, dx *tensor.T, _ bool) {
 // Flatten — the workspace aliases the flat buffers onto the shaped ones
 // (see NewWorkspace), so both directions are no-ops.
 
-func (f *Flatten) fwdWS(_ *wsState, _, _ *tensor.T, _ bool) {}
+func (f *Flatten) fwdWS(_ *wsState, _, _ []float64, _ bool) {}
 
-func (f *Flatten) bwdWS(_ *wsState, _, _, _ *tensor.T, _ bool) {}
+func (f *Flatten) bwdWS(_ *wsState, _, _, _ []float64, _ bool) {}
 
 // ---------------------------------------------------------------------------
 // Dense
 
-func (d *Dense) fwdWS(_ *wsState, x, y *tensor.T, _ bool) {
-	d.fwdRows(x.Data, y.Data, 1, d.in, d.out)
+func (d *Dense) fwdWS(_ *wsState, x, y []float64, _ bool) {
+	d.fwdRows(x, y, 1, d.in, d.out)
 }
 
-func (d *Dense) bwdWS(_ *wsState, x, grad, dx *tensor.T, accum bool) {
-	dx.Zero()
+func (d *Dense) bwdWS(_ *wsState, x, grad, dx []float64, accum bool) {
+	clear(dx)
 	for o := 0; o < d.out; o++ {
-		g := grad.Data[o]
+		g := grad[o]
 		if accum {
 			d.b.G[o] += g
 		}
 		if g == 0 {
 			continue
 		}
-		axpy(dx.Data, d.w.W[o*d.in:(o+1)*d.in], g)
+		axpy(dx, d.w.W[o*d.in:(o+1)*d.in], g)
 		if accum {
-			axpy(d.w.G[o*d.in:(o+1)*d.in], x.Data, g)
+			axpy(d.w.G[o*d.in:(o+1)*d.in], x, g)
 		}
 	}
 }
-
-// Kernel compliance: every layer this package defines has a real
-// workspace kernel (external Layer implementations fall back to
-// oracleKernel).
-var (
-	_ wsKernel = (*Conv1D)(nil)
-	_ wsKernel = (*ReLU)(nil)
-	_ wsKernel = (*MaxPool1D)(nil)
-	_ wsKernel = (*Dropout)(nil)
-	_ wsKernel = (*Flatten)(nil)
-	_ wsKernel = (*Dense)(nil)
-)

@@ -1,12 +1,11 @@
 package nn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-
-	"advmal/internal/tensor"
 )
 
 // buildRandomNet builds a random conv/pool/dropout/dense stack for the
@@ -41,7 +40,8 @@ func buildRandomNet(rng *rand.Rand) *Network {
 				length /= 2
 			}
 			if rng.Intn(2) == 0 {
-				layers = append(layers, NewDropout(fmt.Sprintf("drop%d", b), 0.25, rng.Int63()))
+				layers = append(layers, NewDropout(fmt.Sprintf("drop%d", b), 0.25))
+				rng.Int63() // one draw per dropout pins the architectures a seed yields
 			}
 			if length < 1 {
 				ok = false
@@ -53,10 +53,11 @@ func buildRandomNet(rng *rand.Rand) *Network {
 		}
 		layers = append(layers, NewFlatten("flatten"))
 		hidden := 4 + rng.Intn(24)
+		rng.Int63() // dropF's draw
 		layers = append(layers,
 			NewDense("fc1", ch*length, hidden, wrng),
 			NewReLU("reluF"),
-			NewDropout("dropF", 0.5, rng.Int63()),
+			NewDropout("dropF", 0.5),
 			NewDense("logits", hidden, classes, wrng),
 		)
 		return NewNetwork([]int{1, inLen}, classes, layers...)
@@ -88,8 +89,7 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // architectures (kernel sizes 1/3/5, both paddings, random pools and
 // dropouts) and random inputs, every workspace query — eval and train
 // forward, probs, loss gradient, Jacobian, and full backward with
-// parameter accumulation — is bit-for-bit identical to the allocating
-// oracle.
+// parameter accumulation — is bit-for-bit identical to the test oracle.
 func TestWorkspaceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 60
@@ -100,33 +100,34 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 		net := buildRandomNet(rng)
 		view := net.CloneShared()
 		ws := NewWorkspace(view)
+		o := newOracle(net)
 		dim := net.InputDim()
 
 		for rep := 0; rep < 3; rep++ {
 			x := randVec(rng, dim)
 
-			bitsEqual(t, "eval logits", ws.Logits(x), net.Logits(x))
-			bitsEqual(t, "probs", ws.Probs(x), net.Probs(x))
-			if gp, gn := ws.Predict(x), net.Predict(x); gp != gn {
+			bitsEqual(t, "eval logits", ws.Logits(x), o.Logits(x))
+			bitsEqual(t, "probs", ws.Probs(x), o.Probs(x))
+			if gp, gn := ws.Predict(x), o.Predict(x); gp != gn {
 				t.Fatalf("predict: ws %d oracle %d", gp, gn)
 			}
 
 			// Train-mode forward: align the dropout streams first.
 			seed := rng.Int63()
-			net.Reseed(seed)
+			o.Reseed(seed)
 			ws.Reseed(seed)
-			bitsEqual(t, "train logits", ws.Forward(x, true), net.Forward(x, true))
+			bitsEqual(t, "train logits", ws.Forward(x, true), o.Forward(x, true))
 
 			label := rng.Intn(net.NumClasses())
 			wl, wg := ws.LossGrad(x, label)
-			nl, ng := net.LossGrad(x, label)
+			nl, ng := o.LossGrad(x, label)
 			if math.Float64bits(wl) != math.Float64bits(nl) {
 				t.Fatalf("loss: ws %v oracle %v", wl, nl)
 			}
 			bitsEqual(t, "loss input-grad", wg, ng)
 
 			wjl, wj := ws.Jacobian(x)
-			njl, nj := net.Jacobian(x)
+			njl, nj := o.Jacobian(x)
 			bitsEqual(t, "jacobian logits", wjl, njl)
 			for r := range nj {
 				bitsEqual(t, fmt.Sprintf("jacobian row %d", r), wj[r], nj[r])
@@ -136,7 +137,7 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 			// run TrainStep on the workspace and the equivalent
 			// composition on the oracle, then compare every Param.G of
 			// the private views bitwise.
-			net.Reseed(seed)
+			o.Reseed(seed)
 			ws.Reseed(seed)
 			net.ZeroGrad()
 			ws.ZeroGrad()
@@ -145,15 +146,15 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 				weight = 1.75
 			}
 			wloss, _ := ws.TrainStep(x, label, weight)
-			logits := net.Forward(x, true)
-			oloss, dLogits := SoftmaxCE(logits, label)
+			logits := o.Forward(x, true)
+			oloss, dLogits := softmaxCE(logits, label)
 			if weight != 1 {
 				oloss *= weight
 				for j := range dLogits {
 					dLogits[j] *= weight
 				}
 			}
-			net.Backward(dLogits)
+			o.Backward(dLogits)
 			if math.Float64bits(wloss) != math.Float64bits(oloss) {
 				t.Fatalf("train loss: ws %v oracle %v", wloss, oloss)
 			}
@@ -182,57 +183,17 @@ func TestWorkspaceZeroTapFallback(t *testing.T) {
 		}
 	}
 	ws := NewWorkspace(net.CloneShared())
+	o := newOracle(net)
 	for rep := 0; rep < 5; rep++ {
 		x := randVec(rng, net.InputDim())
-		bitsEqual(t, "zero-tap logits", ws.Logits(x), net.Logits(x))
+		bitsEqual(t, "zero-tap logits", ws.Logits(x), o.Logits(x))
 		label := rep % 2
 		wl, wg := ws.LossGrad(x, label)
-		nl, ng := net.LossGrad(x, label)
+		nl, ng := o.LossGrad(x, label)
 		if math.Float64bits(wl) != math.Float64bits(nl) {
 			t.Fatalf("zero-tap loss: ws %v oracle %v", wl, nl)
 		}
 		bitsEqual(t, "zero-tap grad", wg, ng)
-	}
-}
-
-// scaleLayer is a Layer type the workspace has no kernel for, to exercise
-// the oracleKernel fallback.
-type scaleLayer struct{ f float64 }
-
-func (s *scaleLayer) Name() string       { return "scale" }
-func (s *scaleLayer) Params() []*Param   { return nil }
-func (s *scaleLayer) CloneShared() Layer { return &scaleLayer{f: s.f} }
-func (s *scaleLayer) Forward(x *tensor.T, _ bool) *tensor.T {
-	y := x.Clone()
-	for i := range y.Data {
-		y.Data[i] *= s.f
-	}
-	return y
-}
-func (s *scaleLayer) Backward(g *tensor.T) *tensor.T {
-	d := g.Clone()
-	for i := range d.Data {
-		d.Data[i] *= s.f
-	}
-	return d
-}
-
-func TestWorkspaceFallbackKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	wrng := newTestRNG()
-	net := NewNetwork([]int{6}, 2,
-		NewDense("fc1", 6, 12, wrng),
-		&scaleLayer{f: 0.5},
-		NewReLU("relu"),
-		NewDense("fc2", 12, 2, wrng),
-	)
-	ws := NewWorkspace(net.CloneShared())
-	for rep := 0; rep < 4; rep++ {
-		x := randVec(rng, 6)
-		bitsEqual(t, "fallback logits", ws.Logits(x), net.Logits(x))
-		_, wg := ws.LossGrad(x, 1)
-		_, ng := net.LossGrad(x, 1)
-		bitsEqual(t, "fallback grad", wg, ng)
 	}
 }
 
@@ -248,11 +209,12 @@ func TestWorkspaceBatchAPIs(t *testing.T) {
 		xs[i] = randVec(rng, net.InputDim())
 	}
 
+	o := newOracle(net)
 	probs := ws.ProbsBatch(xs, nil)
 	preds := ws.PredictBatch(xs, nil)
 	for i := range xs {
-		bitsEqual(t, "batch probs", probs[i], net.Probs(xs[i]))
-		if want := net.Predict(xs[i]); preds[i] != want {
+		bitsEqual(t, "batch probs", probs[i], o.Probs(xs[i]))
+		if want := o.Predict(xs[i]); preds[i] != want {
 			t.Fatalf("batch predict %d: got %d want %d", i, preds[i], want)
 		}
 	}
@@ -266,13 +228,15 @@ func TestWorkspaceBatchAPIs(t *testing.T) {
 }
 
 // TestWorkspaceSafeProbs covers the serving-path contract: dimension
-// validation, and a returned slice that does not alias workspace
-// internals.
+// validation — a wrong-length or missing input is ErrBadInput, never a
+// panic — and a returned slice that does not alias workspace internals.
 func TestWorkspaceSafeProbs(t *testing.T) {
 	net := PaperCNN(4)
 	ws := net.WS()
-	if _, err := ws.SafeProbs(make([]float64, 7)); err == nil {
-		t.Fatal("SafeProbs accepted a wrong-dimension input")
+	for _, bad := range [][]float64{make([]float64, 7), {1, 2}, nil} {
+		if _, err := ws.SafeProbs(bad); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("SafeProbs(%d features): want ErrBadInput, got %v", len(bad), err)
+		}
 	}
 	x := randVec(rand.New(rand.NewSource(3)), net.InputDim())
 	p, err := ws.SafeProbs(x)

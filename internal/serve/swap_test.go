@@ -187,12 +187,12 @@ func TestServerSwapUnderLoad(t *testing.T) {
 	for i := range vec {
 		vec[i] = 0.25
 	}
-	// Identity scaler: raw == scaled, so the allocating oracle is the
-	// net's answer on vec directly (the batch kernels are bit-identical
-	// to it — see internal/nn/batch.go).
+	// Identity scaler: raw == scaled, so a per-row workspace on vec is
+	// the net's answer directly (the batch kernels are bit-identical to
+	// it — see internal/nn/batch.go).
 	oracles := make([][]float64, len(nets))
 	for i, net := range nets {
-		oracles[i] = append([]float64(nil), net.Probs(vec)...)
+		oracles[i] = append([]float64(nil), net.CloneShared().WS().Probs(vec)...)
 	}
 	if oracles[0][0] == oracles[1][0] {
 		t.Fatal("oracle networks agree; the test cannot attribute results")
