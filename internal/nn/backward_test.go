@@ -7,12 +7,12 @@ import (
 )
 
 // FuzzBackwardKernels is the differential fuzzer of the backward pass: on
-// a conv/conv/dense/dense network whose shape, weights, input and logit
-// gradient all come from the fuzz input, workspace backprop — with and
-// without weight-gradient accumulation, on every kernel implementation
-// the platform has — must agree with the test oracle bit for bit at
-// every layer boundary and in every parameter gradient. The seeds below
-// run in every `go test`.
+// a conv/conv/dense/dense network (fuzzNet) whose shape, weights, input
+// and logit gradient all come from the fuzz input, workspace backprop —
+// with and without weight-gradient accumulation, on every kernel
+// implementation the platform has — must agree with the test oracle bit
+// for bit at every layer boundary and in every parameter gradient. The
+// seeds below run in every `go test`.
 func FuzzBackwardKernels(f *testing.F) {
 	ordinary := []byte("\x20\x31\xf0\x47\x71\xe3\x9c\x18\x5a\xd2\x33")
 	f.Add(uint8(23), uint8(46), uint8(46), uint8(64), uint8(1), ordinary, ordinary)                                   // the paper's first block: conv2's dx tiles of 8
@@ -21,14 +21,20 @@ func FuzzBackwardKernels(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(2), uint8(8), uint8(3), []byte{30, 31, 32}, []byte{1, 0, 33})                     // an interior shorter than 4: the oracle's loops
 	f.Add(uint8(40), uint8(8), uint8(6), uint8(16), uint8(4), []byte{9, 100, 101, 12, 77}, []byte{9, 10, 11, 13, 14}) // k=5 first layer; overflow, Inf-Inf
 	f.Add(uint8(21), uint8(4), uint8(6), uint8(7), uint8(10), ordinary, []byte{1, 129, 16, 240, 0, 6, 13, 99})        // k=1 first layer, an overlapping last tile; NaN
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(8), uint8(17), []byte{1, 1, 1, 1, 1}, []byte{32, 1})                   // a pool; every weight -0: -0 activations, all tied, a -0 seed
+	f.Add(uint8(23), uint8(5), uint8(4), uint8(9), uint8(16), ordinary, []byte{32, 32, 15, 32, 240, 240})             // pool1's odd row of 21; NaN activations
+	f.Add(uint8(23), uint8(5), uint8(4), uint8(9), uint8(16), ordinary, []byte{32})                                   // a constant input: every interior pool pair ties
 	f.Fuzz(func(t *testing.T, length, c1, c2, hidden, flags uint8, weights, inputs []byte) {
 		l := int(length) % 41
 		ch1, ch2, hid := int(c1)%97, int(c2)%97, int(hidden)%65
 		k1 := [...]int{3, 5, 1, 3}[flags>>2&3]
-		same1, same2 := flags&1 != 0, flags&2 != 0
+		same1, same2, pool := flags&1 != 0, flags&2 != 0, flags&16 != 0
 		l2 := l
 		if !same1 {
 			l2 -= k1 - 1
+		}
+		if pool {
+			l2 /= 2
 		}
 		l3 := l2
 		if !same2 {
@@ -37,16 +43,7 @@ func FuzzBackwardKernels(f *testing.F) {
 		if l2 < 1 || l3 < 1 || ch1 == 0 || ch2 == 0 || hid == 0 {
 			return
 		}
-		wrng := rand.New(rand.NewSource(1))
-		net := NewNetwork([]int{1, l}, 2,
-			NewConv1D("conv1", 1, ch1, k1, same1, wrng),
-			NewReLU("relu1"),
-			NewConv1D("conv2", ch1, ch2, 3, same2, wrng),
-			NewFlatten("flatten"),
-			NewDense("fc1", ch2*l3, hid, wrng),
-			NewReLU("relu2"),
-			NewDense("logits", hid, 2, wrng),
-		)
+		net := fuzzNet(l, ch1, ch2, hid, k1, l3, same1, same2, pool)
 		if len(weights) > 0 {
 			next := 0
 			for _, p := range net.Params() {
@@ -111,24 +108,25 @@ func FuzzBackwardKernels(f *testing.F) {
 // input-gradient pass, what PGD/MIM/FGSM and each margin attack iteration
 // pay), TrainStep (a train-mode forward and a backward that accumulates
 // weight gradients) and Jacobian (one forward and one backward per class,
-// JSMA's iteration).
+// JSMA's iteration). Like BenchmarkForward it cycles through 64 distinct
+// rows.
 func BenchmarkBackward(b *testing.B) {
 	net := PaperCNN(31)
-	x := randVec(rand.New(rand.NewSource(8)), net.InputDim())
+	xs := scaledInputs(rand.New(rand.NewSource(8)), 64, net.InputDim())
 	eachKernelImpl(b, func(impl string) {
 		ws := net.CloneShared().WS()
 		for _, bc := range []struct {
 			name string
-			f    func()
+			f    func(x []float64)
 		}{
-			{"lossgrad", func() { ws.LossGrad(x, 1) }},
-			{"trainstep", func() { ws.TrainStep(x, 1, 1) }},
-			{"jacobian", func() { ws.Jacobian(x) }},
+			{"lossgrad", func(x []float64) { ws.LossGrad(x, 1) }},
+			{"trainstep", func(x []float64) { ws.TrainStep(x, 1, 1) }},
+			{"jacobian", func(x []float64) { ws.Jacobian(x) }},
 		} {
 			b.Run(impl+"/"+bc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					bc.f()
+					bc.f(xs[i%64])
 				}
 			})
 		}

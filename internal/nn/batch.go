@@ -4,31 +4,29 @@ import "fmt"
 
 // Batch-major eval forward: the serving-path engine behind ProbsBatch and
 // PredictBatch. It runs layers outside and rows inside over two packed
-// arenas, on the same Conv1D and Dense kernels as the per-row path
-// (kernels.go) — a single request already has hundreds of independent
-// outputs per layer for those kernels to overlap, so a batch adds no
-// arithmetic headroom. What it does add:
+// arenas, on the per-row path's own kernels (kernels.go), so it is
+// bit-for-bit identical to that path and to the test oracle
+// (TestBatchForwardBitIdentical, TestBatchForwardZeroTaps). What the
+// batch order changes:
 //
 //   - Dense visits every row of the batch with a block of eight weight
 //     rows before it loads the next block, so the layer's weights are
 //     read from memory once per batch, not once per request.
-//   - ReLU / eval-mode MaxPool run over the packed batch arena without
-//     the mask/argmax bookkeeping only the backward pass needs; eval-mode
-//     Dropout is the identity and vanishes.
-//
-// The kernels are the per-row path's, so the batch path is bit-for-bit
-// identical to it and to the test oracle (TestBatchForwardBitIdentical,
-// TestBatchForwardZeroTaps).
+//   - ReLU is one relu call over the packed arena, and a size-2 MaxPool
+//     over even rows one pool2 call; a row of odd length is pooled per
+//     channel, as in the per-row path. Eval-mode Dropout is the identity
+//     and vanishes.
+//   - Conv1D runs Conv1D.fwdRow once per row, as the per-row path does.
 //
 // The plan owns two ping-pong arenas sized maxBoundary x rows; they are
 // grown on demand and reused, so steady-state batched inference performs
 // zero heap allocations (TestProbsBatchAllocFree). Like every other
 // workspace query, batch calls are single-threaded per workspace.
 //
-// Contract note: the batch path does not pass through the workspace's
-// single-row activation buffers, so after a ProbsBatch/PredictBatch call
-// acts/gbufs no longer describe any particular row. Backward-pass queries
-// keep their own per-row protocol; there is no batched backward pass.
+// Contract note: the batch path does not touch the workspace's single-row
+// buffers (acts, gbufs). Backward-pass queries keep their own per-row
+// protocol, a Forward and then its backprops; there is no batched
+// backward pass.
 type batchPlan struct {
 	sizes   []int // boundary sizes (product of shape dims), len(layers)+1
 	maxSize int
@@ -95,48 +93,12 @@ func (ws *Workspace) forwardBatch(xs [][]float64) (out []float64, stride int) {
 				l.fwdRow(in[r*inSize:(r+1)*inSize], nxt[r*outSize:(r+1)*outSize], cols, outCols)
 			}
 		case *ReLU:
-			reluFwdBatch(in[:n*inSize], nxt)
+			relu(nxt[:n*outSize], in)
 		case *MaxPool1D:
-			poolFwdBatch(l, in, nxt, n, inSize, outSize,
-				ws.shapes[li], ws.shapes[li+1])
+			l.fwdRows(in, nxt, n*shapeRows(ws.shapes[li]), shapeCols(ws.shapes[li]), shapeCols(ws.shapes[li+1]))
 		}
 		in, nxt = nxt, in
 		inSize = outSize
 	}
 	return in, inSize
-}
-
-// reluFwdBatch applies ReLU over the packed batch arena in one pass,
-// without the mask writes only the backward pass needs.
-func reluFwdBatch(in, out []float64) {
-	for i, v := range in {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-}
-
-// poolFwdBatch applies eval-mode max pooling per row without the argmax
-// bookkeeping. Ties keep the earliest element, like the per-row kernel's
-// index comparison.
-func poolFwdBatch(m *MaxPool1D, in, out []float64, rows, inSize, outSize int, inShape, outShape []int) {
-	chans, l, lout := shapeRows(inShape), shapeCols(inShape), shapeCols(outShape)
-	for r := 0; r < rows; r++ {
-		for ch := 0; ch < chans; ch++ {
-			xRow := in[r*inSize+ch*l : r*inSize+(ch+1)*l]
-			yRow := out[r*outSize+ch*lout : r*outSize+(ch+1)*lout]
-			for t := 0; t < lout; t++ {
-				base := t * m.size
-				best := xRow[base]
-				for j := base + 1; j < base+m.size; j++ {
-					if xRow[j] > best {
-						best = xRow[j]
-					}
-				}
-				yRow[t] = best
-			}
-		}
-	}
 }

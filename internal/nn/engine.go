@@ -4,7 +4,7 @@ package nn
 // evaluation harnesses, and serving paths drive. There is one arithmetic,
 // float64 throughout: the verdict a replica serves and the gradient an
 // attack reads come from the same computation. *Workspace is the one
-// implementation in this package — all activation, mask, argmax, and
+// implementation in this package — all activation, dropout-mask and
 // gradient buffers are preallocated once from the layer shapes, and
 // every call writes into them. The interface stays so tests can put
 // something in its place: this package's bit-identity tests run an

@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // Forward kernels. There is one contract, the test oracle's
 // (oracle_test.go): every output element is its bias followed by one
 // separately rounded multiply and one separately rounded add per term,
@@ -186,4 +188,85 @@ func denseGo(y, x, w, b []float64) {
 		}
 		y[o] = sum
 	}
+}
+
+// Elementwise primitives. ReLU and a size-2 max-pool are one compare and
+// one select per element, and a conv output's sign is a coin flip, so a
+// select written as a branch mispredicts on about half of a row. Each of
+// these selects by bit mask instead:
+//
+//   - relu: y[i] = x[i] > 0 ? x[i] : +0, so NaN and -0 become +0.
+//   - reluBwd: dx[i] = x[i] > 0 ? g[i] : +0.
+//   - pool2: y[t] = x[2t+1] > x[2t] ? x[2t+1] : x[2t], so a tie or a NaN
+//     keeps the earlier element.
+//   - pool2Bwd: the slot pool2 selects gets +0 + g[t] (the oracle clears
+//     dx and adds, which turns a -0 gradient into +0), the other slot +0,
+//     and so does every element of dx past x[2*len(g)-1].
+//
+// The backward pair reads the layer input x that the forward read and
+// derives its mask from it with the forward's own comparison, so nothing
+// is kept between the passes. On amd64 with AVX they are VMAXPD and
+// VCMPPD/VANDPD in kernels_amd64.s, a lane per output; the Go twins below
+// are the portable path and what the assembly is tested against.
+
+// boolMask returns all ones for true and zero for false: the compiler
+// makes it a conditional move, not a branch.
+func boolMask(b bool) uint64 {
+	var m uint64
+	if b {
+		m = ^uint64(0)
+	}
+	return m
+}
+
+// reluGo is the portable relu, over len(y) elements.
+func reluGo(y, x []float64) {
+	x = x[:len(y)]
+	for i, v := range x {
+		y[i] = math.Float64frombits(math.Float64bits(v) & boolMask(v > 0))
+	}
+}
+
+// reluBwdGo is the portable reluBwd, over len(dx) elements.
+func reluBwdGo(dx, g, x []float64) {
+	g, x = g[:len(dx)], x[:len(dx)]
+	for i, v := range x {
+		dx[i] = math.Float64frombits(math.Float64bits(g[i]) & boolMask(v > 0))
+	}
+}
+
+// pool2Go is the portable pool2: len(y) outputs from x[:2*len(y)].
+func pool2Go(y, x []float64) {
+	x = x[:2*len(y)]
+	for t := range y {
+		a, b := math.Float64bits(x[2*t]), math.Float64bits(x[2*t+1])
+		m := boolMask(x[2*t+1] > x[2*t])
+		y[t] = math.Float64frombits(b&m | a&^m)
+	}
+}
+
+// pool2BwdGo is the portable pool2Bwd: dx[:2*len(g)] from g and x, and +0
+// in the rest of dx.
+func pool2BwdGo(dx, g, x []float64) {
+	n := len(g)
+	x = x[:2*n]
+	for t, gt := range g {
+		m := boolMask(x[2*t+1] > x[2*t])
+		v := math.Float64bits(gt + 0) // -0 + 0 is +0, as in the oracle
+		dx[2*t], dx[2*t+1] = math.Float64frombits(v&^m), math.Float64frombits(v&m)
+	}
+	clear(dx[2*n:])
+}
+
+// poolArgmax is a max-pool window of any size in the oracle's loop: the
+// index of the first largest of x[base:base+size], where a later NaN
+// never wins. Pools of size 2 run on pool2 and pool2Bwd instead.
+func poolArgmax(x []float64, base, size int) int {
+	best := base
+	for j := base + 1; j < base+size; j++ {
+		if x[j] > x[best] {
+			best = j
+		}
+	}
+	return best
 }

@@ -110,3 +110,55 @@ func conv3BwdEdges(dx, g, w []float64, cin, cout, l, lout, pad int) {
 		conv3BwdEdgesGo(dx[ci*l:], g, w[ci*3:], cin-ci, cin, cout, l, lout, pad)
 	}
 }
+
+//go:noescape
+func reluAVX(y, x *float64, n int)
+
+//go:noescape
+func reluBwdAVX(dx, dy, x *float64, n int)
+
+//go:noescape
+func pool2AVX(y, x *float64, n int)
+
+//go:noescape
+func pool2BwdAVX(dx, dy, x *float64, n int)
+
+// The elementwise assembly takes any length, tail included.
+
+func relu(y, x []float64) {
+	if !useAVX || len(y) == 0 {
+		reluGo(y, x)
+		return
+	}
+	_ = x[len(y)-1]
+	reluAVX(&y[0], &x[0], len(y))
+}
+
+func reluBwd(dx, g, x []float64) {
+	if !useAVX || len(dx) == 0 {
+		reluBwdGo(dx, g, x)
+		return
+	}
+	_, _ = g[len(dx)-1], x[len(dx)-1]
+	reluBwdAVX(&dx[0], &g[0], &x[0], len(dx))
+}
+
+func pool2(y, x []float64) {
+	if !useAVX || len(y) == 0 {
+		pool2Go(y, x)
+		return
+	}
+	_ = x[2*len(y)-1]
+	pool2AVX(&y[0], &x[0], len(y))
+}
+
+func pool2Bwd(dx, g, x []float64) {
+	n := len(g)
+	if !useAVX || n == 0 {
+		pool2BwdGo(dx, g, x)
+		return
+	}
+	_, _ = dx[2*n-1], x[2*n-1]
+	pool2BwdAVX(&dx[0], &g[0], &x[0], n)
+	clear(dx[2*n:])
+}

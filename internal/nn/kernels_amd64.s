@@ -497,3 +497,183 @@ edgesame:
 	SCATTER4(Y1, X1, SI)
 	VZEROUPPER
 	RET
+
+// The elementwise primitives of kernels.go. A lane is one output, and each
+// takes any n: four lanes at a time, then one.
+
+// func reluAVX(y, x *float64, n int)
+//
+// y[i] = x[i] > 0 ? x[i] : +0 for i < n. VMAXPD returns its second source
+// unless the first is greater, so with x first a NaN or a -0 gives +0.
+TEXT ·reluAVX(SB), NOSPLIT, $0-24
+	MOVQ   y+0(FP), DI
+	MOVQ   x+8(FP), SI
+	MOVQ   n+16(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+
+relu4:
+	LEAQ    32(AX), DX
+	CMPQ    DX, CX
+	JGT     relu1
+	VMOVUPD (SI)(AX*1), Y1
+	VMAXPD  Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	MOVQ    DX, AX
+	JMP     relu4
+
+relu1:
+	CMPQ   AX, CX
+	JGE    reludone
+	VMOVSD (SI)(AX*1), X1
+	VMAXSD X0, X1, X1
+	VMOVSD X1, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    relu1
+
+reludone:
+	VZEROUPPER
+	RET
+
+// func reluBwdAVX(dx, dy, x *float64, n int)
+//
+// dx[i] = x[i] > 0 ? g[i] : +0 for i < n: g ANDed with the ordered
+// compare x > 0 (predicate GT_OQ, false on a NaN).
+TEXT ·reluBwdAVX(SB), NOSPLIT, $0-32
+	MOVQ   dx+0(FP), DI
+	MOVQ   dy+8(FP), DX
+	MOVQ   x+16(FP), SI
+	MOVQ   n+24(FP), CX
+	SHLQ   $3, CX
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+
+rbwd4:
+	LEAQ    32(AX), R8
+	CMPQ    R8, CX
+	JGT     rbwd1
+	VMOVUPD (SI)(AX*1), Y1
+	VCMPPD  $0x1e, Y0, Y1, Y1
+	VANDPD  (DX)(AX*1), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	MOVQ    R8, AX
+	JMP     rbwd4
+
+rbwd1:
+	CMPQ   AX, CX
+	JGE    rbwddone
+	VMOVSD (SI)(AX*1), X1
+	VCMPSD $0x1e, X0, X1, X1
+	VMOVSD (DX)(AX*1), X2
+	VANDPD X2, X1, X1
+	VMOVSD X1, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    rbwd1
+
+rbwddone:
+	VZEROUPPER
+	RET
+
+// Splits the eight inputs at SI into the even-indexed ones (into Y3) and
+// the odd-indexed ones (into Y4) of four outputs, in output order: a
+// 128-bit load and insert put inputs 0 1 | 4 5 in Y1 and 2 3 | 6 7 in Y2,
+// and the unpacks take the lows and the highs.
+#define PAIRS4 \
+	VMOVUPD     (SI), X1;           \
+	VINSERTF128 $1, 32(SI), Y1, Y1; \
+	VMOVUPD     16(SI), X2;         \
+	VINSERTF128 $1, 48(SI), Y2, Y2; \
+	VUNPCKLPD   Y2, Y1, Y3;         \
+	VUNPCKHPD   Y2, Y1, Y4
+
+// func pool2AVX(y, x *float64, n int)
+//
+// y[t] = x[2t+1] > x[2t] ? x[2t+1] : x[2t] for t < n: VMAXPD with the odd
+// input first, so a tie or a NaN keeps the even one.
+TEXT ·pool2AVX(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+
+poolquad:
+	CMPQ    CX, $4
+	JLT     poolone
+	PAIRS4
+	VMAXPD  Y3, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    $64, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     poolquad
+
+poolone:
+	TESTQ  CX, CX
+	JZ     pooldone
+	VMOVSD (SI), X3
+	VMOVSD 8(SI), X4
+	VMAXSD X3, X4, X4
+	VMOVSD X4, (DI)
+	ADDQ   $16, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    poolone
+
+pooldone:
+	VZEROUPPER
+	RET
+
+// func pool2BwdAVX(dx, dy, x *float64, n int)
+//
+// For t < n, the slot of dx[2t], dx[2t+1] that pool2 selects gets +0 +
+// g[t] and the other +0. The mask is pool2's compare, odd > even (GT_OQ:
+// false on a tie or a NaN); the even and the odd slots are interleaved
+// back with unpacks and a swap of 128-bit halves.
+TEXT ·pool2BwdAVX(SB), NOSPLIT, $0-32
+	MOVQ   dx+0(FP), DI
+	MOVQ   dy+8(FP), DX
+	MOVQ   x+16(FP), SI
+	MOVQ   n+24(FP), CX
+	VXORPD Y0, Y0, Y0
+
+pbwd4:
+	CMPQ       CX, $4
+	JLT        pbwd1
+	PAIRS4
+	VCMPPD     $0x1e, Y3, Y4, Y5
+	VADDPD     (DX), Y0, Y6
+	VANDNPD    Y6, Y5, Y7            // even slots
+	VANDPD     Y6, Y5, Y8            // odd slots
+	VUNPCKLPD  Y8, Y7, Y9            // dx 0 1 | 4 5
+	VUNPCKHPD  Y8, Y7, Y10           // dx 2 3 | 6 7
+	VPERM2F128 $0x20, Y10, Y9, Y11
+	VPERM2F128 $0x31, Y10, Y9, Y12
+	VMOVUPD    Y11, (DI)
+	VMOVUPD    Y12, 32(DI)
+	ADDQ       $64, SI
+	ADDQ       $64, DI
+	ADDQ       $32, DX
+	SUBQ       $4, CX
+	JMP        pbwd4
+
+pbwd1:
+	TESTQ   CX, CX
+	JZ      pbwddone
+	VMOVSD  (SI), X3
+	VMOVSD  8(SI), X4
+	VCMPSD  $0x1e, X3, X4, X5
+	VMOVSD  (DX), X6
+	VADDSD  X0, X6, X6
+	VANDNPD X6, X5, X7
+	VANDPD  X6, X5, X8
+	VMOVSD  X7, (DI)
+	VMOVSD  X8, 8(DI)
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	ADDQ    $8, DX
+	DECQ    CX
+	JMP     pbwd1
+
+pbwddone:
+	VZEROUPPER
+	RET

@@ -36,6 +36,7 @@ func TestBitIdentityPortable(t *testing.T) {
 	t.Run("Batch", TestBatchForwardBitIdentical)
 	t.Run("BatchZeroTaps", TestBatchForwardZeroTaps)
 	t.Run("TrainerParity", TestTrainerWorkspaceParity)
+	t.Run("ActivationKernels", TestActivationKernelsMatchOracle)
 }
 
 // guarded returns a slice of n values at an odd offset inside a larger
@@ -69,8 +70,20 @@ func kernelValues(rng *rand.Rand, trial int, s []float64) {
 	}
 }
 
+// activationValues is kernelValues with ties: about one element in six
+// repeats its predecessor, so pool pairs tie.
+func activationValues(rng *rand.Rand, trial int, s []float64) {
+	kernelValues(rng, trial, s)
+	for i := 1; i < len(s); i++ {
+		if rng.Intn(6) == 0 {
+			s[i] = s[i-1]
+		}
+	}
+}
+
 // TestKernelsAVXMatchPortable is the differential property test of the two
-// implementations, through the two drivers every forward pass uses. Inputs
+// implementations, through the drivers every forward pass uses: Conv1D,
+// Dense, ReLU and MaxPool1D. Inputs
 // and outputs are sub-slices at odd offsets. The input's surroundings are
 // NaN, so a read outside it would poison an output the portable twin
 // leaves finite; the output's surroundings must come back untouched.
@@ -142,11 +155,37 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 		}
 		sameFloats(t, what, got[0], got[1])
 	}
+
+	// ReLU and MaxPool1D through the drivers both forward paths use, on
+	// rows of every length, most of them not a multiple of 4.
+	for trial := 0; trial < 300; trial++ {
+		rows, l, size := 1+rng.Intn(4), rng.Intn(43), 2
+		if trial%10 == 9 {
+			size = 3
+		}
+		lout := l / size
+		x, _ := guarded(t, rng, rows*l, math.NaN())
+		activationValues(rng, trial, x)
+		what := fmt.Sprintf("relu/pool rows=%d l=%d size=%d", rows, l, size)
+		r, m := NewReLU("relu"), NewMaxPool1D("pool", size)
+		var got [2][]float64
+		for i, on := range []bool{true, false} {
+			useAVX = on
+			y, check := guarded(t, rng, rows*l, 12345.5)
+			p, pcheck := guarded(t, rng, rows*lout, 12345.5)
+			r.fwdWS(nil, x, y, false)
+			m.fwdRows(x, p, rows, l, lout)
+			check(what + " relu")
+			pcheck(what + " pool")
+			got[i] = append(append([]float64(nil), y...), p...)
+		}
+		sameFloats(t, what, got[0], got[1])
+	}
 }
 
 // TestBackwardKernelsAVXMatchPortable is TestKernelsAVXMatchPortable for
-// the backward pass, through its two drivers, with and without weight
-// gradients. The layer input and the output gradient sit in NaN, the
+// the backward pass, through its drivers: Conv1D and Dense with and
+// without weight gradients, ReLU and MaxPool1D. The layer input and the output gradient sit in NaN, the
 // input gradient and both parameter gradients in a sentinel that must
 // come back untouched.
 func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
@@ -242,5 +281,27 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 				d.bwdWS(nil, x, g, dx, accum)
 			})
 		}
+	}
+
+	// ReLU and MaxPool1D, which re-derive their masks from the layer
+	// input: ties and special values in x, -0 and NaN among the gradients.
+	for trial := 0; trial < 300; trial++ {
+		rows, l, size := 1+rng.Intn(4), rng.Intn(43), 2
+		if trial%10 == 9 {
+			size = 3
+		}
+		lout := l / size
+		x, _ := guarded(t, rng, rows*l, math.NaN())
+		g, _ := guarded(t, rng, rows*l, math.NaN())
+		gp, _ := guarded(t, rng, rows*lout, math.NaN())
+		activationValues(rng, trial, x)
+		kernelValues(rng, trial+1, g)
+		kernelValues(rng, trial+1, gp)
+		s := &wsState{in: []int{rows, l}, out: []int{rows, lout}}
+		r, m := NewReLU("relu"), NewMaxPool1D("pool", size)
+		what := fmt.Sprintf("relu rows=%d l=%d", rows, l)
+		run(what, rows*l, nil, func(dx []float64, _ [][]float64) { r.bwdWS(s, x, g, dx, false) })
+		what = fmt.Sprintf("pool rows=%d l=%d size=%d", rows, l, size)
+		run(what, rows*l, nil, func(dx []float64, _ [][]float64) { m.bwdWS(s, x, gp, dx, false) })
 	}
 }

@@ -23,3 +23,11 @@ func axpy(y, x []float64, a float64) { axpyGo(y, x, a) }
 func conv3BwdEdges(dx, g, w []float64, cin, cout, l, lout, pad int) {
 	conv3BwdEdgesGo(dx, g, w, cin, cin, cout, l, lout, pad)
 }
+
+func relu(y, x []float64) { reluGo(y, x) }
+
+func reluBwd(dx, g, x []float64) { reluBwdGo(dx, g, x) }
+
+func pool2(y, x []float64) { pool2Go(y, x) }
+
+func pool2Bwd(dx, g, x []float64) { pool2BwdGo(dx, g, x) }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,10 +49,30 @@ func fuzzValue(b byte) float64 {
 	return float64(int8(b)) / 16
 }
 
+// fuzzNet is the fuzzers' network: conv1, an optional size-2 max-pool that
+// sees conv1's raw outputs (negatives, -0 and NaN included), ReLU, conv2,
+// and two dense layers with a ReLU between them.
+func fuzzNet(l, ch1, ch2, hid, k1, l3 int, same1, same2, pool bool) *Network {
+	wrng := rand.New(rand.NewSource(1))
+	layers := []Layer{NewConv1D("conv1", 1, ch1, k1, same1, wrng)}
+	if pool {
+		layers = append(layers, NewMaxPool1D("pool1", 2))
+	}
+	layers = append(layers,
+		NewReLU("relu1"),
+		NewConv1D("conv2", ch1, ch2, 3, same2, wrng),
+		NewFlatten("flatten"),
+		NewDense("fc1", ch2*l3, hid, wrng),
+		NewReLU("relu2"),
+		NewDense("logits", hid, 2, wrng),
+	)
+	return NewNetwork([]int{1, l}, 2, layers...)
+}
+
 // FuzzForwardKernels is the differential fuzzer of the forward pass: on a
-// conv/conv/dense/dense network whose shape, weights and inputs all come
-// from the fuzz input, the per-row workspace path must agree with the
-// test oracle bit for bit at every layer boundary, and the batch
+// conv/conv/dense/dense network (fuzzNet) whose shape, weights and inputs
+// all come from the fuzz input, the per-row workspace path must agree
+// with the test oracle bit for bit at every layer boundary, and the batch
 // path on the result, on every kernel implementation the platform has.
 // The seeds below run in every `go test`.
 func FuzzForwardKernels(f *testing.F) {
@@ -62,6 +83,9 @@ func FuzzForwardKernels(f *testing.F) {
 	f.Add(uint8(9), uint8(2), uint8(2), uint8(8), uint8(3), []byte{30, 31, 32}, []byte{1, 0, 33})              // a row shorter than a tile
 	f.Add(uint8(40), uint8(8), uint8(3), uint8(16), uint8(4), []byte{9, 100, 101, 12, 77}, []byte{9, 10, 11})  // k=5 first layer; overflow, Inf-Inf
 	f.Add(uint8(21), uint8(4), uint8(6), uint8(9), uint8(3), ordinary, []byte{1, 129, 16, 240, 0, 6, 13, 99})  // an overlapping last tile; one Inf
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(8), uint8(17), []byte{1, 1, 1, 1, 1}, []byte{32})               // a pool; every weight -0: -0 activations, all tied
+	f.Add(uint8(23), uint8(5), uint8(4), uint8(9), uint8(16), ordinary, []byte{32, 32, 15, 32, 240, 240})      // pool1's odd row of 21; NaN activations
+	f.Add(uint8(23), uint8(5), uint8(4), uint8(9), uint8(16), ordinary, []byte{32})                            // a constant input: every interior pool pair ties
 	f.Fuzz(func(t *testing.T, length, c1, c2, hidden, flags uint8, weights, inputs []byte) {
 		l := int(length) % 41
 		ch1, ch2, hid := int(c1)%97, int(c2)%97, int(hidden)%65
@@ -69,28 +93,22 @@ func FuzzForwardKernels(f *testing.F) {
 		if flags&4 != 0 {
 			k1 = 5
 		}
-		same1, same2 := flags&1 != 0, flags&2 != 0
+		same1, same2, pool := flags&1 != 0, flags&2 != 0, flags&16 != 0
 		l2 := l
 		if !same1 {
 			l2 -= k1 - 1
+		}
+		if pool {
+			l2 /= 2
 		}
 		l3 := l2
 		if !same2 {
 			l3 -= 2
 		}
-		if l3 < 1 || ch1 == 0 || ch2 == 0 || hid == 0 {
+		if l2 < 1 || l3 < 1 || ch1 == 0 || ch2 == 0 || hid == 0 {
 			return
 		}
-		wrng := rand.New(rand.NewSource(1))
-		net := NewNetwork([]int{1, l}, 2,
-			NewConv1D("conv1", 1, ch1, k1, same1, wrng),
-			NewReLU("relu1"),
-			NewConv1D("conv2", ch1, ch2, 3, same2, wrng),
-			NewFlatten("flatten"),
-			NewDense("fc1", ch2*l3, hid, wrng),
-			NewReLU("relu2"),
-			NewDense("logits", hid, 2, wrng),
-		)
+		net := fuzzNet(l, ch1, ch2, hid, k1, l3, same1, same2, pool)
 		// The weight bytes overwrite a stride of the He-initialised
 		// weights, so special values land among ordinary ones.
 		if len(weights) > 0 {
@@ -129,6 +147,76 @@ func FuzzForwardKernels(f *testing.F) {
 	})
 }
 
+// TestActivationKernelsMatchOracle pins ReLU and MaxPool1D, in both
+// directions, to the test oracle on the values a select can get wrong:
+// NaN on either side of a pool pair, ±0 pairs, ties, ±Inf, denormals, and
+// -0 and NaN gradients through both backward passes. Rows run at every
+// length up to 55, which reaches every tail width of the assembly; a pool
+// row of odd length (pool1's is 21) ends in +Inf, which no window may
+// read, and a size-3 pool takes the oracle-loop path.
+func TestActivationKernelsMatchOracle(t *testing.T) {
+	negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	tiny := math.SmallestNonzeroFloat64
+	pairs := [][2]float64{
+		{nan, 1}, {1, nan}, {nan, -1}, {-1, nan}, {nan, nan},
+		{0, negZero}, {negZero, 0}, {negZero, negZero}, {0, 0},
+		{1.5, 1.5}, {-2, -2}, {inf, -inf}, {-inf, inf}, {inf, inf}, {-inf, -inf},
+		{tiny, -tiny}, {-tiny, tiny}, {tiny, 0}, {negZero, tiny}, {0x1p-1022, 1e-310},
+		{1, 2}, {2, 1}, {-1, -2}, {-2, -1}, {nan, inf}, {-inf, nan},
+	}
+	var vals []float64
+	for _, p := range pairs {
+		vals = append(vals, p[0], p[1])
+	}
+	grads := []float64{negZero, 0.75, nan, -inf, 0, -3, tiny, negZero, inf}
+	fill := func(n, from int, src []float64) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = src[(from+i)%len(src)]
+		}
+		return s
+	}
+	sentinel := func(n int) []float64 { return fill(n, 0, []float64{12345.5}) }
+
+	eachKernelImpl(t, func(impl string) {
+		for n := 0; n <= len(vals)+3; n++ {
+			what := fmt.Sprintf("%s relu n=%d", impl, n)
+			x, g := fill(n, n, vals), fill(n, n, grads)
+			var o oracleReLU
+			want := o.forward(&tensor{shape: []int{n}, data: x}, false).data
+			wantDx := o.backward(&tensor{shape: []int{n}, data: g}).data
+			y, dx := sentinel(n), sentinel(n)
+			r := NewReLU("relu")
+			r.fwdWS(nil, x, y, false)
+			r.bwdWS(nil, x, g, dx, false)
+			sameFloats(t, what+" forward", y, want)
+			sameFloats(t, what+" backward", dx, wantDx)
+		}
+		for _, size := range []int{2, 3} {
+			const rows = 3
+			for l := 0; l <= len(vals)+3; l++ {
+				what := fmt.Sprintf("%s pool size=%d l=%d", impl, size, l)
+				lout := l / size
+				x := fill(rows*l, 0, vals)
+				for r := 1; l%size != 0 && r <= rows; r++ {
+					x[r*l-1] = inf
+				}
+				g := fill(rows*lout, l, grads)
+				o := oraclePool{size: size}
+				want := o.forward(&tensor{shape: []int{rows, l}, data: x}, false).data
+				wantDx := o.backward(&tensor{shape: []int{rows, lout}, data: g}).data
+				y, dx := sentinel(rows*lout), sentinel(rows*l)
+				m := NewMaxPool1D("pool", size)
+				s := &wsState{in: []int{rows, l}, out: []int{rows, lout}}
+				m.fwdWS(s, x, y, false)
+				m.bwdWS(s, x, g, dx, false)
+				sameFloats(t, what+" forward", y, want)
+				sameFloats(t, what+" backward", dx, wantDx)
+			}
+		}
+	})
+}
+
 // scaledInputs draws n random inputs spanning roughly the scaled-feature
 // range the pipeline produces, with some mass outside [0, 1] as
 // attack-perturbed vectors have.
@@ -146,25 +234,66 @@ func scaledInputs(rng *rand.Rand, n, dim int) [][]float64 {
 
 // BenchmarkForward is the forward pass of the paper network per input row:
 // the test oracle, which uses no float kernel, and the three
-// workspace entry points on every kernel implementation.
+// workspace entry points on every kernel implementation. Every entry
+// cycles through 64 distinct rows: fed one row again and again, the
+// branch predictor learns its activations' sign pattern and the numbers
+// stop saying what a stream of distinct requests costs.
 func BenchmarkForward(b *testing.B) {
 	net := PaperCNN(31)
 	rng := rand.New(rand.NewSource(8))
 	xs := scaledInputs(rng, 64, net.InputDim())
-	perRow := func(b *testing.B, rows int, f func()) {
+	perRow := func(b *testing.B, rows int, f func(i int)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f()
+			f(i)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 	}
 	var dst [][]float64
 	o := newOracle(net)
-	b.Run("oracle", func(b *testing.B) { perRow(b, 1, func() { o.Probs(xs[0]) }) })
+	b.Run("oracle", func(b *testing.B) { perRow(b, 1, func(i int) { o.Probs(xs[i%64]) }) })
 	eachKernelImpl(b, func(impl string) {
 		ws := net.CloneShared().WS()
-		b.Run(impl+"/Probs", func(b *testing.B) { perRow(b, 1, func() { ws.Probs(xs[0]) }) })
-		b.Run(impl+"/ProbsBatch1", func(b *testing.B) { perRow(b, 1, func() { dst = ws.ProbsBatch(xs[:1], dst) }) })
-		b.Run(impl+"/ProbsBatch64", func(b *testing.B) { perRow(b, 64, func() { dst = ws.ProbsBatch(xs, dst) }) })
+		b.Run(impl+"/Probs", func(b *testing.B) { perRow(b, 1, func(i int) { ws.Probs(xs[i%64]) }) })
+		b.Run(impl+"/ProbsBatch1", func(b *testing.B) {
+			perRow(b, 1, func(i int) { dst = ws.ProbsBatch(xs[i%64:i%64+1], dst) })
+		})
+		b.Run(impl+"/ProbsBatch64", func(b *testing.B) { perRow(b, 64, func(int) { dst = ws.ProbsBatch(xs, dst) }) })
+	})
+}
+
+// BenchmarkLayers times every layer of the paper network on its own, per
+// row: fwd is the layer's forward kernel, bwd its backward kernel with
+// weight-gradient accumulation (a training step's; the input-gradient
+// queries skip that part). Each of 64 workspaces holds the forward
+// activations and the loss gradients of its own row, and iteration i
+// runs the layer on workspace i%64, so the rows are distinct as in
+// BenchmarkForward.
+func BenchmarkLayers(b *testing.B) {
+	net := PaperCNN(31)
+	xs := scaledInputs(rand.New(rand.NewSource(8)), 64, net.InputDim())
+	eachKernelImpl(b, func(impl string) {
+		view := net.CloneShared()
+		wss := make([]*Workspace, len(xs))
+		for r, x := range xs {
+			wss[r] = NewWorkspace(view)
+			wss[r].LossGrad(x, r%2)
+		}
+		for li, l := range net.Layers() {
+			b.Run(impl+"/"+l.Name()+"/fwd", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ws := wss[i%64]
+					l.fwdWS(&ws.states[li], ws.acts[li], ws.acts[li+1], false)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+			})
+			b.Run(impl+"/"+l.Name()+"/bwd", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ws := wss[i%64]
+					l.bwdWS(&ws.states[li], ws.acts[li], ws.gbufs[li+1], ws.gbufs[li], true)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+			})
+		}
 	})
 }

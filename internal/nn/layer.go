@@ -1,12 +1,12 @@
 // Package nn is the deep-learning substrate: a from-scratch CNN with the
 // paper's exact architecture (Fig. 5), hand-written forward and backward
-// passes, Adam and SGD optimizers, a data-parallel trainer, evaluation
+// passes, the Adam optimizer, a data-parallel trainer, evaluation
 // metrics (accuracy / FNR / FPR), and the input-gradient and per-logit
 // Jacobian queries the adversarial attacks require.
 //
 // A Network is architecture plus parameters; a Workspace executes it. A
 // network's layers hold only their configuration and weights, and every
-// buffer a pass writes — activations, masks, argmax indices, dropout
+// buffer a pass writes — activations, gradients, dropout masks and
 // streams — lives in the workspace. CloneShared produces a view that
 // shares weights but has private gradient buffers and its own workspace,
 // so clones may run forward/backward in parallel as long as nobody is

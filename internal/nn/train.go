@@ -27,32 +27,6 @@ type Optimizer interface {
 	Step(params []*Param, scale float64)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      [][]float64
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param, scale float64) {
-	if s.vel == nil {
-		s.vel = make([][]float64, len(params))
-		for i, p := range params {
-			s.vel[i] = make([]float64, len(p.W))
-		}
-	}
-	inv := 1 / scale
-	for i, p := range params {
-		v := s.vel[i]
-		for j := range p.W {
-			g := p.G[j] * inv
-			v[j] = s.Momentum*v[j] - s.LR*g
-			p.W[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with standard defaults.
 type Adam struct {
 	LR    float64 // 0 means 1e-3

@@ -99,22 +99,6 @@ func TestTrainerEarlyStop(t *testing.T) {
 	}
 }
 
-func TestTrainerSGD(t *testing.T) {
-	x, y := blobs(7, 120, 3)
-	net := SmallMLP(9, 3, 16, 2)
-	tr := &Trainer{
-		Epochs: 60, BatchSize: 20, Seed: 5, Workers: 1,
-		Optimizer: &SGD{LR: 0.05, Momentum: 0.9},
-	}
-	hist, err := tr.Fit(net, x, y)
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if acc := hist.Accuracy[len(hist.Accuracy)-1]; acc < 0.9 {
-		t.Errorf("SGD accuracy %v, want >= 0.9", acc)
-	}
-}
-
 func TestTrainerWorkerCountInvariance(t *testing.T) {
 	// Gradients are reduced in fixed order, so 1 worker vs 2 workers
 	// differ only through dropout streams; without dropout layers the
@@ -143,17 +127,5 @@ func TestAdamStateGrows(t *testing.T) {
 	a.Step([]*Param{p}, 1)
 	if p.W[0] >= before {
 		t.Errorf("Adam step did not descend: %v -> %v", before, p.W[0])
-	}
-}
-
-func TestSGDMomentumAccumulates(t *testing.T) {
-	p := &Param{W: []float64{0}, G: []float64{1}}
-	s := &SGD{LR: 0.1, Momentum: 0.9}
-	s.Step([]*Param{p}, 1)
-	first := p.W[0]
-	s.Step([]*Param{p}, 1)
-	second := p.W[0] - first
-	if second >= first {
-		t.Errorf("momentum did not accelerate: step1 %v step2 %v", first, second)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // one: every verdict, training step and attack gradient runs here. It
 // preallocates every buffer a forward/backward pass needs — one
 // activation buffer per layer boundary, one gradient buffer per boundary,
-// per-layer mask/argmax/dropout scratch, and the softmax/Jacobian output
-// buffers — sized once from the architecture, so the steady-state hot
+// per-layer dropout and convolution scratch, and the softmax/Jacobian
+// output buffers — sized once from the architecture, so the steady-state hot
 // loops (attack iterations, training steps, classify probes) run with
 // zero heap allocations.
 //
@@ -48,12 +48,12 @@ type Workspace struct {
 
 // wsState is the per-layer state a workspace owns so running the engine
 // never mutates the Network's layers: the layer's input and output
-// shapes, ReLU masks, MaxPool argmax indices, Dropout masks and RNG
-// streams.
+// shapes, Dropout masks and RNG streams, and a convolution's scratch.
+// ReLU and MaxPool1D keep nothing: their backward passes re-derive the
+// mask and the argmax from the layer input acts[i], which nothing
+// overwrites between a Forward and its backprops.
 type wsState struct {
 	in, out []int
-	mask    []bool
-	argmax  []int
 	fmask   []float64
 	rng     *rand.Rand
 	dropped bool
@@ -96,10 +96,6 @@ func NewWorkspace(net *Network) *Workspace {
 		}
 		ws.states[i].in, ws.states[i].out = shapes[i], shapes[i+1]
 		switch l := l.(type) {
-		case *ReLU:
-			ws.states[i].mask = make([]bool, outSize)
-		case *MaxPool1D:
-			ws.states[i].argmax = make([]int, outSize)
 		case *Dropout:
 			ws.states[i].fmask = make([]float64, outSize)
 			ws.states[i].rng = rand.New(rand.NewSource(1))

@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // Workspace kernels: the per-layer fwdWS/bwdWS implementations. Each one
 // computes exactly the same floating-point operations, in exactly the
 // same order, as the allocating reference in the package's tests
@@ -8,7 +10,7 @@ package nn
 // keeps all mutable state, the layer's input and output shapes included,
 // in the wsState, never in the layer. The Conv1D and Dense passes run on
 // the shared primitives of kernels.go (forward) and kernels_bwd.go
-// (backward).
+// (backward), ReLU and MaxPool1D on the elementwise ones of kernels.go.
 
 // ---------------------------------------------------------------------------
 // Conv1D
@@ -161,60 +163,58 @@ func (c *Conv1D) bwdDwRows(x, g []float64, l, lout int) {
 }
 
 // ---------------------------------------------------------------------------
-// ReLU
+// ReLU — both directions on the elementwise primitives of kernels.go; the
+// backward pass takes its mask from the layer input x, which nothing
+// overwrites between a Forward and its backprops.
 
-func (r *ReLU) fwdWS(s *wsState, x, y []float64, _ bool) {
-	for i, v := range x {
-		if v > 0 {
-			s.mask[i] = true
-			y[i] = v
-		} else {
-			s.mask[i] = false
-			y[i] = 0
-		}
-	}
-}
+func (r *ReLU) fwdWS(_ *wsState, x, y []float64, _ bool) { relu(y, x) }
 
-func (r *ReLU) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
-	for i, g := range grad {
-		if s.mask[i] {
-			dx[i] = g
-		} else {
-			dx[i] = 0
-		}
-	}
-}
+func (r *ReLU) bwdWS(_ *wsState, x, grad, dx []float64, _ bool) { reluBwd(dx, grad, x) }
 
 // ---------------------------------------------------------------------------
-// MaxPool1D
+// MaxPool1D — size 2 on pool2 and pool2Bwd, any other size in the oracle's
+// loop; the backward pass re-derives each window's argmax from x.
 
 func (m *MaxPool1D) fwdWS(s *wsState, x, y []float64, _ bool) {
-	l, rows, lout := shapeCols(s.in), shapeRows(s.out), shapeCols(s.out)
+	m.fwdRows(x, y, shapeRows(s.out), shapeCols(s.in), shapeCols(s.out))
+}
+
+// fwdRows pools rows rows of l inputs each into rows of lout outputs: one
+// forward pass's channels, or every channel of a batch.
+func (m *MaxPool1D) fwdRows(x, y []float64, rows, l, lout int) {
+	if m.size == 2 && l == 2*lout {
+		pool2(y[:rows*lout], x) // no row has a tail: one run
+		return
+	}
 	for r := 0; r < rows; r++ {
-		xRow := x[r*l : (r+1)*l]
-		yRow := y[r*lout : (r+1)*lout]
-		for t := 0; t < lout; t++ {
-			base := t * m.size
-			best := base
-			for j := base + 1; j < base+m.size; j++ {
-				if xRow[j] > xRow[best] {
-					best = j
-				}
-			}
-			yRow[t] = xRow[best]
-			s.argmax[r*lout+t] = best
+		xRow, yRow := x[r*l:(r+1)*l], y[r*lout:(r+1)*lout]
+		if m.size == 2 {
+			pool2(yRow, xRow)
+			continue
+		}
+		for t := range yRow {
+			yRow[t] = xRow[poolArgmax(xRow, t*m.size, m.size)]
 		}
 	}
 }
 
-func (m *MaxPool1D) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
-	clear(dx)
+func (m *MaxPool1D) bwdWS(s *wsState, x, grad, dx []float64, _ bool) {
 	l, rows, lout := shapeCols(s.in), shapeRows(s.out), shapeCols(s.out)
+	if m.size == 2 && l == 2*lout {
+		pool2Bwd(dx, grad, x)
+		return
+	}
+	if m.size != 2 {
+		clear(dx)
+	}
 	for r := 0; r < rows; r++ {
-		gRow := grad[r*lout : (r+1)*lout]
-		dxRow := dx[r*l : (r+1)*l]
-		for t := 0; t < lout; t++ {
-			dxRow[s.argmax[r*lout+t]] += gRow[t]
+		xRow, gRow, dxRow := x[r*l:(r+1)*l], grad[r*lout:(r+1)*lout], dx[r*l:(r+1)*l]
+		if m.size == 2 {
+			pool2Bwd(dxRow, gRow, xRow)
+			continue
+		}
+		for t, g := range gRow {
+			dxRow[poolArgmax(xRow, t*m.size, m.size)] += g
 		}
 	}
 }
@@ -231,14 +231,13 @@ func (d *Dropout) fwdWS(s *wsState, x, y []float64, train bool) {
 	s.dropped = true
 	keep := 1 - d.p
 	scale := 1 / keep
+	scaleBits := math.Float64bits(scale)
 	for i, v := range x {
-		if s.rng.Float64() < keep {
-			s.fmask[i] = scale
-			y[i] = v * scale
-		} else {
-			s.fmask[i] = 0
-			y[i] = 0
-		}
+		// One draw per element in the oracle's order; the keep decision
+		// selects by mask, not by branch.
+		kept := boolMask(s.rng.Float64() < keep)
+		s.fmask[i] = math.Float64frombits(scaleBits & kept)
+		y[i] = math.Float64frombits(math.Float64bits(v*scale) & kept)
 	}
 }
 
