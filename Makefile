@@ -8,11 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line compiles and asmdecl-checks the packages with AVX
-# kernels as every platform without them sees them. The third vets the
-# nested benchmark module, whose imports of internal/... fail here in
-# seconds when a change breaks them.
+# The first line fails on any file gofmt would change, the benchmark
+# module's included. The third compiles and asmdecl-checks the packages
+# with AVX kernels as every platform without them sees them. The fourth
+# vets the nested benchmark module, whose imports of internal/... fail
+# here in seconds when a change breaks them.
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/cpu ./internal/nn ./internal/index
 	cd benchmark && $(GO) vet ./...
@@ -38,10 +40,12 @@ bench:
 # The gate. The nested benchmark module is vetted (by vet) and tested
 # here so a deletion that breaks its import surface fails before it
 # merges. The untrusted-input parser is fuzzed against its line-splitting
-# oracle, and the forward kernels (the one inference path) and backward
-# kernels against the test oracle, beyond the committed seeds.
+# oracle, and the forward kernels (the one inference path), the backward
+# kernels and the batch-major training pass against the test oracle,
+# beyond the committed seeds.
 check: build vet race smoke
 	cd benchmark && $(GO) test -short ./...
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesOracle -fuzztime 10s ./internal/ir
 	$(GO) test -run '^$$' -fuzz FuzzForwardKernels -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzBackwardKernels -fuzztime 10s ./internal/nn
+	$(GO) test -run '^$$' -fuzz FuzzTrainRows -fuzztime 10s ./internal/nn

@@ -8,8 +8,8 @@ import (
 // fakeClock drives a Breaker deterministically.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(1700000000, 0)}
 	b := NewBreaker(BreakerConfig{FailThreshold: threshold, Cooldown: cooldown})

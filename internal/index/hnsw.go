@@ -53,7 +53,7 @@ type HNSW struct {
 	cfg   HNSWConfig
 	store Store
 
-	levels   []int32   // levels[id] = top layer of node id
+	levels   []int32     // levels[id] = top layer of node id
 	links    [][][]int32 // links[id][layer] = neighbor ids
 	entry    int32
 	maxLevel int32

@@ -12,9 +12,7 @@
 // Sys instructions executed together with their argument registers.
 package ir
 
-import (
-	"fmt"
-)
+import "strconv"
 
 // Op identifies an instruction opcode.
 type Op uint8
@@ -66,7 +64,7 @@ const (
 	opEnd // sentinel; keep last
 )
 
-var opNames = map[Op]string{
+var opNames = [opEnd]string{
 	Nop: "nop", MovI: "movi", MovR: "mov", AddI: "addi", AddR: "add",
 	SubI: "subi", SubR: "sub", MulI: "muli", XorR: "xor", Load: "load",
 	Store: "store", CmpI: "cmpi", CmpR: "cmp", Jmp: "jmp", Jeq: "jeq",
@@ -74,12 +72,13 @@ var opNames = map[Op]string{
 	Sys: "sys", Ret: "ret",
 }
 
-// String returns the mnemonic for the opcode.
+// String returns the mnemonic for the opcode, or op(N) for an opcode
+// outside the instruction set.
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if o < opEnd && opNames[o] != "" {
+		return opNames[o]
 	}
-	return fmt.Sprintf("op(%d)", uint8(o))
+	return "op(" + strconv.Itoa(int(o)) + ")"
 }
 
 // Valid reports whether o is a defined opcode.
@@ -109,23 +108,51 @@ type Instr struct {
 }
 
 // String renders the instruction in assembly-like syntax.
-func (i Instr) String() string {
-	switch i.Op {
-	case Nop, Ret:
-		return i.Op.String()
-	case MovI, AddI, SubI, MulI, CmpI:
-		return fmt.Sprintf("%-5s r%d, %d", i.Op, i.A, i.B)
-	case MovR, AddR, SubR, XorR, CmpR:
-		return fmt.Sprintf("%-5s r%d, r%d", i.Op, i.A, i.B)
-	case Load:
-		return fmt.Sprintf("%-5s r%d, [%d]", i.Op, i.A, i.B)
-	case Store:
-		return fmt.Sprintf("%-5s [%d], r%d", i.Op, i.A, i.B)
-	case Jmp, Jeq, Jne, Jlt, Jle, Jgt, Jge:
-		return fmt.Sprintf("%-5s @%d", i.Op, i.A)
-	case Sys:
-		return fmt.Sprintf("%-5s %d", i.Op, i.A)
-	default:
-		return fmt.Sprintf("%-5s %d, %d", i.Op, i.A, i.B)
+func (i Instr) String() string { return string(i.appendText(nil)) }
+
+// appendText appends String's rendering of i to b: the mnemonic, padded
+// to five columns when operands follow, then the operands.
+func (i Instr) appendText(b []byte) []byte {
+	name := i.Op.String()
+	b = append(b, name...)
+	if i.Op == Nop || i.Op == Ret {
+		return b
 	}
+	for n := len(name); n < 5; n++ {
+		b = append(b, ' ')
+	}
+	b = append(b, ' ')
+	switch i.Op {
+	case MovI, AddI, SubI, MulI, CmpI:
+		b = appendReg(b, i.A)
+		b = append(b, ", "...)
+		return strconv.AppendInt(b, int64(i.B), 10)
+	case MovR, AddR, SubR, XorR, CmpR:
+		b = appendReg(b, i.A)
+		b = append(b, ", "...)
+		return appendReg(b, i.B)
+	case Load:
+		b = appendReg(b, i.A)
+		b = append(b, ", ["...)
+		b = strconv.AppendInt(b, int64(i.B), 10)
+		return append(b, ']')
+	case Store:
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(i.A), 10)
+		b = append(b, "], "...)
+		return appendReg(b, i.B)
+	case Jmp, Jeq, Jne, Jlt, Jle, Jgt, Jge:
+		b = append(b, '@')
+		return strconv.AppendInt(b, int64(i.A), 10)
+	case Sys:
+		return strconv.AppendInt(b, int64(i.A), 10)
+	default:
+		b = strconv.AppendInt(b, int64(i.A), 10)
+		b = append(b, ", "...)
+		return strconv.AppendInt(b, int64(i.B), 10)
+	}
+}
+
+func appendReg(b []byte, r int32) []byte {
+	return strconv.AppendInt(append(b, 'r'), int64(r), 10)
 }

@@ -3,7 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Validation errors.
@@ -92,12 +92,24 @@ func (p *Program) Validate() error {
 // String renders the whole program as assembly, one instruction per line
 // with its index.
 func (p *Program) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "; %s (%d instructions)\n", p.Name, len(p.Code))
+	b := make([]byte, 0, len(p.Name)+32+24*len(p.Code))
+	b = append(b, "; "...)
+	b = append(b, p.Name...)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, int64(len(p.Code)), 10)
+	b = append(b, " instructions)\n"...)
+	var num [20]byte
 	for i, ins := range p.Code {
-		fmt.Fprintf(&sb, "%4d: %s\n", i, ins)
+		d := strconv.AppendInt(num[:0], int64(i), 10)
+		for n := len(d); n < 4; n++ {
+			b = append(b, ' ')
+		}
+		b = append(b, d...)
+		b = append(b, ": "...)
+		b = ins.appendText(b)
+		b = append(b, '\n')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Asm assembles a program from symbolic instructions. Jump operands refer

@@ -12,22 +12,27 @@ import "math"
 // oracle as long as each one keeps its own chain. A chain is never
 // split, reassociated or fused.
 //
-// Two primitives do nearly all of the paper network's arithmetic:
+// Three primitives do nearly all of the paper network's arithmetic:
 //
 //   - conv3Tile: a k=3 convolution tile, 2 output channels x 8 output
 //     positions, input channels innermost.
-//   - dense8: 8 consecutive output neurons, inputs innermost.
+//   - dense8: 8 consecutive output neurons of one row, inputs innermost.
+//   - dense8x4: the same 8 neurons for a group of 4 rows, a lane per row,
+//     reading the group's inputs transposed (transpose4), so each weight
+//     is broadcast once for four rows and needs no transpose of its own.
 //
 // Each has two implementations of that contract: Go assembly on amd64
 // with AVX (kernels_amd64.s; a lane is one output), and the portable Go
 // twins below, which are also what the assembly is tested against. The
-// per-row driver (Conv1D.fwdWS, Dense.fwdWS: serving at batch 1,
-// TrainStep, LossGrad, Jacobian) and the batch driver (forwardBatch) run
-// on the same two functions, Conv1D.fwdRow and Dense.fwdRows; what the
-// primitives do not cover — a kernel size other than 3, an odd last
-// channel, a row shorter than one tile, the two edge outputs of "same"
-// padding, a dense layer that is not a multiple of 4 wide or 8 tall — is
-// plain Go under the same contract.
+// per-row path (Conv1D.fwdWS, Dense.fwdWS: serving at batch 1,
+// LossGrad, Jacobian) and the batch path (forwardRows: ProbsBatch and
+// every training step) run on the same two functions, Conv1D.fwdRow and
+// Dense.fwdRows; what the primitives do not cover — a kernel size other
+// than 3, an odd last channel, a row shorter than one tile, a dense layer
+// that is not a multiple of 8 tall, or not a multiple of 4 wide outside
+// a group of 4 rows — is plain Go under the same contract, and so are the
+// two edge outputs of "same" padding (conv3Edges) where the platform has
+// no assembly for them.
 
 // fwdRow computes the layer for one input x (cin x l) into y (cout x
 // lout).
@@ -55,9 +60,9 @@ func (c *Conv1D) fwdRow(x, y []float64, l, lout int) {
 				}
 				conv3Tile(y0[t:t+8], y1[t:t+8], x[t-pad:], w0, w1, b0, b1, c.cin, l)
 			}
-			if c.same {
-				conv3Edges(y0, y1, x, w0, w1, b0, b1, c.cin, l)
-			}
+		}
+		if c.same {
+			conv3Edges(y[:o*lout], x, c.w.W, c.b.W, c.cin, l)
 		}
 	}
 	for ; o < c.cout; o++ {
@@ -97,26 +102,22 @@ func conv3Quad(y, x, w []float64, bias float64, cin, l int) {
 	y[0], y[1], y[2], y[3] = v0, v1, v2, v3
 }
 
-// conv3Edges computes the first and last output of two channels of a k=3
-// "same" convolution, four chains at once: t = 0 sees taps 1 and 2 (tap 0
-// would read x[-1]), t = l-1 sees taps 0 and 1.
-func conv3Edges(y0, y1, x, w0, w1 []float64, b0, b1 float64, cin, l int) {
-	f0, e0, f1, e1 := b0, b0, b1, b1
-	for ci := 0; ci < cin; ci++ {
-		xr := x[ci*l : ci*l+l]
-		xa, xb, xc, xd := xr[0], xr[1], xr[l-2], xr[l-1]
-		u := w0[ci*3 : ci*3+3]
-		v := w1[ci*3 : ci*3+3]
-		f0 += u[1] * xa
-		f0 += u[2] * xb
-		e0 += u[0] * xc
-		e0 += u[1] * xd
-		f1 += v[1] * xa
-		f1 += v[2] * xb
-		e1 += v[0] * xc
-		e1 += v[1] * xd
+// conv3EdgesGo is the portable conv3Edges: the first and last output of
+// every channel of a k=3 "same" convolution, y[o*l] and y[o*l+l-1] for
+// o < len(y)/l, each its own chain: t = 0 sees taps 1 and 2 (tap 0 would
+// read x[-1]), t = l-1 sees taps 0 and 1.
+func conv3EdgesGo(y, x, w, b []float64, cin, l int) {
+	for o := 0; o < len(y)/l; o++ {
+		f, e := b[o], b[o]
+		for ci := 0; ci < cin; ci++ {
+			xr, u := x[ci*l:ci*l+l], w[(o*cin+ci)*3:(o*cin+ci)*3+3]
+			f += u[1] * xr[0]
+			f += u[2] * xr[1]
+			e += u[0] * xr[l-2]
+			e += u[1] * xr[l-1]
+		}
+		y[o*l], y[o*l+l-1] = f, e
 	}
-	y0[0], y0[l-1], y1[0], y1[l-1] = f0, e0, f1, e1
 }
 
 // convRow computes every output of one channel for any kernel size and
@@ -138,24 +139,72 @@ func convRow(y, x, w []float64, bias float64, cin, k, l, pad int) {
 }
 
 // fwdRows computes the layer for rows inputs, input r at in[r*inSize:]
-// and its outputs at out[r*outSize:]. Each block of eight neurons visits
-// every row before the next block starts, so its eight weight rows are
-// read from memory once per batch.
-func (d *Dense) fwdRows(in, out []float64, rows, inSize, outSize int) {
+// and its outputs at out[r*outSize:]. Every full group of four rows is
+// transposed into xt (which must hold (rows&^3)*d.in values) and runs on
+// dense8x4; the rows left over, 1 to 3 of them, run on dense8 as a batch
+// of one does. Each block of eight neurons visits every row before the
+// next block starts, so its eight weight rows are read from memory once
+// per batch.
+func (d *Dense) fwdRows(in, out, xt []float64, rows, inSize, outSize int) {
+	n4, o8 := rows&^3, d.out&^7
+	for g := 0; g < n4; g += 4 {
+		transpose4(xt[g*d.in:(g+4)*d.in], in[g*inSize:], inSize)
+	}
+	for o := 0; o < o8; o += 8 {
+		w, b := d.w.W[o*d.in:(o+8)*d.in], d.b.W[o:o+8]
+		for g := 0; g < n4; g += 4 {
+			dense8x4(out[g*outSize+o:], outSize, xt[g*d.in:(g+4)*d.in], w, b)
+		}
+	}
 	o := 0
 	if d.in%4 == 0 {
-		for ; o+8 <= d.out; o += 8 {
-			w := d.w.W[o*d.in : (o+8)*d.in]
-			b := d.b.W[o : o+8]
-			for r := 0; r < rows; r++ {
+		for ; o < o8; o += 8 {
+			w, b := d.w.W[o*d.in:(o+8)*d.in], d.b.W[o:o+8]
+			for r := n4; r < rows; r++ {
 				dense8(out[r*outSize+o:r*outSize+o+8], in[r*inSize:r*inSize+d.in], w, b)
 			}
 		}
 	}
-	if o < d.out {
-		w, b := d.w.W[o*d.in:], d.b.W[o:d.out]
-		for r := 0; r < rows; r++ {
-			denseGo(out[r*outSize+o:r*outSize+d.out], in[r*inSize:r*inSize+d.in], w, b)
+	for r := 0; r < rows; r++ {
+		lo := o
+		if r < n4 {
+			lo = o8
+		}
+		if lo < d.out {
+			denseGo(out[r*outSize+lo:r*outSize+d.out], in[r*inSize:r*inSize+d.in], d.w.W[lo*d.in:], d.b.W[lo:d.out])
+		}
+	}
+}
+
+// transpose4 writes four rows of len(xt)/4 inputs, row r at x[r*stride:],
+// input-major into xt: xt[i*4+r] = x[r*stride+i].
+func transpose4(xt, x []float64, stride int) {
+	in := len(xt) / 4
+	r0, r1, r2, r3 := x[:in], x[stride:stride+in], x[2*stride:2*stride+in], x[3*stride:3*stride+in]
+	for i := range r0 {
+		q := xt[i*4 : i*4+4]
+		q[0], q[1], q[2], q[3] = r0[i], r1[i], r2[i], r3[i]
+	}
+}
+
+// dense8x4Go is the portable dense8x4: for r < 4 and k < 8,
+// y[r*ys+k] = b[k] + the sum over i < in of w[k*in+i] * xt[i*4+r], where
+// in = len(xt)/4: eight neurons of a group of four rows, each its own
+// chain.
+func dense8x4Go(y []float64, ys int, xt, w, b []float64) {
+	in := len(xt) / 4
+	for r := 0; r < 4; r++ {
+		for k := 0; k < 8; k += 4 {
+			r0, r1, r2, r3 := w[k*in:(k+1)*in], w[(k+1)*in:(k+2)*in], w[(k+2)*in:(k+3)*in], w[(k+3)*in:(k+4)*in]
+			s0, s1, s2, s3 := b[k], b[k+1], b[k+2], b[k+3]
+			for i := range r0 {
+				xi := xt[i*4+r]
+				s0 += r0[i] * xi
+				s1 += r1[i] * xi
+				s2 += r2[i] * xi
+				s3 += r3[i] * xi
+			}
+			y[r*ys+k], y[r*ys+k+1], y[r*ys+k+2], y[r*ys+k+3] = s0, s1, s2, s3
 		}
 	}
 }

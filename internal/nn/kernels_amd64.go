@@ -39,6 +39,40 @@ func dense8(y, x, w, b []float64) {
 }
 
 //go:noescape
+func dense8x4AVX(y *float64, ys int, xt, w, b *float64, in int)
+
+func dense8x4(y []float64, ys int, xt, w, b []float64) {
+	if !useAVX {
+		dense8x4Go(y, ys, xt, w, b)
+		return
+	}
+	in := len(xt) / 4
+	// As in dense8; an empty xt fails on xt[-1].
+	_, _, _ = y[3*ys+7], w[8*in-1], b[7]
+	_ = xt[4*in-1]
+	dense8x4AVX(&y[0], ys, &xt[0], &w[0], &b[0], in)
+}
+
+//go:noescape
+func conv3EdgesAVX(y, x, w, b *float64, cin, l int)
+
+// conv3Edges computes the two edge outputs of every channel of a k=3
+// "same" row (conv3EdgesGo), four channels to a vector on AVX.
+func conv3Edges(y, x, w, b []float64, cin, l int) {
+	nch, o := len(y)/l, 0
+	if useAVX {
+		_ = x[cin*l-1]
+		for ; o+4 <= nch; o += 4 {
+			_, _, _ = y[(o+4)*l-1], w[(o+4)*cin*3-1], b[o+3]
+			conv3EdgesAVX(&y[o*l], &x[0], &w[o*cin*3], &b[o], cin, l)
+		}
+	}
+	if o < nch {
+		conv3EdgesGo(y[o*l:], x, w[o*cin*3:], b[o:], cin, l)
+	}
+}
+
+//go:noescape
 func conv3BwdTileAVX(dx, dy, w *float64, cin, cout, l, lout int)
 
 //go:noescape
@@ -84,6 +118,21 @@ func convDw(gw, g, cols []float64, mask []uint64, n, s int) {
 	}
 }
 
+//go:noescape
+func convDw2AVX(gw, dy, cols *float64, mask *uint64, n, s int)
+
+// convDw2 is convDw for two output channels: gw[c*s:(c+1)*s] from
+// g[c*n:(c+1)*n] for c < 2.
+func convDw2(gw, g, cols []float64, mask []uint64, n, s int) {
+	if !useAVX {
+		convDwGo(gw[:s], g[:n], cols, mask, n, s)
+		convDwGo(gw[s:2*s], g[n:2*n], cols, mask, n, s)
+		return
+	}
+	_, _, _, _ = gw[2*s-1], g[2*n-1], cols[n*s-1], mask[2*s-1]
+	convDw2AVX(&gw[0], &g[0], &cols[0], &mask[0], n, s)
+}
+
 func axpy(y, x []float64, a float64) {
 	n := len(y) &^ 3
 	if !useAVX || n == 0 {
@@ -93,6 +142,39 @@ func axpy(y, x []float64, a float64) {
 	_ = x[len(y)-1]
 	axpyAVX(&y[0], &x[0], a, n)
 	axpyGo(y[n:], x[n:], a)
+}
+
+//go:noescape
+func axpyListAVX(y, x *float64, offs *int, a *float64, k, n int)
+
+func axpyList(y, x []float64, offs []int, a []float64) {
+	n := len(y) &^ 3
+	if !useAVX || n == 0 || len(offs) == 0 {
+		axpyListGo(y, x, offs, a)
+		return
+	}
+	for _, off := range offs {
+		_ = x[off+len(y)-1]
+	}
+	_ = a[len(offs)-1]
+	axpyListAVX(&y[0], &x[0], &offs[0], &a[0], len(offs), n)
+	if n < len(y) {
+		axpyListGo(y[n:], x[n:], offs, a)
+	}
+}
+
+//go:noescape
+func adamAVX(w, gr, m, v *float64, n int, k *adamConsts)
+
+func adamStep(w, g, m, v []float64, k *adamConsts) {
+	n := len(w) &^ 3
+	if !useAVX || n == 0 {
+		adamGo(w, g, m, v, k)
+		return
+	}
+	_, _, _ = g[len(w)-1], m[len(w)-1], v[len(w)-1]
+	adamAVX(&w[0], &g[0], &m[0], &v[0], n, k)
+	adamGo(w[n:], g[n:], m[n:], v[n:], k)
 }
 
 //go:noescape

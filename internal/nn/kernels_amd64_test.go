@@ -36,6 +36,7 @@ func TestBitIdentityPortable(t *testing.T) {
 	t.Run("Batch", TestBatchForwardBitIdentical)
 	t.Run("BatchZeroTaps", TestBatchForwardZeroTaps)
 	t.Run("TrainerParity", TestTrainerWorkspaceParity)
+	t.Run("TrainRows", TestTrainRowsBitIdentical)
 	t.Run("ActivationKernels", TestActivationKernelsMatchOracle)
 }
 
@@ -54,18 +55,6 @@ func guarded(t *testing.T, rng *rand.Rand, n int, sentinel float64) (s []float64
 			if (i < lead || i >= lead+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
 				t.Fatalf("%s: guard element %d overwritten with %v", what, i-lead, v)
 			}
-		}
-	}
-}
-
-// kernelValues fills s with ordinary values and, by trial, a sprinkling
-// of fuzzValue's special cases: none, the ones that stay finite, or all.
-func kernelValues(rng *rand.Rand, trial int, s []float64) {
-	specials := []int{0, 9, 16}[trial%3]
-	for i := range s {
-		s[i] = rng.NormFloat64()
-		if specials > 0 && rng.Intn(16) == 0 {
-			s[i] = fuzzValue(byte(rng.Intn(specials)))
 		}
 	}
 }
@@ -123,7 +112,7 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 	}
 
 	for trial := 0; trial < 300; trial++ {
-		in, out, rows := 1+rng.Intn(400), 1+rng.Intn(40), 1+rng.Intn(3)
+		in, out, rows := 1+rng.Intn(400), 1+rng.Intn(40), 1+rng.Intn(10)
 		if trial%4 < 2 {
 			in = 4 * (1 + rng.Intn(100))
 		}
@@ -142,7 +131,7 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 			for j := range y {
 				y[j] = 12345.5 // the gaps between rows are guards too
 			}
-			d.fwdRows(x, y, rows, inSize, outSize)
+			d.fwdRows(x, y, make([]float64, rows*in), rows, inSize, outSize)
 			check(what)
 			for r := 0; r < rows; r++ {
 				for j := out; j < outSize; j++ {
@@ -279,6 +268,41 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 			run(what, in, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
 				d.w.G, d.b.G = grads[0], grads[1]
 				d.bwdWS(nil, x, g, dx, accum)
+			})
+		}
+	}
+
+	// Dense's batch pass, dense8x4's backward partner: the weight and the
+	// input gradient of a sub-batch on axpyList, with and without dx, rows
+	// whose g[o] is zero skipped.
+	for trial := 0; trial < 200; trial++ {
+		in, out, rows := 1+rng.Intn(400), 1+rng.Intn(150), 1+rng.Intn(trainSub)
+		if trial%4 < 2 {
+			in = 4 * (1 + rng.Intn(100))
+		}
+		d := NewDense("fc", in, out, rng)
+		x, _ := guarded(t, rng, rows*in, math.NaN())
+		g, _ := guarded(t, rng, rows*out, math.NaN())
+		kernelValues(rng, trial, d.w.W)
+		kernelValues(rng, trial, x)
+		kernelValues(rng, trial, g)
+		for o := range g {
+			if rng.Intn(3) == 0 {
+				g[o] = 0
+			}
+		}
+		gw, gb := make([]float64, len(d.w.G)), make([]float64, len(d.b.G))
+		kernelValues(rng, trial, gw)
+		kernelValues(rng, trial, gb)
+		offs, gs := make([]int, rows), make([]float64, rows)
+		for _, withDx := range []bool{false, true} {
+			what := fmt.Sprintf("dense rows in=%d out=%d rows=%d dx=%v", in, out, rows, withDx)
+			run(what, rows*in, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
+				d.w.G, d.b.G = grads[0], grads[1]
+				if !withDx {
+					dx = nil
+				}
+				d.bwdRows(x, g, dx, rows, offs, gs)
 			})
 		}
 	}

@@ -12,11 +12,12 @@ import "math"
 //     ascending, and that sum is added to the gradient once per call;
 //   - dense dx[i] starts at +0 and adds w[o,i] * g[o] over o ascending,
 //     skipping every o whose g[o] is zero;
-//   - dense gw[o,i] gets one add of g[o] * x[i] per call.
+//   - dense gw[o,i] gets one add of g[o] * x[i] per row, rows ascending,
+//     skipping every row whose g[o] is zero.
 //
 // So the lanes of a vector can again be outputs — dx or dw elements —
 // each lane running its own chain with separately rounded multiplies and
-// adds. Five primitives do the paper network's backward arithmetic:
+// adds. Seven primitives do the paper network's backward arithmetic:
 //
 //   - conv3BwdTile: the input gradient of a k=3 layer at 2 input channels
 //     x 8 positions whose three taps are all in range, output channels
@@ -26,8 +27,13 @@ import "math"
 //     see one or two taps, a lane per input channel.
 //   - convDw: the weight gradient of one output channel of a k=3 layer,
 //     lanes over (input channel, tap), reading an im2col copy of the layer
-//     input that the driver builds once per call.
-//   - axpy: y += x * a, the dense layer's dx and gw rows.
+//     input that bwdDw builds once per call; convDw2 is the same for
+//     two output channels, which share every load of that copy.
+//   - axpy: y += x * a, the dense layer's dx rows (and gw at batch 1).
+//   - axpyList: y += x_j * a_j over a list of rows x_j, in list order,
+//     a tile of y staying in registers: a training sub-batch's dense
+//     weight gradient, gw[o] taking the rows whose g[o] is nonzero in
+//     ascending order (Dense.bwdRows).
 //
 // Each has Go assembly on amd64 with AVX (kernels_amd64.s) and the
 // portable twin below, which the assembly is tested against. What the
@@ -164,5 +170,36 @@ func axpyGo(y, x []float64, a float64) {
 	x = x[:len(y)]
 	for i := range y {
 		y[i] += x[i] * a
+	}
+}
+
+// axpyListGo is the portable axpyList: y[e] += x[offs[j]+e] * a[j] for
+// every e < len(y), over j ascending.
+func axpyListGo(y, x []float64, offs []int, a []float64) {
+	for j, off := range offs {
+		axpyGo(y, x[off:off+len(y)], a[j])
+	}
+}
+
+// adamConsts are the scalars of one Adam step, in the order adamAVX reads
+// them.
+type adamConsts struct {
+	inv, b1, ob1, b2, ob2, lr, c1, c2, eps float64
+}
+
+// adamGo is the portable adamStep: for every j, with g = gr[j] * inv,
+//
+//	m[j] = b1*m[j] + (1-b1)*g
+//	v[j] = b2*v[j] + ((1-b2)*g)*g
+//	w[j] = w[j] - lr*(m[j]/c1) / (sqrt(v[j]/c2) + eps)
+//
+// each operation rounded on its own, in that order.
+func adamGo(w, gr, m, v []float64, k *adamConsts) {
+	gr, m, v = gr[:len(w)], m[:len(w)], v[:len(w)]
+	for j := range w {
+		g := gr[j] * k.inv
+		m[j] = k.b1*m[j] + k.ob1*g
+		v[j] = k.b2*v[j] + k.ob2*g*g
+		w[j] -= k.lr * (m[j] / k.c1) / (math.Sqrt(v[j]/k.c2) + k.eps)
 	}
 }

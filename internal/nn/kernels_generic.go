@@ -8,6 +8,10 @@ func conv3Tile(y0, y1, x, w0, w1 []float64, b0, b1 float64, cin, l int) {
 
 func dense8(y, x, w, b []float64) { denseGo(y, x, w, b) }
 
+func dense8x4(y []float64, ys int, xt, w, b []float64) { dense8x4Go(y, ys, xt, w, b) }
+
+func conv3Edges(y, x, w, b []float64, cin, l int) { conv3EdgesGo(y, x, w, b, cin, l) }
+
 func conv3BwdTile(dx, g, w []float64, cin, cout, l, lout int) {
 	conv3BwdTileGo(dx, g, w, cin, cout, l, lout)
 }
@@ -18,7 +22,16 @@ func conv3BwdTile4(dx, g, w []float64, cin, cout, l, lout int) {
 
 func convDw(gw, g, cols []float64, mask []uint64, n, s int) { convDwGo(gw, g, cols, mask, n, s) }
 
+func convDw2(gw, g, cols []float64, mask []uint64, n, s int) {
+	convDwGo(gw[:s], g[:n], cols, mask, n, s)
+	convDwGo(gw[s:2*s], g[n:2*n], cols, mask, n, s)
+}
+
 func axpy(y, x []float64, a float64) { axpyGo(y, x, a) }
+
+func axpyList(y, x []float64, offs []int, a []float64) { axpyListGo(y, x, offs, a) }
+
+func adamStep(w, g, m, v []float64, k *adamConsts) { adamGo(w, g, m, v, k) }
 
 func conv3BwdEdges(dx, g, w []float64, cin, cout, l, lout, pad int) {
 	conv3BwdEdgesGo(dx, g, w, cin, cin, cout, l, lout, pad)

@@ -49,6 +49,18 @@ func fuzzValue(b byte) float64 {
 	return float64(int8(b)) / 16
 }
 
+// kernelValues fills s with ordinary values and, by trial, a sprinkling
+// of fuzzValue's special cases: none, the ones that stay finite, or all.
+func kernelValues(rng *rand.Rand, trial int, s []float64) {
+	specials := []int{0, 9, 16}[trial%3]
+	for i := range s {
+		s[i] = rng.NormFloat64()
+		if specials > 0 && rng.Intn(16) == 0 {
+			s[i] = fuzzValue(byte(rng.Intn(specials)))
+		}
+	}
+}
+
 // fuzzNet is the fuzzers' network: conv1, an optional size-2 max-pool that
 // sees conv1's raw outputs (negatives, -0 and NaN included), ReLU, conv2,
 // and two dense layers with a ReLU between them.
@@ -268,7 +280,10 @@ func BenchmarkForward(b *testing.B) {
 // queries skip that part). Each of 64 workspaces holds the forward
 // activations and the loss gradients of its own row, and iteration i
 // runs the layer on workspace i%64, so the rows are distinct as in
-// BenchmarkForward.
+// BenchmarkForward. A dense layer also has fwd16 and bwd16: the batch
+// kernels a training sub-batch runs (Dense.fwdRows on dense8x4, and
+// Dense.bwdRows on axpyList), over 16 of those rows packed as in a plan,
+// in ns per row.
 func BenchmarkLayers(b *testing.B) {
 	net := PaperCNN(31)
 	xs := scaledInputs(rand.New(rand.NewSource(8)), 64, net.InputDim())
@@ -293,6 +308,30 @@ func BenchmarkLayers(b *testing.B) {
 					l.bwdWS(&ws.states[li], ws.acts[li], ws.gbufs[li+1], ws.gbufs[li], true)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+			})
+			d, ok := l.(*Dense)
+			if !ok {
+				continue
+			}
+			const rows = 16
+			var x, g []float64
+			for r := 0; r < rows; r++ {
+				x = append(x, wss[r].acts[li][:d.in]...)
+				g = append(g, wss[r].gbufs[li+1][:d.out]...)
+			}
+			y, dx, xt := make([]float64, rows*d.out), make([]float64, rows*d.in), make([]float64, rows*d.in)
+			offs, gs := make([]int, rows), make([]float64, rows)
+			b.Run(impl+"/"+l.Name()+"/fwd16", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.fwdRows(x, y, xt, rows, d.in, d.out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+			b.Run(impl+"/"+l.Name()+"/bwd16", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.bwdRows(x, g, dx, rows, offs, gs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 			})
 		}
 	})

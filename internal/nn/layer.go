@@ -49,7 +49,9 @@ type Layer interface {
 	// output gradient grad into dx, using only the per-layer state in s
 	// (never the layer's own fields). x is the layer input the workspace
 	// kept from the forward pass; accum selects whether parameter
-	// gradients accumulate into the layer's Param.G.
+	// gradients accumulate into the layer's Param.G. A layer with
+	// parameters takes a nil dx to skip the input gradient, which the
+	// training pass does for the first such layer.
 	fwdWS(s *wsState, x, y []float64, train bool)
 	bwdWS(s *wsState, x, grad, dx []float64, accum bool)
 }

@@ -20,13 +20,6 @@ var (
 	ErrLabelRange = errors.New("nn: label out of range")
 )
 
-// Optimizer updates shared weights from accumulated gradients.
-type Optimizer interface {
-	// Step applies the gradients in params (scaled by 1/scale) to the
-	// weights and clears nothing; callers zero gradients themselves.
-	Step(params []*Param, scale float64)
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with standard defaults.
 type Adam struct {
 	LR    float64 // 0 means 1e-3
@@ -36,10 +29,21 @@ type Adam struct {
 
 	t    int
 	m, v [][]float64
+	k    adamConsts // the current step's scalars (begin)
 }
 
-// Step implements Optimizer.
+// Step applies the gradients in params, scaled by 1/scale, to the
+// weights; it clears nothing, so callers zero gradients themselves.
 func (a *Adam) Step(params []*Param, scale float64) {
+	a.begin(params, scale)
+	for pi, p := range params {
+		a.update(pi, p, 0, len(p.W))
+	}
+}
+
+// begin starts one step: it allocates the moments on first use, advances
+// the step count and fixes the step's scalars for update.
+func (a *Adam) begin(params []*Param, scale float64) {
 	lr, b1, b2, eps := a.LR, a.Beta1, a.Beta2, a.Eps
 	if lr == 0 {
 		lr = 1e-3
@@ -62,18 +66,17 @@ func (a *Adam) Step(params []*Param, scale float64) {
 		}
 	}
 	a.t++
-	c1 := 1 - math.Pow(b1, float64(a.t))
-	c2 := 1 - math.Pow(b2, float64(a.t))
-	inv := 1 / scale
-	for i, p := range params {
-		m, v := a.m[i], a.v[i]
-		for j := range p.W {
-			g := p.G[j] * inv
-			m[j] = b1*m[j] + (1-b1)*g
-			v[j] = b2*v[j] + (1-b2)*g*g
-			p.W[j] -= lr * (m[j] / c1) / (math.Sqrt(v[j]/c2) + eps)
-		}
+	a.k = adamConsts{
+		inv: 1 / scale, b1: b1, ob1: 1 - b1, b2: b2, ob2: 1 - b2, lr: lr, eps: eps,
+		c1: 1 - math.Pow(b1, float64(a.t)),
+		c2: 1 - math.Pow(b2, float64(a.t)),
 	}
+}
+
+// update applies the current step to elements [lo, hi) of parameter pi,
+// p. Disjoint ranges may be updated concurrently.
+func (a *Adam) update(pi int, p *Param, lo, hi int) {
+	adamStep(p.W[lo:hi], p.G[lo:hi], a.m[pi][lo:hi], a.v[pi][lo:hi], &a.k)
 }
 
 // Trainer fits a network with mini-batch gradient descent, fanning samples
@@ -82,10 +85,9 @@ func (a *Adam) Step(params []*Param, scale float64) {
 type Trainer struct {
 	// Epochs is the maximum number of passes (paper: 200).
 	Epochs int
-	// BatchSize is the mini-batch size (paper: 100).
+	// BatchSize is the mini-batch size (paper: 100). The optimizer is
+	// Adam with its defaults (lr 1e-3).
 	BatchSize int
-	// Optimizer defaults to Adam with lr 1e-3.
-	Optimizer Optimizer
 	// Seed drives shuffling and dropout.
 	Seed int64
 	// Workers is the data-parallel width; 0 means GOMAXPROCS.
@@ -166,15 +168,33 @@ func NewGradReducer(net *Network, clones []*Network) *GradReducer {
 // clone accumulator, fanning chunks across up to workers pool workers.
 // With a single clone it folds inline to skip goroutine spawn.
 func (r *GradReducer) Reduce(ctx context.Context, workers int) error {
+	return r.each(ctx, workers, r.fold)
+}
+
+// reduceStep is Reduce followed by a.Step(params, scale), in one pass:
+// each chunk is folded and then stepped by the same pool worker while it
+// is in that core's cache. Chunks are disjoint, so the result is Reduce
+// then Step's, bit for bit.
+func (r *GradReducer) reduceStep(ctx context.Context, workers int, a *Adam, scale float64) error {
+	a.begin(r.params, scale)
+	return r.each(ctx, workers, func(c gradChunk) {
+		r.fold(c)
+		a.update(c.pi, r.params[c.pi], c.lo, c.hi)
+	})
+}
+
+// each runs f on every chunk, inline for a single clone or worker and
+// fanned across the pool otherwise.
+func (r *GradReducer) each(ctx context.Context, workers int, f func(gradChunk)) error {
 	if len(r.cp) == 1 || workers == 1 {
 		for _, c := range r.chunks {
-			r.fold(c)
+			f(c)
 		}
 		return nil
 	}
 	return pool.Run(ctx, len(r.chunks), pool.Options{Workers: workers},
 		func(_ context.Context, _, k int) error {
-			r.fold(r.chunks[k])
+			f(r.chunks[k])
 			return nil
 		})
 }
@@ -218,10 +238,11 @@ func (t *Trainer) Fit(net *Network, x [][]float64, y []int) (*History, error) {
 
 // FitCtx trains net on (X, y), checking ctx between batches so long runs
 // can be cancelled or time-boxed; on cancellation it returns the partial
-// history alongside the context's error. Per-batch sample processing fans
-// out on the shared worker pool with a strided worker→sample binding, so
-// results are byte-identical for a fixed Seed and Workers regardless of
-// scheduling. A panic inside a layer (a poisoned feature vector) is
+// history alongside the context's error. Each batch fans out on the
+// shared worker pool with a strided worker→sample binding — worker w
+// trains rows w, w+Workers, … of the batch, batch-major (trainShare) —
+// so results are byte-identical for a fixed Seed and Workers regardless
+// of scheduling. A panic inside a layer (a poisoned feature vector) is
 // captured by the pool and returned as an error instead of crashing the
 // process.
 func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []int) (*History, error) {
@@ -244,10 +265,6 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 	batch := t.BatchSize
 	if batch <= 0 {
 		batch = 100
-	}
-	opt := t.Optimizer
-	if opt == nil {
-		opt = &Adam{}
 	}
 	workers := t.Workers
 	if workers <= 0 {
@@ -284,7 +301,7 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 		}
 	}
 	red := NewGradReducer(net, clones)
-	params := red.params
+	opt := &Adam{}
 	losses := make([]float64, workers)
 	hits := make([]int, workers)
 	idx := make([]int, len(x))
@@ -299,45 +316,28 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 		var epochLoss float64
 		var correct int
 		for start := 0; start < len(idx); start += batch {
-			end := start + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			chunk := idx[start:end]
-			for w := 0; w < workers; w++ {
-				losses[w] = 0
-				hits[w] = 0
-			}
-			err := pool.Run(ctx, len(chunk), pool.Options{Workers: workers, Strided: true},
-				func(_ context.Context, w, k int) error {
-					i := chunk[k]
-					xi := x[i]
-					if t.Augment != nil {
-						if ax := t.Augment(scratch[w], i, xi, y[i]); ax != nil {
-							xi = ax
-						}
+			chunk := idx[start:min(start+batch, len(idx))]
+			clear(losses)
+			clear(hits)
+			err := pool.Run(ctx, min(workers, len(chunk)), pool.Options{Workers: workers, Strided: true},
+				func(_ context.Context, _, w int) error {
+					var sc *Network
+					if scratch != nil {
+						sc = scratch[w]
 					}
-					weight := 1.0
-					if t.ClassWeights != nil {
-						weight = t.ClassWeights[y[i]]
-					}
-					loss, hit := wss[w].TrainStep(xi, y[i], weight)
-					losses[w] += loss
-					if hit {
-						hits[w]++
-					}
+					losses[w], hits[w] = t.trainShare(wss[w], sc, x, y, chunk, w, workers)
 					return nil
 				})
 			if err != nil {
 				return hist, fmt.Errorf("nn: epoch %d: %w", epoch, err)
 			}
-			// Reduce clone gradients into the master parameters in a
-			// fixed order for determinism: the chunked pairwise tree
-			// (fused zeroing, parallel over the pool).
-			if err := red.Reduce(ctx, workers); err != nil {
+			// Fold the clone gradients into the master parameters in a
+			// fixed order for determinism — the chunked pairwise tree,
+			// with fused zeroing — and take the Adam step on each chunk
+			// as it is folded, parallel over the pool.
+			if err := red.reduceStep(ctx, workers, opt, float64(len(chunk))); err != nil {
 				return hist, fmt.Errorf("nn: epoch %d: reduce: %w", epoch, err)
 			}
-			opt.Step(params, float64(len(chunk)))
 			for w := 0; w < workers; w++ {
 				epochLoss += losses[w]
 				correct += hits[w]
@@ -361,4 +361,40 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 		}
 	}
 	return hist, nil
+}
+
+// trainShare is worker w's part of one mini-batch: rows chunk[w],
+// chunk[w+workers], … in sub-batches of trainSub. Each row of a
+// sub-batch is augmented (when Augment is set) and loaded in order, then
+// the sub-batch takes one batch-major training pass on ws. It returns the
+// rows' summed loss, added in row order, and their hit count.
+func (t *Trainer) trainShare(ws *Workspace, scratch *Network, x [][]float64, y []int, chunk []int, w, workers int) (loss float64, hits int) {
+	bp := ws.plan(trainSub, true)
+	for k := w; k < len(chunk); {
+		n := 0
+		for ; n < trainSub && k < len(chunk); k += workers {
+			i := chunk[k]
+			xi := x[i]
+			if t.Augment != nil {
+				if ax := t.Augment(scratch, i, xi, y[i]); ax != nil {
+					xi = ax
+				}
+			}
+			weight := 1.0
+			if t.ClassWeights != nil {
+				weight = t.ClassWeights[y[i]]
+			}
+			bp.load(n, xi)
+			bp.labels[n], bp.weights[n] = y[i], weight
+			n++
+		}
+		ws.trainRows(bp, n)
+		for r := 0; r < n; r++ {
+			loss += bp.loss[r]
+			if bp.hit[r] {
+				hits++
+			}
+		}
+	}
+	return loss, hits
 }

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -128,4 +130,48 @@ func TestAdamStateGrows(t *testing.T) {
 	if p.W[0] >= before {
 		t.Errorf("Adam step did not descend: %v -> %v", before, p.W[0])
 	}
+}
+
+// BenchmarkTrainEpoch is one epoch of the paper CNN (PaperCNN) over 2,048
+// scaledInputs rows at batch 100 — the trainer's whole loop: batch-major
+// shares, the gradient fold and the Adam step — at one and two workers,
+// in ms/epoch.
+func BenchmarkTrainEpoch(b *testing.B) {
+	xs := scaledInputs(rand.New(rand.NewSource(8)), 2048, PaperInputLen)
+	ys := make([]int, len(xs))
+	for i := range ys {
+		ys[i] = i % 3 % 2
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			net := PaperCNN(31)
+			for i := 0; i < b.N; i++ {
+				tr := &Trainer{Epochs: 1, BatchSize: 100, Seed: int64(i), Workers: workers}
+				if _, err := tr.Fit(net, xs, ys); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/epoch")
+		})
+	}
+}
+
+// BenchmarkAdamStep is one Adam step over every parameter of the paper
+// CNN, serial, on every kernel implementation.
+func BenchmarkAdamStep(b *testing.B) {
+	net := PaperCNN(31)
+	rng := rand.New(rand.NewSource(4))
+	for _, p := range net.Params() {
+		for j := range p.G {
+			p.G[j] = rng.NormFloat64()
+		}
+	}
+	eachKernelImpl(b, func(impl string) {
+		b.Run(impl, func(b *testing.B) {
+			a := &Adam{}
+			for i := 0; i < b.N; i++ {
+				a.Step(net.Params(), 100)
+			}
+		})
+	})
 }

@@ -43,7 +43,7 @@ type Workspace struct {
 	jac    [][]float64 // nClasses rows of inputDim
 	inDim  int
 	shapes [][]int    // activation shape at every layer boundary
-	bp     *batchPlan // batch-major eval buffers, built on first batch call
+	bp, tp *batchPlan // batch-major eval and train buffers, built on first use
 }
 
 // wsState is the per-layer state a workspace owns so running the engine
@@ -230,24 +230,19 @@ func (ws *Workspace) Jacobian(x []float64) ([]float64, [][]float64) {
 	return logits, ws.jac
 }
 
-// TrainStep is the trainer's whole per-sample inner loop in one
-// zero-allocation call: forward in train mode, weighted softmax
-// cross-entropy, and a full backward accumulating parameter gradients
-// into the view's Param.G. It returns the (weighted) loss and whether the
-// prediction was correct. weight scales both the loss and the logit
-// gradient (class weighting); 1 applies no scaling.
+// TrainStep is one training row in one zero-allocation call: forward in
+// train mode, weighted softmax cross-entropy, and a full backward
+// accumulating parameter gradients into the view's Param.G. It returns
+// the (weighted) loss and whether the prediction was correct. weight
+// scales both the loss and the logit gradient (class weighting); 1
+// applies no scaling. It is the one-row case of the batch-major pass the
+// Trainer runs (trainRows), so both take the same code path.
 func (ws *Workspace) TrainStep(x []float64, label int, weight float64) (float64, bool) {
-	logits := ws.Forward(x, true)
-	loss := softmaxCEInto(ws.dlog, logits, label)
-	if weight != 1 {
-		loss *= weight
-		for j := range ws.dlog {
-			ws.dlog[j] *= weight
-		}
-	}
-	correct := Argmax(logits) == label
-	ws.backprop(ws.dlog, true)
-	return loss, correct
+	bp := ws.plan(1, true)
+	bp.load(0, x)
+	bp.labels[0], bp.weights[0] = label, weight
+	ws.trainRows(bp, 1)
+	return bp.loss[0], bp.hit[0]
 }
 
 // SafeProbs is the serving-path variant of Probs: the input dimension is

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
 
 // Workspace kernels: the per-layer fwdWS/bwdWS implementations. Each one
 // computes exactly the same floating-point operations, in exactly the
@@ -35,7 +38,9 @@ func (c *Conv1D) bwdWS(s *wsState, x, g, dx []float64, accum bool) {
 			c.bwdDwRows(x, g, l, lout)
 		}
 	}
-	c.bwdDx(dx, g, l, lout)
+	if dx != nil {
+		c.bwdDx(dx, g, l, lout)
+	}
 }
 
 // bwdDx computes the input gradient. A k=3 layer's interior — every input
@@ -99,26 +104,36 @@ func (c *Conv1D) bwdDxRows(dx, g []float64, l, lout int) {
 	}
 }
 
-// bwdDw accumulates the weight gradients of a k=3 layer with convDw: row t
-// of s.dwCols holds, at lane ci*3+j, the input tap j of channel ci reads for
-// output t (0 where that falls off a "same" row, a lane s.mask drops).
+// bwdDw accumulates the weight gradients of a k=3 layer with convDw, two
+// output channels at a time (convDw2) and a last odd one alone: row t of
+// s.dwCols holds, at lane ci*3+j, the input tap j of channel ci reads for
+// output t. Every row whose three taps are in range takes three plain
+// copies per channel; the first and last row of a "same" layer read past
+// the row at tap 0 and tap 2, which get a 0 there (a lane s.dwMask drops
+// anyway).
 func (c *Conv1D) bwdDw(s *wsState, x, g []float64, l, lout int) {
 	m, pad := c.cin*3, c.pad()
 	cols := s.dwCols[:lout*m]
-	for t := 0; t < lout; t++ {
-		row := cols[t*m : (t+1)*m]
+	for t := pad; t < lout-pad; t++ {
+		row, u := cols[t*m:(t+1)*m], t-pad
 		for ci := 0; ci < c.cin; ci++ {
-			xRow := x[ci*l : (ci+1)*l]
-			for j := 0; j < 3; j++ {
-				v := 0.0
-				if u := t + j - pad; u >= 0 && u < l {
-					v = xRow[u]
-				}
-				row[ci*3+j] = v
-			}
+			r, xr := row[ci*3:ci*3+3], x[ci*l+u:ci*l+u+3]
+			r[0], r[1], r[2] = xr[0], xr[1], xr[2]
 		}
 	}
-	for o := 0; o < c.cout; o++ {
+	if pad == 1 {
+		first, last := cols[:m], cols[(lout-1)*m:lout*m]
+		for ci := 0; ci < c.cin; ci++ {
+			xr := x[ci*l : (ci+1)*l]
+			first[ci*3], first[ci*3+1], first[ci*3+2] = 0, xr[0], xr[1]
+			last[ci*3], last[ci*3+1], last[ci*3+2] = xr[l-2], xr[l-1], 0
+		}
+	}
+	o := 0
+	for ; o+2 <= c.cout; o += 2 {
+		convDw2(c.w.G[o*m:(o+2)*m], g[o*lout:(o+2)*lout], cols, s.dwMask, lout, m)
+	}
+	if o < c.cout {
 		convDw(c.w.G[o*m:(o+1)*m], g[o*lout:(o+1)*lout], cols, s.dwMask, lout, m)
 	}
 }
@@ -199,13 +214,18 @@ func (m *MaxPool1D) fwdRows(x, y []float64, rows, l, lout int) {
 }
 
 func (m *MaxPool1D) bwdWS(s *wsState, x, grad, dx []float64, _ bool) {
-	l, rows, lout := shapeCols(s.in), shapeRows(s.out), shapeCols(s.out)
+	m.bwdRows(x, grad, dx, shapeRows(s.out), shapeCols(s.in), shapeCols(s.out))
+}
+
+// bwdRows is fwdRows's backward pass: dx, rows rows of l, from grad, rows
+// rows of lout, and the layer input x.
+func (m *MaxPool1D) bwdRows(x, grad, dx []float64, rows, l, lout int) {
 	if m.size == 2 && l == 2*lout {
-		pool2Bwd(dx, grad, x)
+		pool2Bwd(dx[:rows*l], grad[:rows*lout], x)
 		return
 	}
 	if m.size != 2 {
-		clear(dx)
+		clear(dx[:rows*l])
 	}
 	for r := 0; r < rows; r++ {
 		xRow, gRow, dxRow := x[r*l:(r+1)*l], grad[r*lout:(r+1)*lout], dx[r*l:(r+1)*l]
@@ -229,14 +249,20 @@ func (d *Dropout) fwdWS(s *wsState, x, y []float64, train bool) {
 		return
 	}
 	s.dropped = true
+	d.dropout(s.rng, s.fmask, x, y)
+}
+
+// dropout is the train-mode forward pass over len(y) elements: one draw
+// from rng per element in the oracle's order, and the keep decision
+// selects y and its mask by bit mask, not by branch.
+func (d *Dropout) dropout(rng *rand.Rand, mask, x, y []float64) {
 	keep := 1 - d.p
 	scale := 1 / keep
 	scaleBits := math.Float64bits(scale)
+	x, mask = x[:len(y)], mask[:len(y)]
 	for i, v := range x {
-		// One draw per element in the oracle's order; the keep decision
-		// selects by mask, not by branch.
-		kept := boolMask(s.rng.Float64() < keep)
-		s.fmask[i] = math.Float64frombits(scaleBits & kept)
+		kept := boolMask(rng.Float64() < keep)
+		mask[i] = math.Float64frombits(scaleBits & kept)
 		y[i] = math.Float64frombits(math.Float64bits(v*scale) & kept)
 	}
 }
@@ -246,8 +272,14 @@ func (d *Dropout) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
 		copy(dx, grad)
 		return
 	}
-	for i, g := range grad {
-		dx[i] = g * s.fmask[i]
+	dropoutBwd(dx, grad, s.fmask)
+}
+
+// dropoutBwd is dx[i] = g[i] * mask[i] over len(dx) elements.
+func dropoutBwd(dx, g, mask []float64) {
+	g, mask = g[:len(dx)], mask[:len(dx)]
+	for i, gi := range g {
+		dx[i] = gi * mask[i]
 	}
 }
 
@@ -263,7 +295,7 @@ func (f *Flatten) bwdWS(_ *wsState, _, _, _ []float64, _ bool) {}
 // Dense
 
 func (d *Dense) fwdWS(_ *wsState, x, y []float64, _ bool) {
-	d.fwdRows(x, y, 1, d.in, d.out)
+	d.fwdRows(x, y, nil, 1, d.in, d.out)
 }
 
 func (d *Dense) bwdWS(_ *wsState, x, grad, dx []float64, accum bool) {
@@ -280,5 +312,44 @@ func (d *Dense) bwdWS(_ *wsState, x, grad, dx []float64, accum bool) {
 		if accum {
 			axpy(d.w.G[o*d.in:(o+1)*d.in], x, g)
 		}
+	}
+}
+
+// bwdRows is bwdWS with accumulation for rows packed rows of a training
+// sub-batch, x and grad at strides d.in and d.out, dx (nil to skip the
+// input gradient) at d.in; offs and gs are scratch of at least rows
+// entries. Each weight row and each gradient row is read once for the
+// batch: neuron o lists the rows whose g[o] is nonzero, adds w[o]*g[o] to
+// each of their dx rows, and hands the list to axpyList, which adds the
+// rows' g[o]*x to gw[o] in ascending row order. Every element thus takes
+// its terms in bwdWS's order, skips included: dx[i] over o ascending,
+// gw[o][i] and the bias over rows ascending.
+func (d *Dense) bwdRows(x, grad, dx []float64, rows int, offs []int, gs []float64) {
+	for r := 0; r < rows; r++ {
+		for o, g := range grad[r*d.out : (r+1)*d.out] {
+			d.b.G[o] += g
+		}
+	}
+	if dx != nil {
+		clear(dx[:rows*d.in])
+	}
+	for o := 0; o < d.out; o++ {
+		k := 0
+		for r := 0; r < rows; r++ {
+			if g := grad[r*d.out+o]; g != 0 {
+				offs[k], gs[k] = r*d.in, g
+				k++
+			}
+		}
+		if k == 0 {
+			continue
+		}
+		if dx != nil {
+			w := d.w.W[o*d.in : (o+1)*d.in]
+			for j, off := range offs[:k] {
+				axpy(dx[off:off+d.in], w, gs[j])
+			}
+		}
+		axpyList(d.w.G[o*d.in:(o+1)*d.in], x, offs[:k], gs[:k])
 	}
 }
