@@ -18,10 +18,6 @@ type freshEngine struct{ ws *nn.Workspace }
 
 func (f freshEngine) NumClasses() int { return f.ws.NumClasses() }
 
-func (f freshEngine) Forward(x []float64, train bool) []float64 {
-	return cloneVec(f.ws.Forward(x, train))
-}
-
 func (f freshEngine) Logits(x []float64) []float64 { return cloneVec(f.ws.Logits(x)) }
 
 func (f freshEngine) Probs(x []float64) []float64 { return cloneVec(f.ws.Probs(x)) }

@@ -57,8 +57,8 @@ func TestMergeFigures(t *testing.T) {
 	}
 	// Every block is reachable from the shared entry in the CFG, even
 	// though the target body never executes.
-	for v, ok := range g.ReachableFrom(0) {
-		if !ok {
+	for v, d := range g.BFSFrom(0) {
+		if d < 0 {
 			t.Errorf("block %d unreachable from shared entry", v)
 		}
 	}

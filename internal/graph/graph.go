@@ -207,28 +207,6 @@ func (g *Graph) Relabel(perm []int) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// ReachableFrom returns the set of nodes reachable from src (including src)
-// following out-edges.
-func (g *Graph) ReachableFrom(src int) []bool {
-	seen := make([]bool, g.N())
-	if src < 0 || src >= g.N() {
-		return seen
-	}
-	stack := []int32{int32(src)}
-	seen[src] = true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.out[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
-}
-
 // BFSFrom returns the vector of unweighted shortest-path distances from src
 // following out-edges; unreachable nodes get -1.
 func (g *Graph) BFSFrom(src int) []int {

@@ -210,20 +210,6 @@ func TestBFSFrom(t *testing.T) {
 	}
 }
 
-func TestReachableFrom(t *testing.T) {
-	b := NewBuilder(4)
-	mustEdge(t, b, 0, 1)
-	mustEdge(t, b, 2, 3)
-	g := b.Build()
-	seen := g.ReachableFrom(0)
-	want := []bool{true, true, false, false}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Errorf("ReachableFrom(0)[%d] = %v, want %v", i, seen[i], want[i])
-		}
-	}
-}
-
 func TestRelabel(t *testing.T) {
 	g := path(t, 3)
 	h, err := g.Relabel([]int{2, 1, 0})
@@ -282,9 +268,8 @@ func TestRandomFlowConnectivity(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n := 2 + rng.Intn(60)
 		g := RandomFlow(rng, n, 0.05)
-		seen := g.ReachableFrom(0)
-		for v, ok := range seen {
-			if !ok {
+		for v, d := range g.BFSFrom(0) {
+			if d < 0 {
 				t.Fatalf("RandomFlow node %d unreachable from entry (n=%d)", v, n)
 			}
 		}

@@ -99,73 +99,3 @@ func TestParseAllocs(t *testing.T) {
 		t.Errorf("Parse of 1,000 instructions: %v allocs, want <= 40", allocs)
 	}
 }
-
-func TestAnalyze(t *testing.T) {
-	p := mustBuild(t, NewAsm("an").
-		Emit(CmpI, 0, 7).
-		Jump(Jne, "ok").
-		Emit(Ret). // early exit
-		Label("ok").
-		Emit(MovI, 5, 3).
-		Label("head").
-		Emit(SubI, 5, 1).
-		Emit(CmpI, 5, 0).
-		Jump(Jgt, "head").
-		Emit(Ret))
-	a, err := Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Blocks < 4 {
-		t.Errorf("blocks = %d", a.Blocks)
-	}
-	if len(a.ExitBlocks) != 2 {
-		t.Errorf("exits = %v, want 2", a.ExitBlocks)
-	}
-	if a.Loops != 1 {
-		t.Errorf("loops = %d, want 1 (the self loop)", a.Loops)
-	}
-	if len(a.UnreachableBlocks) != 0 {
-		t.Errorf("unreachable = %v, want none", a.UnreachableBlocks)
-	}
-	if len(a.NoExitPath) != 0 {
-		t.Errorf("no-exit blocks = %v, want none", a.NoExitPath)
-	}
-}
-
-func TestAnalyzeFindsDeadCodeAndTraps(t *testing.T) {
-	// jmp over a dead block; then a reachable spin without exit path is
-	// deliberately NOT constructible with a validating ret-terminated
-	// program unless the spin jumps to itself before any ret.
-	p := mustBuild(t, NewAsm("dead").
-		Jump(Jmp, "live").
-		Emit(AddI, 4, 1). // dead
-		Label("live").
-		Emit(Ret))
-	a, err := Analyze(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.UnreachableBlocks) != 1 {
-		t.Errorf("unreachable = %v, want exactly the dead block", a.UnreachableBlocks)
-	}
-
-	// An unconditional self-spin that never reaches ret.
-	spin := mustBuild(t, NewAsm("spin").
-		Label("s").
-		Jump(Jmp, "s").
-		Emit(Ret))
-	a, err = Analyze(spin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.NoExitPath) != 1 {
-		t.Errorf("no-exit blocks = %v, want the spin block", a.NoExitPath)
-	}
-}
-
-func TestAnalyzeInvalid(t *testing.T) {
-	if _, err := Analyze(&Program{}); err == nil {
-		t.Error("Analyze accepted invalid program")
-	}
-}

@@ -1,18 +1,21 @@
 package nn
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // FuzzBackwardKernels is the differential fuzzer of the backward pass: on
 // a conv/conv/dense/dense network (fuzzNet) whose shape, weights, input
-// and logit gradient all come from the fuzz input, workspace backprop —
-// with and without weight-gradient accumulation, on every kernel
-// implementation the platform has — must agree with the test oracle bit
-// for bit at every layer boundary and in every parameter gradient. The
-// seeds below run in every `go test`.
+// and logit gradient all come from the fuzz input, the workspace must
+// agree with the test oracle bit for bit on every kernel implementation
+// the platform has. Without weight-gradient accumulation, InputGrad on
+// the grad plan of each suffix of the layer stack, fed the oracle's
+// activation at the suffix's first boundary, must return the oracle's
+// gradient at that boundary and leave every Param.G zero. With it, the
+// backward pass of a train plan seeded with the same logit gradient must
+// accumulate every parameter gradient the oracle does. The seeds below
+// run in every `go test`.
 func FuzzBackwardKernels(f *testing.F) {
 	ordinary := []byte("\x20\x31\xf0\x47\x71\xe3\x9c\x18\x5a\xd2\x33")
 	f.Add(uint8(23), uint8(46), uint8(46), uint8(64), uint8(1), ordinary, ordinary)                                   // the paper's first block: conv2's dx tiles of 8
@@ -64,43 +67,63 @@ func FuzzBackwardKernels(f *testing.F) {
 			}
 		}
 
-		// The oracle, one layer at a time.
 		layers := net.Layers()
 		o := newOracle(net)
-		o.Forward(x, false)
 		net.ZeroGrad()
-		want := make([][]float64, len(layers)+1)
-		g := &tensor{shape: []int{2}, data: append([]float64(nil), dlog...)}
-		want[len(layers)] = g.data
-		for li := len(layers) - 1; li >= 0; li-- {
-			g = o.layers[li].backward(g)
-			want[li] = append([]float64(nil), g.data...)
-		}
+		acts, want := oracleBoundaries(o, x, dlog)
 		var wantG [][]float64
 		for _, p := range net.Params() {
 			wantG = append(wantG, append([]float64(nil), p.G...))
 		}
 
+		shapes := net.shapes()
 		eachKernelImpl(t, func(impl string) {
-			for _, accum := range []bool{false, true} {
-				what := fmt.Sprintf("%s accum=%v", impl, accum)
-				view := net.CloneShared()
-				ws := NewWorkspace(view)
-				ws.Forward(x, false)
-				ws.backprop(dlog, accum)
-				for li := len(layers) - 1; li >= 0; li-- {
-					sameFloats(t, what+" dx of "+layers[li].Name(), ws.gbufs[li], want[li])
-				}
-				for pi, p := range view.Params() {
-					wg := wantG[pi]
-					if !accum {
-						wg = make([]float64, len(p.G))
-					}
-					sameFloats(t, what+" "+p.Name, p.G, wg)
-				}
+			what := impl + " accum=false"
+			view := net.CloneShared()
+			for li := len(layers) - 1; li >= 0; li-- {
+				ws := NewWorkspace(NewNetwork(shapes[li], 2, view.Layers()[li:]...))
+				ws.Logits(acts[li])
+				sameFloats(t, what+" dx of "+layers[li].Name(), ws.InputGrad(dlog), want[li])
+			}
+			for _, p := range view.Params() {
+				sameFloats(t, what+" "+p.Name, p.G, make([]float64, len(p.G)))
+			}
+
+			what = impl + " accum=true"
+			view = net.CloneShared()
+			ws := NewWorkspace(view)
+			bp := ws.plan(1, planTrain)
+			bp.load(0, x)
+			ws.forwardRows(bp, 1)
+			copy(bp.gin, dlog)
+			ws.backwardRows(bp, 1)
+			for pi, p := range view.Params() {
+				sameFloats(t, what+" "+p.Name, p.G, wantG[pi])
 			}
 		})
 	})
+}
+
+// oracleBoundaries runs x forward through the test oracle in eval mode
+// and dLogits back, one layer at a time, and returns copies of the
+// activation and of the gradient at every layer boundary; the oracle's
+// Param.G accumulate the parameter gradients.
+func oracleBoundaries(o *oracle, x, dLogits []float64) (acts, grads [][]float64) {
+	n := len(o.layers)
+	acts, grads = make([][]float64, n+1), make([][]float64, n+1)
+	t := &tensor{shape: append([]int(nil), o.net.inShape...), data: append([]float64(nil), x...)}
+	acts[0] = append([]float64(nil), x...)
+	for li, l := range o.layers {
+		t = l.forward(t, false)
+		acts[li+1] = append([]float64(nil), t.data...)
+	}
+	g := &tensor{shape: []int{len(dLogits)}, data: append([]float64(nil), dLogits...)}
+	grads[n] = append([]float64(nil), dLogits...)
+	for li := n - 1; li >= 0; li-- {
+		g = o.layers[li].backward(g)
+		grads[li] = append([]float64(nil), g.data...)
+	}
+	return acts, grads
 }
 
 // BenchmarkBackward is the gradient path of the paper network per input

@@ -8,9 +8,9 @@ import (
 // TestBatchForwardBitIdentical is the batch-major counterpart of
 // TestWorkspaceBitIdentical: on random architectures (kernel sizes 1/3/5,
 // both paddings, random pools and dropouts) and random batches,
-// ProbsBatch and PredictBatch are bit-for-bit identical to the test
-// oracle applied row by row — reordering layers outside and rows inside
-// must not change a single bit.
+// ProbsBatch is bit-for-bit identical to the test oracle applied row by
+// row — reordering layers outside and rows inside must not change a
+// single bit — and so is the verdict Predict gives each row.
 func TestBatchForwardBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	trials := 40
@@ -31,11 +31,10 @@ func TestBatchForwardBitIdentical(t *testing.T) {
 				xs[i] = randVec(rng, dim)
 			}
 			probs := ws.ProbsBatch(xs, nil)
-			preds := ws.PredictBatch(xs, nil)
 			for i, x := range xs {
 				bitsEqual(t, "batch probs", probs[i], o.Probs(x))
-				if preds[i] != o.Predict(x) {
-					t.Fatalf("batch predict row %d: ws %d oracle %d", i, preds[i], o.Predict(x))
+				if p := ws.Predict(x); p != o.Predict(x) {
+					t.Fatalf("predict row %d: ws %d oracle %d", i, p, o.Predict(x))
 				}
 			}
 		}
@@ -43,9 +42,10 @@ func TestBatchForwardBitIdentical(t *testing.T) {
 }
 
 // TestBatchForwardZeroTaps is TestWorkspaceZeroTapFallback for the batch
-// path: with zero taps present, oracle, per-row and batch agree bit for
-// bit, on the assembly kernels where the platform has them and (through
-// TestBitIdentityPortable) on the portable ones.
+// path: with zero taps present, oracle, grad plan (Probs) and infer plan
+// (ProbsBatch) agree bit for bit, on the assembly kernels where the
+// platform has them and (through TestBitIdentityPortable) on the portable
+// ones.
 func TestBatchForwardZeroTaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	net := PaperCNN(5)
@@ -65,7 +65,7 @@ func TestBatchForwardZeroTaps(t *testing.T) {
 	probs := ws.ProbsBatch(xs, nil)
 	for i, x := range xs {
 		bitsEqual(t, "zero-tap batch probs", probs[i], o.Probs(x))
-		bitsEqual(t, "zero-tap per-row probs", ws.Probs(x), probs[i])
+		bitsEqual(t, "zero-tap single-row probs", ws.Probs(x), probs[i])
 	}
 }
 
@@ -87,13 +87,5 @@ func TestProbsBatchAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ProbsBatch allocates %v allocs/op, want 0", allocs)
-	}
-	var preds []int
-	preds = ws.PredictBatch(xs, preds)
-	allocs = testing.AllocsPerRun(50, func() {
-		preds = ws.PredictBatch(xs, preds)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state PredictBatch allocates %v allocs/op, want 0", allocs)
 	}
 }

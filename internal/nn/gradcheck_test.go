@@ -160,7 +160,7 @@ func TestConvolutionKnownValues(t *testing.T) {
 	// Kernel [1, 2, 3], bias 10.
 	copy(c.w.W, []float64{1, 2, 3})
 	c.b.W[0] = 10
-	out := layerWS([]int{1, 4}, c).Forward([]float64{1, 0, -1, 2}, false)
+	out := layerWS([]int{1, 4}, c).Logits([]float64{1, 0, -1, 2})
 	// valid positions: [1*1+0*2+(-1)*3, 0*1+(-1)*2+2*3] + 10 = [8, 14]
 	want := []float64{8, 14}
 	if len(out) != 2 {
@@ -178,7 +178,7 @@ func TestConvolutionSamePadding(t *testing.T) {
 	c := NewConv1D("c", 1, 1, 3, true, rng)
 	copy(c.w.W, []float64{1, 1, 1})
 	c.b.W[0] = 0
-	out := layerWS([]int{1, 3}, c).Forward([]float64{1, 2, 3}, false)
+	out := layerWS([]int{1, 3}, c).Logits([]float64{1, 2, 3})
 	// same padding: [0+1+2, 1+2+3, 2+3+0]
 	want := []float64{3, 6, 5}
 	if len(out) != 3 {

@@ -23,16 +23,16 @@ import "math"
 //
 // Each has two implementations of that contract: Go assembly on amd64
 // with AVX (kernels_amd64.s; a lane is one output), and the portable Go
-// twins below, which are also what the assembly is tested against. The
-// per-row path (Conv1D.fwdWS, Dense.fwdWS: serving at batch 1,
-// LossGrad, Jacobian) and the batch path (forwardRows: ProbsBatch and
-// every training step) run on the same two functions, Conv1D.fwdRow and
-// Dense.fwdRows; what the primitives do not cover — a kernel size other
-// than 3, an odd last channel, a row shorter than one tile, a dense layer
-// that is not a multiple of 8 tall, or not a multiple of 4 wide outside
-// a group of 4 rows — is plain Go under the same contract, and so are the
-// two edge outputs of "same" padding (conv3Edges) where the platform has
-// no assembly for them.
+// twins below, which are also what the assembly is tested against. Every
+// forward pass — serving at every batch size, the attack queries and
+// every training step — runs them through forwardRows and the two
+// functions it calls, Conv1D.fwdRow and Dense.fwdRows; what the
+// primitives do not cover — a kernel size other than 3, an odd last
+// channel, a row shorter than one tile, a dense layer that is not a
+// multiple of 8 tall, or not a multiple of 4 wide outside a group of 4
+// rows — is plain Go under the same contract, and so are the two edge
+// outputs of "same" padding (conv3Edges) where the platform has no
+// assembly for them.
 
 // fwdRow computes the layer for one input x (cin x l) into y (cout x
 // lout).

@@ -145,7 +145,7 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 		sameFloats(t, what, got[0], got[1])
 	}
 
-	// ReLU and MaxPool1D through the drivers both forward paths use, on
+	// ReLU and MaxPool1D through the calls every plan makes, on
 	// rows of every length, most of them not a multiple of 4.
 	for trial := 0; trial < 300; trial++ {
 		rows, l, size := 1+rng.Intn(4), rng.Intn(43), 2
@@ -156,13 +156,13 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 		x, _ := guarded(t, rng, rows*l, math.NaN())
 		activationValues(rng, trial, x)
 		what := fmt.Sprintf("relu/pool rows=%d l=%d size=%d", rows, l, size)
-		r, m := NewReLU("relu"), NewMaxPool1D("pool", size)
+		m := NewMaxPool1D("pool", size)
 		var got [2][]float64
 		for i, on := range []bool{true, false} {
 			useAVX = on
 			y, check := guarded(t, rng, rows*l, 12345.5)
 			p, pcheck := guarded(t, rng, rows*lout, 12345.5)
-			r.fwdWS(nil, x, y, false)
+			relu(y, x)
 			m.fwdRows(x, p, rows, l, lout)
 			check(what + " relu")
 			pcheck(what + " pool")
@@ -231,7 +231,7 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 		gw, gb := make([]float64, len(c.w.G)), make([]float64, len(c.b.G))
 		kernelValues(rng, trial, gw)
 		kernelValues(rng, trial, gb)
-		s := &wsState{in: []int{cin, l}, out: []int{cout, lout}}
+		s := &wsState{}
 		if k == 3 {
 			s.dwCols, s.dwMask = make([]float64, lout*cin*3), c.dwMask()
 		}
@@ -239,7 +239,7 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 			what := fmt.Sprintf("conv cin=%d cout=%d k=%d l=%d same=%v accum=%v", cin, cout, k, l, same, accum)
 			run(what, cin*l, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
 				c.w.G, c.b.G = grads[0], grads[1]
-				c.bwdWS(s, x, g, dx, accum)
+				c.bwdRow(s, x, g, dx, l, lout, accum)
 			})
 		}
 	}
@@ -263,11 +263,12 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 		gw, gb := make([]float64, len(d.w.G)), make([]float64, len(d.b.G))
 		kernelValues(rng, trial, gw)
 		kernelValues(rng, trial, gb)
+		offs, gs := make([]int, 1), make([]float64, 1)
 		for _, accum := range []bool{false, true} {
 			what := fmt.Sprintf("dense in=%d out=%d accum=%v", in, out, accum)
 			run(what, in, [][]float64{gw, gb}, func(dx []float64, grads [][]float64) {
 				d.w.G, d.b.G = grads[0], grads[1]
-				d.bwdWS(nil, x, g, dx, accum)
+				d.bwdRows(x, g, dx, 1, offs, gs, accum)
 			})
 		}
 	}
@@ -302,7 +303,7 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 				if !withDx {
 					dx = nil
 				}
-				d.bwdRows(x, g, dx, rows, offs, gs)
+				d.bwdRows(x, g, dx, rows, offs, gs, true)
 			})
 		}
 	}
@@ -321,11 +322,10 @@ func TestBackwardKernelsAVXMatchPortable(t *testing.T) {
 		activationValues(rng, trial, x)
 		kernelValues(rng, trial+1, g)
 		kernelValues(rng, trial+1, gp)
-		s := &wsState{in: []int{rows, l}, out: []int{rows, lout}}
-		r, m := NewReLU("relu"), NewMaxPool1D("pool", size)
+		m := NewMaxPool1D("pool", size)
 		what := fmt.Sprintf("relu rows=%d l=%d", rows, l)
-		run(what, rows*l, nil, func(dx []float64, _ [][]float64) { r.bwdWS(s, x, g, dx, false) })
+		run(what, rows*l, nil, func(dx []float64, _ [][]float64) { reluBwd(dx, g, x) })
 		what = fmt.Sprintf("pool rows=%d l=%d size=%d", rows, l, size)
-		run(what, rows*l, nil, func(dx []float64, _ [][]float64) { m.bwdWS(s, x, gp, dx, false) })
+		run(what, rows*l, nil, func(dx []float64, _ [][]float64) { m.bwdRows(x, gp, dx, rows, l, lout) })
 	}
 }

@@ -39,7 +39,7 @@ import "math"
 // portable twin below, which the assembly is tested against. What the
 // primitives do not cover — a kernel size other than 3, a channel left
 // over from the tiles (conv3BwdQuad), a row whose interior is shorter
-// than 4 — is plain Go under the same contract in Conv1D.bwdWS.
+// than 4 — is plain Go under the same contract in Conv1D.bwdRow.
 
 // conv3BwdTileGo is the portable conv3BwdTile: for c < 2 and p < 8,
 // dx[c*l+p] is the sum over o < cout, then j < 3, of

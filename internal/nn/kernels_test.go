@@ -83,10 +83,13 @@ func fuzzNet(l, ch1, ch2, hid, k1, l3 int, same1, same2, pool bool) *Network {
 
 // FuzzForwardKernels is the differential fuzzer of the forward pass: on a
 // conv/conv/dense/dense network (fuzzNet) whose shape, weights and inputs
-// all come from the fuzz input, the per-row workspace path must agree
-// with the test oracle bit for bit at every layer boundary, and the batch
-// path on the result, on every kernel implementation the platform has.
-// The seeds below run in every `go test`.
+// all come from the fuzz input, the workspace must agree with the test
+// oracle bit for bit, on every kernel implementation the platform has: at
+// every layer boundary on the grad plan (one row, as Logits runs it) and
+// on a train plan of three rows (fuzzNet has no dropout, so its forward
+// pass is the eval one), and in the probabilities of the infer plan
+// (ProbsBatch) on the same three rows. The seeds below run in every
+// `go test`.
 func FuzzForwardKernels(f *testing.F) {
 	ordinary := []byte("\x20\x31\xf0\x47\x71\xe3\x9c\x18\x5a\xd2\x33")
 	f.Add(uint8(23), uint8(46), uint8(46), uint8(64), uint8(1), ordinary, ordinary)                            // the paper's first block
@@ -146,12 +149,20 @@ func FuzzForwardKernels(f *testing.F) {
 		eachKernelImpl(t, func(impl string) {
 			ws := NewWorkspace(net.CloneShared())
 			batch := ws.ProbsBatch(xs, nil)
+			tp := ws.plan(len(xs), planTrain)
+			for r, x := range xs {
+				tp.load(r, x)
+			}
+			ws.forwardRows(tp, len(xs))
+			gp := ws.plans[planGrad]
 			for r, x := range xs {
 				ws.Logits(x)
 				act := &tensor{shape: []int{1, l}, data: x}
 				for li, layer := range net.Layers() {
 					act = o.layers[li].forward(act, false)
-					sameFloats(t, impl+" per-row "+layer.Name(), ws.acts[li+1], act.data)
+					size := tp.sizes[li+1]
+					sameFloats(t, impl+" grad plan "+layer.Name(), gp.acts[li+1], act.data)
+					sameFloats(t, impl+" train plan "+layer.Name(), tp.acts[li+1][r*size:(r+1)*size], act.data)
 				}
 				sameFloats(t, impl+" batch probs", batch[r], o.Probs(x))
 			}
@@ -198,9 +209,8 @@ func TestActivationKernelsMatchOracle(t *testing.T) {
 			want := o.forward(&tensor{shape: []int{n}, data: x}, false).data
 			wantDx := o.backward(&tensor{shape: []int{n}, data: g}).data
 			y, dx := sentinel(n), sentinel(n)
-			r := NewReLU("relu")
-			r.fwdWS(nil, x, y, false)
-			r.bwdWS(nil, x, g, dx, false)
+			relu(y, x)
+			reluBwd(dx, g, x)
 			sameFloats(t, what+" forward", y, want)
 			sameFloats(t, what+" backward", dx, wantDx)
 		}
@@ -219,9 +229,8 @@ func TestActivationKernelsMatchOracle(t *testing.T) {
 				wantDx := o.backward(&tensor{shape: []int{rows, lout}, data: g}).data
 				y, dx := sentinel(rows*lout), sentinel(rows*l)
 				m := NewMaxPool1D("pool", size)
-				s := &wsState{in: []int{rows, l}, out: []int{rows, lout}}
-				m.fwdWS(s, x, y, false)
-				m.bwdWS(s, x, g, dx, false)
+				m.fwdRows(x, y, rows, l, lout)
+				m.bwdRows(x, g, dx, rows, l, lout)
 				sameFloats(t, what+" forward", y, want)
 				sameFloats(t, what+" backward", dx, wantDx)
 			}
@@ -275,63 +284,96 @@ func BenchmarkForward(b *testing.B) {
 }
 
 // BenchmarkLayers times every layer of the paper network on its own, per
-// row: fwd is the layer's forward kernel, bwd its backward kernel with
-// weight-gradient accumulation (a training step's; the input-gradient
-// queries skip that part). Each of 64 workspaces holds the forward
-// activations and the loss gradients of its own row, and iteration i
-// runs the layer on workspace i%64, so the rows are distinct as in
-// BenchmarkForward. A dense layer also has fwd16 and bwd16: the batch
-// kernels a training sub-batch runs (Dense.fwdRows on dense8x4, and
-// Dense.bwdRows on axpyList), over 16 of those rows packed as in a plan,
-// in ns per row.
+// row, on the kernels the plans run: fwd is the layer's forward kernel,
+// bwd its backward kernel with weight-gradient accumulation (a training
+// step's; the grad plan skips that part). Dropout runs its train-mode
+// kernels, as a train plan does; Flatten has no kernel. The layer inputs
+// are the boundaries of a grad plan holding 64 rows, the output
+// gradients the test oracle's loss gradients for the same rows, packed
+// the same way, and iteration i runs the layer on row i%64, so the rows
+// are distinct as in BenchmarkForward. A dense layer also has fwd16 and
+// bwd16: the batch kernels a training sub-batch runs (Dense.fwdRows on
+// dense8x4, and Dense.bwdRows on axpyList) over 16 of those rows, in ns
+// per row.
 func BenchmarkLayers(b *testing.B) {
+	const rows, sub = 64, 16
 	net := PaperCNN(31)
-	xs := scaledInputs(rand.New(rand.NewSource(8)), 64, net.InputDim())
-	eachKernelImpl(b, func(impl string) {
-		view := net.CloneShared()
-		wss := make([]*Workspace, len(xs))
-		for r, x := range xs {
-			wss[r] = NewWorkspace(view)
-			wss[r].LossGrad(x, r%2)
+	xs := scaledInputs(rand.New(rand.NewSource(8)), rows, net.InputDim())
+	shapes := net.shapes()
+	o := newOracle(net.CloneShared())
+	grads := make([][]float64, len(shapes))
+	for r, x := range xs {
+		_, dLogits := softmaxCE(o.Logits(x), r%2)
+		_, g := oracleBoundaries(o, x, dLogits)
+		for i := range grads {
+			grads[i] = append(grads[i], g[i]...)
 		}
-		for li, l := range net.Layers() {
-			b.Run(impl+"/"+l.Name()+"/fwd", func(b *testing.B) {
+	}
+	eachKernelImpl(b, func(impl string) {
+		ws := NewWorkspace(net.CloneShared())
+		bp := ws.plan(rows, planGrad)
+		for r, x := range xs {
+			bp.load(r, x)
+		}
+		ws.forwardRows(bp, rows)
+		offs, gs := make([]int, sub), make([]float64, sub)
+		for li, layer := range ws.net.Layers() {
+			inSize, outSize := bp.sizes[li], bp.sizes[li+1]
+			cols, outCols := shapeCols(shapes[li]), shapeCols(shapes[li+1])
+			y, dx, mask := make([]float64, sub*outSize), make([]float64, sub*inSize), make([]float64, outSize)
+			var fwd, bwd func(x, g []float64)
+			switch l := layer.(type) {
+			case *Conv1D:
+				fwd = func(x, _ []float64) { l.fwdRow(x, y, cols, outCols) }
+				bwd = func(x, g []float64) { l.bwdRow(&ws.states[li], x, g, dx, cols, outCols, true) }
+			case *Dense:
+				fwd = func(x, _ []float64) { l.fwdRows(x, y, bp.xt, 1, inSize, outSize) }
+				bwd = func(x, g []float64) { l.bwdRows(x, g, dx, 1, offs, gs, true) }
+			case *ReLU:
+				fwd = func(x, _ []float64) { relu(y[:outSize], x) }
+				bwd = func(x, g []float64) { reluBwd(dx[:inSize], g, x) }
+			case *MaxPool1D:
+				n := shapeRows(shapes[li])
+				fwd = func(x, _ []float64) { l.fwdRows(x, y, n, cols, outCols) }
+				bwd = func(x, g []float64) { l.bwdRows(x, g, dx, n, cols, outCols) }
+			case *Dropout:
+				fwd = func(x, _ []float64) { l.dropout(ws.states[li].rng, mask, x, y[:outSize]) }
+				bwd = func(_, g []float64) { dropoutBwd(dx[:inSize], g, mask) }
+			default:
+				continue
+			}
+			row := func(i int) (x, g []float64) {
+				r := i % rows
+				return bp.acts[li][r*inSize : (r+1)*inSize], grads[li+1][r*outSize : (r+1)*outSize]
+			}
+			b.Run(impl+"/"+layer.Name()+"/fwd", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ws := wss[i%64]
-					l.fwdWS(&ws.states[li], ws.acts[li], ws.acts[li+1], false)
+					fwd(row(i))
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
 			})
-			b.Run(impl+"/"+l.Name()+"/bwd", func(b *testing.B) {
+			b.Run(impl+"/"+layer.Name()+"/bwd", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ws := wss[i%64]
-					l.bwdWS(&ws.states[li], ws.acts[li], ws.gbufs[li+1], ws.gbufs[li], true)
+					bwd(row(i))
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
 			})
-			d, ok := l.(*Dense)
+			d, ok := layer.(*Dense)
 			if !ok {
 				continue
 			}
-			const rows = 16
-			var x, g []float64
-			for r := 0; r < rows; r++ {
-				x = append(x, wss[r].acts[li][:d.in]...)
-				g = append(g, wss[r].gbufs[li+1][:d.out]...)
-			}
-			y, dx, xt := make([]float64, rows*d.out), make([]float64, rows*d.in), make([]float64, rows*d.in)
-			offs, gs := make([]int, rows), make([]float64, rows)
-			b.Run(impl+"/"+l.Name()+"/fwd16", func(b *testing.B) {
+			x, g := bp.acts[li][:sub*inSize], grads[li+1][:sub*outSize]
+			b.Run(impl+"/"+layer.Name()+"/fwd16", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					d.fwdRows(x, y, xt, rows, d.in, d.out)
+					d.fwdRows(x, y, bp.xt, sub, inSize, outSize)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sub), "ns/row")
 			})
-			b.Run(impl+"/"+l.Name()+"/bwd16", func(b *testing.B) {
+			b.Run(impl+"/"+layer.Name()+"/bwd16", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					d.bwdRows(x, g, dx, rows, offs, gs)
+					d.bwdRows(x, g, dx, sub, offs, gs, true)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sub), "ns/row")
 			})
 		}
 	})

@@ -34,8 +34,9 @@ func (p *Param) ZeroGrad() {
 }
 
 // Layer is one differentiable stage of the network. The interface is
-// sealed: its kernels are unexported, so every layer is one of this
-// package's six types and every layer runs on a workspace kernel.
+// sealed by its unexported outShape, so every layer is one of this
+// package's six types, each of which the batch plans (batch.go) know how
+// to run in both directions.
 type Layer interface {
 	Name() string
 	Params() []*Param
@@ -45,15 +46,6 @@ type Layer interface {
 	// outShape returns the layer's output shape for input shape in,
 	// panicking, with the layer's name, on an input it cannot take.
 	outShape(in []int) []int
-	// fwdWS runs the layer forward from x into y, and bwdWS back from the
-	// output gradient grad into dx, using only the per-layer state in s
-	// (never the layer's own fields). x is the layer input the workspace
-	// kept from the forward pass; accum selects whether parameter
-	// gradients accumulate into the layer's Param.G. A layer with
-	// parameters takes a nil dx to skip the input gradient, which the
-	// training pass does for the first such layer.
-	fwdWS(s *wsState, x, y []float64, train bool)
-	bwdWS(s *wsState, x, grad, dx []float64, accum bool)
 }
 
 // shapeSize is the element count of shape.

@@ -84,16 +84,25 @@ func layerWS(in []int, l Layer) *Workspace {
 	return NewWorkspace(NewNetwork(in, shapeSize(l.outShape(in)), l))
 }
 
+// trainLogits runs the train-mode forward pass on one row, on the
+// workspace's train plan, and returns the logits.
+func trainLogits(ws *Workspace, x []float64) []float64 {
+	bp := ws.plan(1, planTrain)
+	bp.load(0, x)
+	ws.forwardRows(bp, 1)
+	return bp.acts[len(bp.acts)-1]
+}
+
 func TestReLU(t *testing.T) {
 	ws := layerWS([]int{3}, NewReLU("r"))
-	out := ws.Forward([]float64{-1, 0, 2}, true)
+	out := ws.Logits([]float64{-1, 0, 2})
 	want := []float64{0, 0, 2}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Errorf("relu[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
-	grad := ws.Backward([]float64{5, 5, 5})
+	grad := ws.InputGrad([]float64{5, 5, 5})
 	wantG := []float64{0, 0, 5}
 	for i := range wantG {
 		if grad[i] != wantG[i] {
@@ -108,17 +117,17 @@ func TestMaxPool(t *testing.T) {
 		t.Fatalf("pool out shape %v, want (2,2)", shape)
 	}
 	ws := layerWS([]int{2, 5}, m)
-	out := ws.Forward([]float64{
+	out := ws.Logits([]float64{
 		1, 3, 2, 2, 9, // trailing 9 dropped (odd length)
 		4, 1, 0, 5, 7,
-	}, true)
+	})
 	want := []float64{3, 2, 4, 5}
 	for i := range want {
 		if out[i] != want[i] {
 			t.Errorf("pool[%d] = %v, want %v", i, out[i], want[i])
 		}
 	}
-	grad := ws.Backward([]float64{10, 20, 30, 40})
+	grad := ws.InputGrad([]float64{10, 20, 30, 40})
 	wantG := []float64{0, 10, 20, 0, 0, 30, 0, 0, 40, 0}
 	for i := range wantG {
 		if grad[i] != wantG[i] {
@@ -130,14 +139,14 @@ func TestMaxPool(t *testing.T) {
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	ws := layerWS([]int{3}, NewDropout("d", 0.5))
 	in := []float64{1, 2, 3}
-	out := ws.Forward(in, false)
+	out := ws.Logits(in)
 	for i := range in {
 		if out[i] != in[i] {
 			t.Error("dropout at eval changed values")
 		}
 	}
-	// Backward after eval forward is also identity.
-	g := ws.Backward([]float64{4, 5, 6})
+	// The input gradient after an eval forward is the identity too.
+	g := ws.InputGrad([]float64{4, 5, 6})
 	if g[0] != 4 {
 		t.Error("dropout backward after eval not identity")
 	}
@@ -151,7 +160,7 @@ func TestDropoutTrainScalesSurvivors(t *testing.T) {
 	for i := range in {
 		in[i] = 1
 	}
-	out := ws.Forward(in, true)
+	out := trainLogits(ws, in)
 	var sum float64
 	zeros := 0
 	for _, v := range out {
@@ -180,9 +189,9 @@ func TestDropoutReseedReproduces(t *testing.T) {
 		in[i] = 1
 	}
 	ws.Reseed(99)
-	a := append([]float64(nil), ws.Forward(in, true)...)
+	a := append([]float64(nil), trainLogits(ws, in)...)
 	ws.Reseed(99)
-	b := ws.Forward(in, true)
+	b := trainLogits(ws, in)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Reseed did not reproduce the mask stream")
@@ -197,8 +206,9 @@ func TestFlattenRoundTrip(t *testing.T) {
 	}
 	ws := layerWS([]int{2, 3}, f)
 	in := []float64{1, 2, 3, 4, 5, 6}
-	bitsEqual(t, "flatten forward", ws.Forward(in, true), in)
-	bitsEqual(t, "flatten backward", ws.Backward(in), in)
+	bitsEqual(t, "flatten forward", ws.Logits(in), in)
+	bitsEqual(t, "flatten train forward", trainLogits(ws, in), in)
+	bitsEqual(t, "flatten backward", ws.InputGrad(in), in)
 }
 
 // requirePanicNaming runs f and requires it to panic with a message that

@@ -369,7 +369,7 @@ func (t *Trainer) FitCtx(ctx context.Context, net *Network, x [][]float64, y []i
 // the sub-batch takes one batch-major training pass on ws. It returns the
 // rows' summed loss, added in row order, and their hit count.
 func (t *Trainer) trainShare(ws *Workspace, scratch *Network, x [][]float64, y []int, chunk []int, w, workers int) (loss float64, hits int) {
-	bp := ws.plan(trainSub, true)
+	bp := ws.plan(trainSub, planTrain)
 	for k := w; k < len(chunk); {
 		n := 0
 		for ; n < trainSub && k < len(chunk); k += workers {

@@ -7,101 +7,67 @@ import (
 )
 
 // Workspace is the execution engine for one Network view, and the only
-// one: every verdict, training step and attack gradient runs here. It
-// preallocates every buffer a forward/backward pass needs — one
-// activation buffer per layer boundary, one gradient buffer per boundary,
-// per-layer dropout and convolution scratch, and the softmax/Jacobian
-// output buffers — sized once from the architecture, so the steady-state hot
-// loops (attack iterations, training steps, classify probes) run with
-// zero heap allocations.
+// one: every verdict, training step and attack gradient runs here, on a
+// batch plan (batch.go). It holds three: an infer plan for ProbsBatch, a
+// grad plan of one row for the single-row queries (Logits, Probs,
+// Predict, SafeProbs, LossGrad, InputGrad, Jacobian), built here with
+// the workspace, and a train plan for TrainStep and the Trainer, built on
+// first use. Every buffer is sized from the architecture and reused, so
+// the steady-state hot loops (attack iterations, training steps, classify
+// probes) run with zero heap allocations.
 //
-// A workspace accumulates parameter gradients into the Param.G buffers of
-// the network view it was built from, so the data-parallel trainer keeps
-// its one-view-per-worker reduction.
-// The input-gradient queries (LossGrad, Jacobian, InputGrad) skip the
-// parameter-gradient work entirely — attacks never read it — and are
-// therefore roughly half the cost of a full Backward on the paper
-// architecture. The Conv1D and Dense backward passes run on the AVX
-// primitives of kernels_bwd.go, under the same bit-identity contract as
-// the forward ones.
+// Training accumulates parameter gradients into the Param.G buffers of
+// the network view the workspace was built from, so the data-parallel
+// trainer keeps its one-view-per-worker reduction. The input-gradient
+// queries never touch Param.G: attacks never read it.
 //
 // Slices returned by workspace methods alias internal buffers and are
-// valid only until the next call on the same workspace. A workspace is
-// not safe for concurrent use: give each goroutine its own CloneShared
-// view and workspace (weights stay shared, everything mutable is
-// per-workspace).
+// valid only until the next call on the same workspace, with one
+// exception the attack loops rely on: the logits that Logits or Jacobian
+// return stay valid across the InputGrad calls that follow them. A
+// workspace is not safe for concurrent use: give each goroutine its own
+// CloneShared view and workspace (weights stay shared, everything
+// mutable is per-workspace).
 type Workspace struct {
 	net    *Network
 	states []wsState
-	// acts[i] is the input of layer i; acts[len(layers)] the logits.
-	acts [][]float64
-	// gbufs[i] is the gradient w.r.t. acts[i].
-	gbufs  [][]float64
-	params []*Param
-	dlog   []float64   // dLoss/dLogits scratch
 	probs  []float64   // softmax output
 	jac    [][]float64 // nClasses rows of inputDim
 	inDim  int
-	shapes [][]int    // activation shape at every layer boundary
-	bp, tp *batchPlan // batch-major eval and train buffers, built on first use
+	shapes [][]int                   // activation shape at every layer boundary
+	plans  [planTrain + 1]*batchPlan // by kind; the grad plan always exists
 }
 
 // wsState is the per-layer state a workspace owns so running the engine
-// never mutates the Network's layers: the layer's input and output
-// shapes, Dropout masks and RNG streams, and a convolution's scratch.
-// ReLU and MaxPool1D keep nothing: their backward passes re-derive the
-// mask and the argmax from the layer input acts[i], which nothing
-// overwrites between a Forward and its backprops.
+// never mutates the Network's layers: a Dropout layer's RNG stream and a
+// k=3 convolution's weight-gradient scratch, the im2col copy of its input
+// and convDw's row masks (see Conv1D.bwdDw).
 type wsState struct {
-	in, out []int
-	fmask   []float64
-	rng     *rand.Rand
-	dropped bool
-	// A k=3 Conv1D's weight-gradient scratch: the im2col copy of its
-	// input and convDw's row masks (see Conv1D.bwdDw).
+	rng    *rand.Rand
 	dwCols []float64
 	dwMask []uint64
 }
 
-// NewWorkspace builds a workspace for net, preallocating every buffer
-// from the shape each layer's outShape gives at its boundary; a layer
-// that cannot take its input shape panics here, naming itself. Dropout
-// streams start from the same deterministic default for every view (seed
-// 1); call Reseed before train-mode use when a specific stream is
-// required.
+// NewWorkspace builds a workspace for net and its grad plan, from the
+// shape each layer's outShape gives at its boundary; a layer that cannot
+// take its input shape panics here, naming itself. Dropout streams start
+// from the same deterministic default for every view (seed 1); call
+// Reseed before train-mode use when a specific stream is required.
 func NewWorkspace(net *Network) *Workspace {
-	shapes := net.shapes()
 	ws := &Workspace{
 		net:    net,
 		states: make([]wsState, len(net.layers)),
-		acts:   make([][]float64, len(net.layers)+1),
-		gbufs:  make([][]float64, len(net.layers)+1),
-		params: net.Params(),
-		dlog:   make([]float64, net.nClasses),
 		probs:  make([]float64, net.nClasses),
 		inDim:  net.InputDim(),
-		shapes: shapes,
+		shapes: net.shapes(),
 	}
-	ws.acts[0] = make([]float64, ws.inDim)
-	ws.gbufs[0] = make([]float64, ws.inDim)
 	for i, l := range net.layers {
-		outSize := shapeSize(shapes[i+1])
-		if _, isFlatten := l.(*Flatten); isFlatten {
-			// Flatten is a pure reshape: its output buffers are its input
-			// buffers, so forward and backward through it are no-ops.
-			ws.acts[i+1], ws.gbufs[i+1] = ws.acts[i], ws.gbufs[i]
-		} else {
-			ws.acts[i+1] = make([]float64, outSize)
-			ws.gbufs[i+1] = make([]float64, outSize)
-		}
-		ws.states[i].in, ws.states[i].out = shapes[i], shapes[i+1]
 		switch l := l.(type) {
 		case *Dropout:
-			ws.states[i].fmask = make([]float64, outSize)
 			ws.states[i].rng = rand.New(rand.NewSource(1))
 		case *Conv1D:
 			if l.k == 3 {
-				ws.states[i].dwCols = make([]float64, shapeCols(shapes[i+1])*l.cin*3)
+				ws.states[i].dwCols = make([]float64, shapeCols(ws.shapes[i+1])*l.cin*3)
 				ws.states[i].dwMask = l.dwMask()
 			}
 		}
@@ -111,6 +77,7 @@ func NewWorkspace(net *Network) *Workspace {
 	for k := range ws.jac {
 		ws.jac[k] = jacFlat[k*ws.inDim : (k+1)*ws.inDim]
 	}
+	ws.plan(1, planGrad)
 	return ws
 }
 
@@ -144,88 +111,57 @@ func (ws *Workspace) Reseed(seed int64) {
 	}
 }
 
-// ZeroGrad clears the parameter gradients of the underlying view.
-func (ws *Workspace) ZeroGrad() {
-	for _, p := range ws.params {
-		p.ZeroGrad()
-	}
+// Logits implements Engine: the eval-mode forward pass on the grad plan.
+// The input length must equal InputDim; a mismatch panics (use SafeProbs
+// on untrusted inputs). The returned logits survive the InputGrad calls
+// that follow.
+func (ws *Workspace) Logits(x []float64) []float64 {
+	bp := ws.plans[planGrad]
+	bp.load(0, x)
+	ws.forwardRows(bp, 1)
+	return bp.acts[len(bp.acts)-1]
 }
-
-// Forward runs the network on a flat input vector and returns the logits
-// (aliasing an internal buffer). train enables dropout. The input length
-// must equal InputDim; a mismatch panics (use SafeProbs on untrusted
-// inputs).
-func (ws *Workspace) Forward(x []float64, train bool) []float64 {
-	if len(x) != ws.inDim {
-		panic(fmt.Sprintf("nn: workspace: input size %d, want %d", len(x), ws.inDim))
-	}
-	copy(ws.acts[0], x)
-	for i, l := range ws.net.layers {
-		l.fwdWS(&ws.states[i], ws.acts[i], ws.acts[i+1], train)
-	}
-	return ws.acts[len(ws.acts)-1]
-}
-
-// backprop propagates dLogits back through the buffers filled by the last
-// Forward and returns the input gradient buffer. accum selects whether
-// parameter gradients accumulate into the view's Param.G.
-func (ws *Workspace) backprop(dLogits []float64, accum bool) []float64 {
-	last := len(ws.gbufs) - 1
-	copy(ws.gbufs[last], dLogits)
-	for i := last - 1; i >= 0; i-- {
-		ws.net.layers[i].bwdWS(&ws.states[i], ws.acts[i], ws.gbufs[i+1], ws.gbufs[i], accum)
-	}
-	return ws.gbufs[0]
-}
-
-// Backward propagates dLogits back through the network (after a Forward),
-// accumulates parameter gradients into the view's Param.G, and returns
-// the gradient with respect to the flat input (aliasing an internal
-// buffer).
-func (ws *Workspace) Backward(dLogits []float64) []float64 {
-	return ws.backprop(dLogits, true)
-}
-
-// InputGrad implements Engine: Backward without the parameter-gradient
-// accumulation, the variant every attack loop wants. The returned values
-// are bit-identical to Backward's — the input gradient never depends on
-// the parameter-gradient accumulators.
-// After Logits, InputGrad seeded with e_a - e_b is the gradient of the
-// margin z_a - z_b: one backward pass where Jacobian runs one per class.
-func (ws *Workspace) InputGrad(dLogits []float64) []float64 {
-	return ws.backprop(dLogits, false)
-}
-
-// Logits implements Engine (eval-mode forward pass).
-func (ws *Workspace) Logits(x []float64) []float64 { return ws.Forward(x, false) }
 
 // Probs implements Engine: softmax class probabilities, eval mode.
 func (ws *Workspace) Probs(x []float64) []float64 {
-	return SoftmaxInto(ws.probs, ws.Forward(x, false))
+	return SoftmaxInto(ws.probs, ws.Logits(x))
 }
 
 // Predict implements Engine: the argmax class, eval mode.
-func (ws *Workspace) Predict(x []float64) int { return Argmax(ws.Forward(x, false)) }
+func (ws *Workspace) Predict(x []float64) int { return Argmax(ws.Logits(x)) }
+
+// InputGrad implements Engine: it back-propagates dLogits through the
+// boundaries the last Logits, Probs or Predict kept and returns the
+// gradient with respect to the flat input, accumulating no parameter
+// gradient. After Logits, InputGrad seeded with e_a - e_b is the
+// gradient of the margin z_a - z_b: one backward pass where Jacobian
+// runs one per class.
+func (ws *Workspace) InputGrad(dLogits []float64) []float64 {
+	bp := ws.plans[planGrad]
+	copy(bp.gin, dLogits)
+	return ws.backwardRows(bp, 1)[:ws.inDim]
+}
 
 // LossGrad implements Engine: the cross-entropy loss at x for label and
 // the gradient of that loss with respect to the input (eval mode).
 func (ws *Workspace) LossGrad(x []float64, label int) (float64, []float64) {
-	logits := ws.Forward(x, false)
-	loss := softmaxCEInto(ws.dlog, logits, label)
-	return loss, ws.backprop(ws.dlog, false)
+	logits := ws.Logits(x)
+	bp := ws.plans[planGrad]
+	loss := softmaxCEInto(bp.gin[:len(logits)], logits, label)
+	return loss, ws.backwardRows(bp, 1)[:ws.inDim]
 }
 
 // Jacobian implements Engine: one forward pass plus nClasses backward
-// passes, filling the workspace's preallocated (nClasses x inputDim) row
-// set.
+// passes over the boundaries it kept, filling the workspace's
+// preallocated (nClasses x inputDim) row set.
 func (ws *Workspace) Jacobian(x []float64) ([]float64, [][]float64) {
-	logits := ws.Forward(x, false)
-	for k := range ws.jac {
-		for i := range ws.dlog {
-			ws.dlog[i] = 0
-		}
-		ws.dlog[k] = 1
-		copy(ws.jac[k], ws.backprop(ws.dlog, false))
+	logits := ws.Logits(x)
+	bp := ws.plans[planGrad]
+	seed := bp.gin[:len(logits)]
+	for k, row := range ws.jac {
+		clear(seed)
+		seed[k] = 1
+		copy(row, ws.backwardRows(bp, 1))
 	}
 	return logits, ws.jac
 }
@@ -238,7 +174,7 @@ func (ws *Workspace) Jacobian(x []float64) ([]float64, [][]float64) {
 // applies no scaling. It is the one-row case of the batch-major pass the
 // Trainer runs (trainRows), so both take the same code path.
 func (ws *Workspace) TrainStep(x []float64, label int, weight float64) (float64, bool) {
-	bp := ws.plan(1, true)
+	bp := ws.plan(1, planTrain)
 	bp.load(0, x)
 	bp.labels[0], bp.weights[0] = label, weight
 	ws.trainRows(bp, 1)
@@ -261,31 +197,24 @@ func (ws *Workspace) SafeProbs(x []float64) (out []float64, err error) {
 	return append([]float64(nil), ws.Probs(x)...), nil
 }
 
-// ProbsBatch runs eval-mode softmax probabilities for every row of xs,
-// batch-major (see batchPlan): layers outside, rows inside, on the per-row
-// path's kernels and bit-identical to it, with the Dense weights read
-// once per batch. Rows are written into dst, which is grown as needed and
-// returned; pass a previously returned dst to make steady-state batches
-// allocation-free.
+// ProbsBatch runs eval-mode softmax probabilities for every row of xs on
+// the infer plan: layers outside, rows inside, with the Dense weights read
+// once per batch, bit-identical to Probs row by row. Rows are written into
+// dst, which is grown as needed and returned; pass a previously returned
+// dst to make steady-state batches allocation-free. Row lengths are
+// validated like Logits (a mismatch panics; the serving path validates
+// before enqueueing).
 func (ws *Workspace) ProbsBatch(xs [][]float64, dst [][]float64) [][]float64 {
 	dst = growRows(dst, len(xs), ws.net.nClasses)
-	logits, stride := ws.forwardBatch(xs)
+	bp := ws.plan(len(xs), planInfer)
+	for r, x := range xs {
+		bp.load(r, x)
+	}
+	ws.forwardRows(bp, len(xs))
+	last := len(bp.acts) - 1
+	logits, stride := bp.acts[last], bp.sizes[last]
 	for r := range xs {
 		SoftmaxInto(dst[r], logits[r*stride:r*stride+ws.net.nClasses])
-	}
-	return dst
-}
-
-// PredictBatch runs eval-mode argmax predictions for every row of xs into
-// dst (grown as needed and returned), batch-major like ProbsBatch.
-func (ws *Workspace) PredictBatch(xs [][]float64, dst []int) []int {
-	if cap(dst) < len(xs) {
-		dst = make([]int, len(xs))
-	}
-	dst = dst[:len(xs)]
-	logits, stride := ws.forwardBatch(xs)
-	for r := range xs {
-		dst[r] = Argmax(logits[r*stride : r*stride+ws.net.nClasses])
 	}
 	return dst
 }

@@ -5,25 +5,24 @@ import (
 	"math/rand"
 )
 
-// Workspace kernels: the per-layer fwdWS/bwdWS implementations. Each one
-// computes exactly the same floating-point operations, in exactly the
-// same order, as the allocating reference in the package's tests
-// (oracle_test.go) — that is the invariant the bit-identity property
-// tests enforce — but writes into preallocated workspace buffers and
-// keeps all mutable state, the layer's input and output shapes included,
-// in the wsState, never in the layer. The Conv1D and Dense passes run on
-// the shared primitives of kernels.go (forward) and kernels_bwd.go
-// (backward), ReLU and MaxPool1D on the elementwise ones of kernels.go.
+// Layer kernels: what the batch plans (batch.go) run per layer beyond
+// the primitives themselves. Each one computes exactly the same
+// floating-point operations, in exactly the same order, as the
+// allocating reference in the package's tests (oracle_test.go) — that is
+// the invariant the bit-identity property tests enforce — but writes into
+// plan arenas and keeps all mutable state in the workspace, never in the
+// layer. The Conv1D and Dense passes run on the shared primitives of
+// kernels.go (forward) and kernels_bwd.go (backward), ReLU and MaxPool1D
+// on the elementwise ones of kernels.go.
 
 // ---------------------------------------------------------------------------
 // Conv1D
 
-func (c *Conv1D) fwdWS(s *wsState, x, y []float64, _ bool) {
-	c.fwdRow(x, y, shapeCols(s.in), shapeCols(s.out))
-}
-
-func (c *Conv1D) bwdWS(s *wsState, x, g, dx []float64, accum bool) {
-	l, lout := shapeCols(s.in), shapeCols(s.out)
+// bwdRow is fwdRow's backward pass for one row: the input gradient into
+// dx (nil to skip it) from the output gradient g and the layer input x,
+// and, when accum is set, the weight and bias gradients added into the
+// layer's Param.G. s is the layer's workspace state.
+func (c *Conv1D) bwdRow(s *wsState, x, g, dx []float64, l, lout int, accum bool) {
 	if accum {
 		for o := 0; o < c.cout; o++ {
 			var gSum float64
@@ -178,24 +177,14 @@ func (c *Conv1D) bwdDwRows(x, g []float64, l, lout int) {
 }
 
 // ---------------------------------------------------------------------------
-// ReLU — both directions on the elementwise primitives of kernels.go; the
-// backward pass takes its mask from the layer input x, which nothing
-// overwrites between a Forward and its backprops.
-
-func (r *ReLU) fwdWS(_ *wsState, x, y []float64, _ bool) { relu(y, x) }
-
-func (r *ReLU) bwdWS(_ *wsState, x, grad, dx []float64, _ bool) { reluBwd(dx, grad, x) }
-
-// ---------------------------------------------------------------------------
 // MaxPool1D — size 2 on pool2 and pool2Bwd, any other size in the oracle's
-// loop; the backward pass re-derives each window's argmax from x.
+// loop; the backward pass re-derives each window's argmax from x, the
+// layer input the plan keeps. (ReLU needs no method of its own: the plans
+// call relu and reluBwd on the packed arena, and reluBwd takes its mask
+// from x.)
 
-func (m *MaxPool1D) fwdWS(s *wsState, x, y []float64, _ bool) {
-	m.fwdRows(x, y, shapeRows(s.out), shapeCols(s.in), shapeCols(s.out))
-}
-
-// fwdRows pools rows rows of l inputs each into rows of lout outputs: one
-// forward pass's channels, or every channel of a batch.
+// fwdRows pools rows rows of l inputs each into rows of lout outputs:
+// every channel of every row of a batch.
 func (m *MaxPool1D) fwdRows(x, y []float64, rows, l, lout int) {
 	if m.size == 2 && l == 2*lout {
 		pool2(y[:rows*lout], x) // no row has a tail: one run
@@ -211,10 +200,6 @@ func (m *MaxPool1D) fwdRows(x, y []float64, rows, l, lout int) {
 			yRow[t] = xRow[poolArgmax(xRow, t*m.size, m.size)]
 		}
 	}
-}
-
-func (m *MaxPool1D) bwdWS(s *wsState, x, grad, dx []float64, _ bool) {
-	m.bwdRows(x, grad, dx, shapeRows(s.out), shapeCols(s.in), shapeCols(s.out))
 }
 
 // bwdRows is fwdRows's backward pass: dx, rows rows of l, from grad, rows
@@ -242,16 +227,6 @@ func (m *MaxPool1D) bwdRows(x, grad, dx []float64, rows, l, lout int) {
 // ---------------------------------------------------------------------------
 // Dropout
 
-func (d *Dropout) fwdWS(s *wsState, x, y []float64, train bool) {
-	if !train || d.p <= 0 {
-		s.dropped = false
-		copy(y, x)
-		return
-	}
-	s.dropped = true
-	d.dropout(s.rng, s.fmask, x, y)
-}
-
 // dropout is the train-mode forward pass over len(y) elements: one draw
 // from rng per element in the oracle's order, and the keep decision
 // selects y and its mask by bit mask, not by branch.
@@ -267,14 +242,6 @@ func (d *Dropout) dropout(rng *rand.Rand, mask, x, y []float64) {
 	}
 }
 
-func (d *Dropout) bwdWS(s *wsState, _, grad, dx []float64, _ bool) {
-	if !s.dropped {
-		copy(dx, grad)
-		return
-	}
-	dropoutBwd(dx, grad, s.fmask)
-}
-
 // dropoutBwd is dx[i] = g[i] * mask[i] over len(dx) elements.
 func dropoutBwd(dx, g, mask []float64) {
 	g, mask = g[:len(dx)], mask[:len(dx)]
@@ -284,50 +251,24 @@ func dropoutBwd(dx, g, mask []float64) {
 }
 
 // ---------------------------------------------------------------------------
-// Flatten — the workspace aliases the flat buffers onto the shaped ones
-// (see NewWorkspace), so both directions are no-ops.
-
-func (f *Flatten) fwdWS(_ *wsState, _, _ []float64, _ bool) {}
-
-func (f *Flatten) bwdWS(_ *wsState, _, _, _ []float64, _ bool) {}
-
-// ---------------------------------------------------------------------------
 // Dense
 
-func (d *Dense) fwdWS(_ *wsState, x, y []float64, _ bool) {
-	d.fwdRows(x, y, nil, 1, d.in, d.out)
-}
-
-func (d *Dense) bwdWS(_ *wsState, x, grad, dx []float64, accum bool) {
-	clear(dx)
-	for o := 0; o < d.out; o++ {
-		g := grad[o]
-		if accum {
-			d.b.G[o] += g
-		}
-		if g == 0 {
-			continue
-		}
-		axpy(dx, d.w.W[o*d.in:(o+1)*d.in], g)
-		if accum {
-			axpy(d.w.G[o*d.in:(o+1)*d.in], x, g)
-		}
-	}
-}
-
-// bwdRows is bwdWS with accumulation for rows packed rows of a training
-// sub-batch, x and grad at strides d.in and d.out, dx (nil to skip the
-// input gradient) at d.in; offs and gs are scratch of at least rows
-// entries. Each weight row and each gradient row is read once for the
-// batch: neuron o lists the rows whose g[o] is nonzero, adds w[o]*g[o] to
-// each of their dx rows, and hands the list to axpyList, which adds the
-// rows' g[o]*x to gw[o] in ascending row order. Every element thus takes
-// its terms in bwdWS's order, skips included: dx[i] over o ascending,
+// bwdRows is the backward pass for rows packed rows, x and grad at
+// strides d.in and d.out, dx (nil to skip the input gradient) at d.in;
+// accum adds the weight and bias gradients into the layer's Param.G, and
+// offs and gs are scratch of at least rows entries. Each weight row and
+// each gradient row is read once for the batch: neuron o lists the rows
+// whose g[o] is nonzero, adds w[o]*g[o] to each of their dx rows, and,
+// when accumulating, hands the list to axpyList, which adds the rows'
+// g[o]*x to gw[o] in ascending row order. Every element thus takes its
+// terms in the oracle's order, skips included: dx[i] over o ascending,
 // gw[o][i] and the bias over rows ascending.
-func (d *Dense) bwdRows(x, grad, dx []float64, rows int, offs []int, gs []float64) {
-	for r := 0; r < rows; r++ {
-		for o, g := range grad[r*d.out : (r+1)*d.out] {
-			d.b.G[o] += g
+func (d *Dense) bwdRows(x, grad, dx []float64, rows int, offs []int, gs []float64, accum bool) {
+	if accum {
+		for r := 0; r < rows; r++ {
+			for o, g := range grad[r*d.out : (r+1)*d.out] {
+				d.b.G[o] += g
+			}
 		}
 	}
 	if dx != nil {
@@ -350,6 +291,8 @@ func (d *Dense) bwdRows(x, grad, dx []float64, rows int, offs []int, gs []float6
 				axpy(dx[off:off+d.in], w, gs[j])
 			}
 		}
-		axpyList(d.w.G[o*d.in:(o+1)*d.in], x, offs[:k], gs[:k])
+		if accum {
+			axpyList(d.w.G[o*d.in:(o+1)*d.in], x, offs[:k], gs[:k])
+		}
 	}
 }

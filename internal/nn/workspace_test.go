@@ -87,9 +87,10 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 
 // TestWorkspaceBitIdentical is the central property test: on random
 // architectures (kernel sizes 1/3/5, both paddings, random pools and
-// dropouts) and random inputs, every workspace query — eval and train
-// forward, probs, loss gradient, Jacobian, and full backward with
-// parameter accumulation — is bit-for-bit identical to the test oracle.
+// dropouts) and random inputs, every workspace query — eval forward,
+// probs, predict, loss gradient, Jacobian — the train-mode forward pass
+// of a train plan, and TrainStep's backward pass with parameter
+// accumulation are bit-for-bit identical to the test oracle.
 func TestWorkspaceBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	trials := 60
@@ -116,7 +117,7 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 			seed := rng.Int63()
 			o.Reseed(seed)
 			ws.Reseed(seed)
-			bitsEqual(t, "train logits", ws.Forward(x, true), o.Forward(x, true))
+			bitsEqual(t, "train logits", trainLogits(ws, x), o.Forward(x, true))
 
 			label := rng.Intn(net.NumClasses())
 			wl, wg := ws.LossGrad(x, label)
@@ -140,7 +141,7 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 			o.Reseed(seed)
 			ws.Reseed(seed)
 			net.ZeroGrad()
-			ws.ZeroGrad()
+			view.ZeroGrad()
 			weight := 1.0
 			if rep == 1 {
 				weight = 1.75
@@ -170,7 +171,8 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 // a zero tap is added like any other, by the oracle and by every kernel —
 // adding +0 can still turn a -0 accumulator into +0, so a kernel that
 // skipped it would differ — and with one tap of every weight row zeroed
-// the per-row path equals the oracle bit for bit, forward and backward.
+// the single-row queries equal the oracle bit for bit, forward and
+// backward.
 func TestWorkspaceZeroTapFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := PaperCNN(3)
@@ -197,8 +199,9 @@ func TestWorkspaceZeroTapFallback(t *testing.T) {
 	}
 }
 
-// TestWorkspaceBatchAPIs pins ProbsBatch/PredictBatch to their single-call
-// counterparts and checks the dst-reuse contract.
+// TestWorkspaceBatchAPIs pins ProbsBatch to its single-call counterpart
+// and to the oracle, Predict to the oracle, and checks ProbsBatch's
+// dst-reuse contract.
 func TestWorkspaceBatchAPIs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := PaperCNN(2)
@@ -211,11 +214,11 @@ func TestWorkspaceBatchAPIs(t *testing.T) {
 
 	o := newOracle(net)
 	probs := ws.ProbsBatch(xs, nil)
-	preds := ws.PredictBatch(xs, nil)
 	for i := range xs {
 		bitsEqual(t, "batch probs", probs[i], o.Probs(xs[i]))
-		if want := o.Predict(xs[i]); preds[i] != want {
-			t.Fatalf("batch predict %d: got %d want %d", i, preds[i], want)
+		bitsEqual(t, "batch probs vs Probs", probs[i], ws.Probs(xs[i]))
+		if got, want := ws.Predict(xs[i]), o.Predict(xs[i]); got != want {
+			t.Fatalf("predict %d: got %d want %d", i, got, want)
 		}
 	}
 
@@ -249,9 +252,11 @@ func TestWorkspaceSafeProbs(t *testing.T) {
 	bitsEqual(t, "retained probs", p, keep)
 }
 
-// TestWorkspaceAllocFree is the allocation-regression gate from the
-// issue: steady-state Forward+Backward (and the attack-side gradient
-// queries) on the paper architecture run with zero allocations.
+// TestWorkspaceAllocFree is the allocation-regression gate: a training
+// step and every attack-side query on the paper architecture — LossGrad,
+// Jacobian, Probs, Predict, and Logits followed by InputGrad (the C&W,
+// EAD and DeepFool iteration) — run with zero allocations in steady
+// state.
 func TestWorkspaceAllocFree(t *testing.T) {
 	net := PaperCNN(1)
 	ws := net.WS()
@@ -272,5 +277,42 @@ func TestWorkspaceAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { ws.Probs(x) }); n > 0 {
 		t.Errorf("Probs allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { ws.Predict(x) }); n > 0 {
+		t.Errorf("Predict allocates %v/op, want 0", n)
+	}
+	margin := []float64{1, -1}
+	if n := testing.AllocsPerRun(50, func() { ws.Logits(x); ws.InputGrad(margin) }); n > 0 {
+		t.Errorf("Logits+InputGrad allocates %v/op, want 0", n)
+	}
+}
+
+// TestQueryLogitsSurviveBackward pins the contract the attack loops rely
+// on (C&W and DeepFool read the logits after their gradient calls, JSMA
+// after Jacobian's backward passes): the logits Logits returns are bit
+// for bit unchanged by the InputGrad calls that follow it, and so are the
+// logits Jacobian returns by its own backward passes and a later
+// InputGrad.
+func TestQueryLogitsSurviveBackward(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, net := range []*Network{PaperCNN(6), SmallMLP(5, 16, 24, 3)} {
+		ws := NewWorkspace(net.CloneShared())
+		o := newOracle(net)
+		nc := net.NumClasses()
+		for rep := 0; rep < 4; rep++ {
+			x := randVec(rng, net.InputDim())
+			want := o.Logits(x)
+			logits := ws.Logits(x)
+			for k := 0; k < nc; k++ {
+				seed := make([]float64, nc)
+				seed[k], seed[(k+1)%nc] = 1, -1
+				ws.InputGrad(seed)
+				bitsEqual(t, "logits after InputGrad", logits, want)
+			}
+			jl, _ := ws.Jacobian(x)
+			bitsEqual(t, "Jacobian logits", jl, want)
+			ws.InputGrad(make([]float64, nc))
+			bitsEqual(t, "Jacobian logits after InputGrad", jl, want)
+		}
 	}
 }
