@@ -40,12 +40,14 @@ bench:
 # The gate. The nested benchmark module is vetted (by vet) and tested
 # here so a deletion that breaks its import surface fails before it
 # merges. The untrusted-input parser is fuzzed against its line-splitting
-# oracle, and the forward kernels (the one inference path), the backward
-# kernels and the batch-major training pass against the test oracle,
-# beyond the committed seeds.
+# oracle, the fused graph sweep against the four naive traversals, and the
+# forward kernels (the one inference path), the backward kernels and the
+# batch-major training pass against the test oracle, beyond the committed
+# seeds.
 check: build vet race smoke
 	cd benchmark && $(GO) test -short ./...
 	$(GO) test -run '^$$' -fuzz FuzzParseMatchesOracle -fuzztime 10s ./internal/ir
+	$(GO) test -run '^$$' -fuzz FuzzSweepMatchesNaive -fuzztime 10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzForwardKernels -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzBackwardKernels -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzTrainRows -fuzztime 10s ./internal/nn

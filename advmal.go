@@ -20,12 +20,13 @@
 //	if err := sys.BuildCorpus(); err != nil { ... }
 //	if _, err := sys.Fit(); err != nil { ... }
 //	metrics, _ := sys.EvaluateTest()
-//	rows, _ := sys.RunTableIV(true) // GEA malware->benign
+//	rows, _ := sys.RunTableIVCtx(context.Background(), true) // GEA malware->benign
 //
-// Every pipeline stage also has a context-aware variant (BuildCorpusCtx,
-// FitCtx, RunTableIIICtx, RunTableIVCtx, ...) for cancellation and
-// deadlines; samples that fail during the corpus build are isolated,
-// recorded in System.Skips, and skipped unless Config.StrictCorpus is set.
+// Every pipeline stage has a context-aware form (BuildCorpusCtx, FitCtx,
+// RunTableIIICtx, ...) for cancellation and deadlines; the GEA tables
+// (RunTableIVCtx to RunTableVIICtx) and RunAllCtx have only that form.
+// Samples that fail during the corpus build are isolated, recorded in
+// System.Skips, and skipped unless Config.StrictCorpus is set.
 package advmal
 
 import (

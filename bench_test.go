@@ -19,6 +19,7 @@
 package advmal_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -219,7 +220,7 @@ func benchGEASize(b *testing.B, targetMalicious bool, table string) {
 		b.Fatal(err)
 	}
 	origs := sys.TestSamples()
-	rows, err := p.RunSizeExperiment(origs, sys.Samples, targetMalicious)
+	rows, err := p.RunSizeExperimentCtx(context.Background(), origs, sys.Samples, targetMalicious)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func benchGEAFixed(b *testing.B, targetMalicious bool, table string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, err := p.RunFixedNodesExperiment(sys.TestSamples(), sys.Samples, targetMalicious, 3, 3)
+	rows, err := p.RunFixedNodesExperimentCtx(context.Background(), sys.TestSamples(), sys.Samples, targetMalicious, 3, 3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -62,7 +63,7 @@ func TestAdversarialTrainImprovesRobustness(t *testing.T) {
 
 func TestRunAllOnSharedSystem(t *testing.T) {
 	s := smallSystem(t)
-	rep, err := s.RunAll(RunAllOptions{Attacks: attacks.Options{MaxSamples: 8}})
+	rep, err := s.RunAllCtx(context.Background(), RunAllOptions{Attacks: attacks.Options{MaxSamples: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,11 +102,6 @@ func (s *System) GEAPipeline(verify bool) (*gea.Pipeline, error) {
 	}, nil
 }
 
-// RunTableIV is RunTableIVCtx without cancellation.
-func (s *System) RunTableIV(verify bool) ([]gea.Row, error) {
-	return s.RunTableIVCtx(context.Background(), verify)
-}
-
 // RunTableIVCtx reproduces Table IV: malware->benign GEA with benign
 // targets of minimum, median, and maximum graph size. Targets are drawn
 // from the full corpus (the adversary may pick any benign sample);
@@ -119,11 +114,6 @@ func (s *System) RunTableIVCtx(ctx context.Context, verify bool) ([]gea.Row, err
 	return p.RunSizeExperimentCtx(ctx, s.TestSamples(), s.Samples, false)
 }
 
-// RunTableV is RunTableVCtx without cancellation.
-func (s *System) RunTableV(verify bool) ([]gea.Row, error) {
-	return s.RunTableVCtx(context.Background(), verify)
-}
-
 // RunTableVCtx reproduces Table V: benign->malware GEA with malware
 // targets.
 func (s *System) RunTableVCtx(ctx context.Context, verify bool) ([]gea.Row, error) {
@@ -134,22 +124,12 @@ func (s *System) RunTableVCtx(ctx context.Context, verify bool) ([]gea.Row, erro
 	return p.RunSizeExperimentCtx(ctx, s.TestSamples(), s.Samples, true)
 }
 
-// RunTableVI is RunTableVICtx without cancellation.
-func (s *System) RunTableVI(verify bool) ([]gea.Row, error) {
-	return s.RunTableVICtx(context.Background(), verify)
-}
-
 // RunTableVICtx reproduces Table VI: malware->benign GEA with benign
 // targets at fixed node counts and varying edge counts (3 groups x 3
 // targets on the full corpus; reduced corpora degrade to smaller group
 // shapes).
 func (s *System) RunTableVICtx(ctx context.Context, verify bool) ([]gea.Row, error) {
 	return s.runFixedNodes(ctx, verify, false)
-}
-
-// RunTableVII is RunTableVIICtx without cancellation.
-func (s *System) RunTableVII(verify bool) ([]gea.Row, error) {
-	return s.RunTableVIICtx(context.Background(), verify)
 }
 
 // RunTableVIICtx reproduces Table VII: benign->malware GEA at fixed node
@@ -181,18 +161,13 @@ func (s *System) runFixedNodes(ctx context.Context, verify, targetMalicious bool
 	return nil, lastErr
 }
 
-// RunAllOptions configures RunAll.
+// RunAllOptions configures RunAllCtx.
 type RunAllOptions struct {
 	// Attacks configures the Table III harness.
 	Attacks attacks.Options
 	// VerifyGEA enables interpreter-trace verification on every GEA
 	// sample.
 	VerifyGEA bool
-}
-
-// RunAll is RunAllCtx without cancellation.
-func (s *System) RunAll(opts RunAllOptions) (*Report, error) {
-	return s.RunAllCtx(context.Background(), opts)
 }
 
 // RunAllCtx builds the corpus (if needed), trains the detector (if

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"advmal/internal/features"
@@ -53,7 +54,7 @@ func (s *System) RunRobustFeatureExperiment(mask []int) (*RobustFeatureResult, e
 	if res.CleanBefore, err = s.EvaluateTest(); err != nil {
 		return nil, err
 	}
-	if res.GEABefore, err = s.RunTableIV(false); err != nil {
+	if res.GEABefore, err = s.RunTableIVCtx(context.TODO(), false); err != nil {
 		return nil, err
 	}
 
@@ -91,7 +92,7 @@ func (s *System) RunRobustFeatureExperiment(mask []int) (*RobustFeatureResult, e
 		Scaler:  ms,
 		Workers: s.Config.Workers,
 	}
-	rows, err := pipeline.RunSizeExperiment(s.TestSamples(), s.Samples, false)
+	rows, err := pipeline.RunSizeExperimentCtx(context.TODO(), s.TestSamples(), s.Samples, false)
 	if err != nil {
 		return nil, err
 	}

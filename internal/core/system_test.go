@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -179,7 +180,7 @@ func TestMirrorConvention(t *testing.T) {
 
 func TestRunGEATablesSmall(t *testing.T) {
 	s := smallSystem(t)
-	rows, err := s.RunTableIV(false)
+	rows, err := s.RunTableIVCtx(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

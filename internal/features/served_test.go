@@ -10,6 +10,7 @@ import (
 
 	"advmal/internal/features"
 	"advmal/internal/gea"
+	"advmal/internal/graph"
 	"advmal/internal/ir"
 	"advmal/internal/synth"
 )
@@ -164,6 +165,32 @@ func BenchmarkExtractTextMiss(b *testing.B) {
 			}
 			if s := e.Stats(); s.Hits != 0 {
 				b.Fatalf("%d cache hits; every call must miss", s.Hits)
+			}
+		})
+	}
+}
+
+// BenchmarkProfileTiers times the exact all-sources sweep alone on the
+// graphs BenchmarkExtractTextMiss recovers, so the sweep's share of a miss
+// reads apart from parse, disassemble and summarise. One warm Sweeper
+// cycles through the tier's distinct CFGs.
+func BenchmarkProfileTiers(b *testing.B) {
+	splices := tierSplices(b, 16)
+	for t, tier := range tiers {
+		graphs := make([]*graph.Graph, len(splices[t]))
+		for i, p := range splices[t] {
+			cfg, err := ir.Disassemble(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			graphs[i] = cfg.G()
+		}
+		b.Run(tier.name, func(b *testing.B) {
+			sw := graph.NewSweeper()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sw.Profile(graphs[i%len(graphs)])
 			}
 		})
 	}

@@ -74,11 +74,6 @@ func (r Row) String() string {
 	return s
 }
 
-// RunTarget is RunTargetCtx without cancellation.
-func (p *Pipeline) RunTarget(origs []*synth.Sample, target *synth.Sample, wantLabel int) (Row, error) {
-	return p.RunTargetCtx(context.Background(), origs, target, wantLabel)
-}
-
 // RunTargetCtx crafts one GEA adversarial sample per original on the
 // shared worker pool and measures how many flip to the class opposite
 // their true one. origs must all share a true class; wantLabel is that
@@ -199,11 +194,6 @@ func (p *Pipeline) craftOne(eng nn.Engine, orig, target *synth.Sample, wantLabel
 	return o
 }
 
-// RunSizeExperiment is RunSizeExperimentCtx without cancellation.
-func (p *Pipeline) RunSizeExperiment(origs, targetPool []*synth.Sample, targetMalicious bool) ([]Row, error) {
-	return p.RunSizeExperimentCtx(context.Background(), origs, targetPool, targetMalicious)
-}
-
 // RunSizeExperimentCtx reproduces Table IV (malware->benign when
 // targetMalicious is false) or Table V (benign->malware when true): the
 // minimum-, median-, and maximum-size target of the target class is
@@ -231,12 +221,6 @@ func (p *Pipeline) RunSizeExperimentCtx(ctx context.Context, origs, targetPool [
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// RunFixedNodesExperiment is RunFixedNodesExperimentCtx without
-// cancellation.
-func (p *Pipeline) RunFixedNodesExperiment(origs, targetPool []*synth.Sample, targetMalicious bool, numGroups, perGroup int) ([]Row, error) {
-	return p.RunFixedNodesExperimentCtx(context.Background(), origs, targetPool, targetMalicious, numGroups, perGroup)
 }
 
 // RunFixedNodesExperimentCtx reproduces Table VI (targetMalicious=false,

@@ -1,6 +1,7 @@
 package gea
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func TestRunTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := p.RunTarget(origs, targets.Maximum, nn.ClassBenign)
+	row, err := p.RunTargetCtx(context.Background(), origs, targets.Maximum, nn.ClassBenign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRunTarget(t *testing.T) {
 
 func TestRunSizeExperimentShape(t *testing.T) {
 	p, samples := testPipeline(t)
-	rows, err := p.RunSizeExperiment(samples[:60], samples, false)
+	rows, err := p.RunSizeExperimentCtx(context.Background(), samples[:60], samples, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,14 @@ func TestRunSizeExperimentNoOrigs(t *testing.T) {
 	}
 	// Malware->benign needs malware originals; passing only benign
 	// samples must fail cleanly.
-	if _, err := p.RunSizeExperiment(benignOnly, samples, false); err == nil {
-		t.Error("RunSizeExperiment accepted an empty original pool")
+	if _, err := p.RunSizeExperimentCtx(context.Background(), benignOnly, samples, false); err == nil {
+		t.Error("RunSizeExperimentCtx accepted an empty original pool")
 	}
 }
 
 func TestRunFixedNodesExperimentShape(t *testing.T) {
 	p, samples := testPipeline(t)
-	rows, err := p.RunFixedNodesExperiment(samples[:60], samples, true, 2, 2)
+	rows, err := p.RunFixedNodesExperimentCtx(context.Background(), samples[:60], samples, true, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

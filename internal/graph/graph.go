@@ -35,17 +35,13 @@ type Graph struct {
 // one with NewBuilder.
 type Builder struct {
 	n     int
-	edges map[int64]struct{}
-	order []int64
+	keys  []int64 // packed u<<32 | v, duplicates included until Build
 	loops bool
 }
 
 // NewBuilder returns a Builder for a graph with n nodes (n >= 0).
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		n:     n,
-		edges: make(map[int64]struct{}),
-	}
+	return &Builder{n: n}
 }
 
 // AllowSelfLoops makes the builder accept u->u edges. CFGs contain self
@@ -55,9 +51,9 @@ func (b *Builder) AllowSelfLoops() *Builder {
 	return b
 }
 
-// AddEdge records the directed edge u->v. Duplicate edges are ignored.
-// It returns an error if either endpoint is out of range, or if u == v and
-// self loops are disallowed.
+// AddEdge records the directed edge u->v. Duplicate edges are ignored:
+// Build keeps one copy of each. It returns an error if either endpoint is
+// out of range, or if u == v and self loops are disallowed.
 func (b *Builder) AddEdge(u, v int) error {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, b.n)
@@ -65,33 +61,31 @@ func (b *Builder) AddEdge(u, v int) error {
 	if u == v && !b.loops {
 		return fmt.Errorf("%w: node %d", ErrSelfLoop, u)
 	}
-	key := int64(u)<<32 | int64(int32(v))&0xffffffff
-	if _, dup := b.edges[key]; dup {
-		return nil
-	}
-	b.edges[key] = struct{}{}
-	b.order = append(b.order, key)
+	b.keys = append(b.keys, int64(u)<<32|int64(int32(v))&0xffffffff)
 	return nil
 }
 
 // Build finalizes the graph. The Builder may not be reused afterwards.
-// Every node's out-list (and in-list) is a window of one shared array,
-// capped at its own length so no list can grow into its neighbour's.
+// The edge keys are sorted, for determinism independent of insertion
+// order, and duplicates removed, so every adjacency list is ascending and
+// holds each neighbour once. Every node's out-list (and in-list) is a
+// window of one shared array, capped at its own length so no list can
+// grow into its neighbour's.
 func (b *Builder) Build() *Graph {
+	slices.Sort(b.keys)
+	keys := slices.Compact(b.keys)
 	g := &Graph{
 		out: make([][]int32, b.n),
 		in:  make([][]int32, b.n),
-		m:   len(b.order),
+		m:   len(keys),
 	}
-	// Sort for determinism independent of insertion order.
-	slices.Sort(b.order)
 	deg := make([]int32, 2*b.n) // out-degrees, then in-degrees
-	for _, key := range b.order {
+	for _, key := range keys {
 		deg[key>>32]++
 		deg[b.n+int(int32(key))]++
 	}
-	outs := make([]int32, len(b.order))
-	ins := make([]int32, len(b.order))
+	outs := make([]int32, len(keys))
+	ins := make([]int32, len(keys))
 	var outAt, inAt int32
 	for u := range b.n {
 		od, id := deg[u], deg[b.n+u]
@@ -100,14 +94,13 @@ func (b *Builder) Build() *Graph {
 		outAt += od
 		inAt += id
 	}
-	for _, key := range b.order {
+	for _, key := range keys {
 		u := int32(key >> 32)
 		v := int32(key)
 		g.out[u] = append(g.out[u], v)
 		g.in[v] = append(g.in[v], u)
 	}
-	b.edges = nil
-	b.order = nil
+	b.keys = nil
 	return g
 }
 

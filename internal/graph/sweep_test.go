@@ -85,6 +85,77 @@ func TestSweepMatchesNaiveRandom(t *testing.T) {
 	}
 }
 
+// ladder returns a series of rungs. Each rung leaves its join node
+// through width parallel nodes, which all enter the next join node, so
+// the shortest-path count from node 0 multiplies by width at every rung.
+// Between a join node and its parallel nodes the two counts are equal,
+// the case in which the sweep skips its divide.
+func ladder(t *testing.T, width, rungs int) *Graph {
+	t.Helper()
+	b := NewBuilder(1 + rungs*(width+1))
+	join := 0
+	for range rungs {
+		next := join + width + 1
+		for k := 1; k <= width; k++ {
+			if err := b.AddEdge(join, join+k); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddEdge(join+k, next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		join = next
+	}
+	return b.Build()
+}
+
+// TestSweepMatchesNaiveLadder pins the divide skip where path counts are
+// no longer small integers. At width 3 over 40 rungs they pass 2^53, so
+// their sums round. At width 2 over 1,030 rungs they reach +Inf: the
+// naive method's Inf/Inf is NaN, and the sweep must take the divide there
+// to reproduce it rather than add the dependency unscaled.
+func TestSweepMatchesNaiveLadder(t *testing.T) {
+	sw := NewSweeper()
+	for _, c := range []struct{ width, rungs int }{{3, 40}, {2, 1030}} {
+		g := ladder(t, c.width, c.rungs)
+		if p := sw.Profile(g); !profileMatches(g, p) {
+			t.Errorf("width %d, %d rungs (n=%d): fused profile != naive", c.width, c.rungs, g.N())
+		}
+	}
+}
+
+// FuzzSweepMatchesNaive decodes a graph of at most 64 nodes from the
+// fuzz bytes (data[0] is n, then each byte pair is an edge u->v taken mod
+// n, self loops and duplicates included) and requires the fused sweep to
+// reproduce the four naive traversals bit for bit. One Sweeper profiles
+// every input, so stale scratch from a larger graph would show.
+func FuzzSweepMatchesNaive(f *testing.F) {
+	f.Add([]byte{})                                      // n = 0
+	f.Add([]byte{1})                                     // n = 1
+	f.Add([]byte{2, 0, 1, 1, 0})                         // n = 2, a 2-cycle
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4})             // chain
+	f.Add([]byte{4, 0, 1, 0, 2, 1, 3, 2, 3})             // diamond
+	f.Add([]byte{4, 0, 0, 0, 1, 1, 1, 1, 2, 2, 0, 2, 3}) // self-loop CFG
+	sw := NewSweeper()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := 0
+		if len(data) > 0 {
+			n = int(data[0]) % 65
+			data = data[1:]
+		}
+		b := NewBuilder(n).AllowSelfLoops()
+		for i := 0; n > 0 && i+1 < len(data); i += 2 {
+			if err := b.AddEdge(int(data[i])%n, int(data[i+1])%n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := b.Build()
+		if p := sw.Profile(g); !profileMatches(g, p) {
+			t.Errorf("n=%d m=%d edges %v: fused profile != naive", g.N(), g.M(), g.Edges())
+		}
+	})
+}
+
 // TestSweepScratchReuse: profiling a large graph then a small one must
 // not leak stale scratch into the second result, and re-profiling the
 // same graph on a warm sweeper must reproduce the cold result.

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"advmal/internal/graph"
@@ -53,25 +52,24 @@ func Disassemble(p *Program) (*CFG, error) {
 			leader[idx+1] = true
 		}
 	}
-	// Materialize blocks in address order.
-	var starts []int
-	for idx, isL := range leader {
+	// Materialize blocks in address order: each leader opens a block and
+	// closes the one before it.
+	nBlocks := 0
+	for _, isL := range leader {
 		if isL {
-			starts = append(starts, idx)
+			nBlocks++
 		}
 	}
-	sort.Ints(starts)
-	blocks := make([]Block, len(starts))
+	blocks := make([]Block, 0, nBlocks)
 	blockOf := make([]int, n)
-	for k, s := range starts {
-		end := n
-		if k+1 < len(starts) {
-			end = starts[k+1]
+	for idx, isL := range leader {
+		if isL {
+			if k := len(blocks); k > 0 {
+				blocks[k-1].End = idx
+			}
+			blocks = append(blocks, Block{Start: idx, End: n})
 		}
-		blocks[k] = Block{Start: s, End: end}
-		for i := s; i < end; i++ {
-			blockOf[i] = k
-		}
+		blockOf[idx] = len(blocks) - 1
 	}
 	b := graph.NewBuilder(len(blocks)).AllowSelfLoops()
 	for k, blk := range blocks {

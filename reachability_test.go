@@ -31,14 +31,9 @@ var unlinkedAllowed = map[string]bool{
 	// core
 	"core.(*FamilyMetrics).HardestFamilies":     true,
 	"core.(*RobustFeatureResult).String":        true,
-	"core.(*System).RunAll":                     true,
 	"core.(*System).RunObfuscationExperiment":   true,
 	"core.(*System).RunPackingExperiment":       true,
 	"core.(*System).RunRobustFeatureExperiment": true,
-	"core.(*System).RunTableIV":                 true,
-	"core.(*System).RunTableV":                  true,
-	"core.(*System).RunTableVI":                 true,
-	"core.(*System).RunTableVII":                true,
 	"core.FamilyClasses":                        true,
 	"core.FamilyOfClass":                        true,
 	"core.ObfuscationRow.String":                true,
@@ -60,17 +55,14 @@ var unlinkedAllowed = map[string]bool{
 	"gateway.(*Ring).Len":            true,
 	"gateway.(*Ring).Owner":          true,
 	// gea
-	"gea.(*Pipeline).CompareExitWiring":       true,
-	"gea.(*Pipeline).MinimizeTargetSize":      true,
-	"gea.(*Pipeline).RealizeJSMA":             true,
-	"gea.(*Pipeline).RunFixedNodesExperiment": true,
-	"gea.(*Pipeline).RunSizeExperiment":       true,
-	"gea.(*Pipeline).RunTarget":               true,
-	"gea.(*Pipeline).classifyProgram":         true,
-	"gea.AddNodesEdges":                       true,
-	"gea.MergeNoSharedExit":                   true,
-	"gea.Row.String":                          true,
-	"gea.TruncateTarget":                      true,
+	"gea.(*Pipeline).CompareExitWiring":  true,
+	"gea.(*Pipeline).MinimizeTargetSize": true,
+	"gea.(*Pipeline).RealizeJSMA":        true,
+	"gea.(*Pipeline).classifyProgram":    true,
+	"gea.AddNodesEdges":                  true,
+	"gea.MergeNoSharedExit":              true,
+	"gea.Row.String":                     true,
+	"gea.TruncateTarget":                 true,
 	// graph
 	"graph.(*Graph).BFSFrom":               true,
 	"graph.(*Graph).BetweennessCentrality": true,
