@@ -8,7 +8,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,13 +16,14 @@ import (
 
 	"advmal/internal/attacks"
 	"advmal/internal/core"
+	"advmal/internal/pool"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if pool.Cancelled(err) {
 			fmt.Fprintln(os.Stderr, "attack: interrupted — pipeline cancelled cleanly, partial progress above")
 			os.Exit(130)
 		}

@@ -16,7 +16,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +26,7 @@ import (
 	"advmal/internal/core"
 	"advmal/internal/index"
 	"advmal/internal/ir"
+	"advmal/internal/pool"
 	"advmal/internal/report"
 	"advmal/internal/serve"
 )
@@ -35,7 +35,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if pool.Cancelled(err) {
 			fmt.Fprintln(os.Stderr, "classify: interrupted — pipeline cancelled cleanly, partial progress above")
 			os.Exit(130)
 		}

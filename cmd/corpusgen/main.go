@@ -8,7 +8,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,6 +15,7 @@ import (
 	"syscall"
 
 	"advmal/internal/dataset"
+	"advmal/internal/pool"
 	"advmal/internal/report"
 	"advmal/internal/synth"
 )
@@ -24,7 +24,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if pool.Cancelled(err) {
 			fmt.Fprintln(os.Stderr, "corpusgen: interrupted — generation cancelled cleanly, partial progress above")
 			os.Exit(130)
 		}

@@ -15,10 +15,7 @@
 // /v1/classify/vector (raw feature vector), GET /v1/model (serving
 // snapshot version + swap count), GET /metrics, /healthz, /readyz.
 // With -admin, POST /admin/swap hot-swaps a model gob into the serving
-// handle with zero dropped requests. With -retrain, the canary-gated
-// online retraining loop (internal/lifecycle) runs in-process: train a
-// candidate per drifted window, gate it against the live model on
-// clean holdout metrics and per-attack evasion rates, swap on pass.
+// handle with zero dropped requests; cmd/retrain -swap-url drives it.
 //
 // On SIGTERM or SIGINT the server drains gracefully: /readyz flips to
 // 503, the listener stops accepting, in-flight requests flush through
@@ -40,7 +37,6 @@ import (
 
 	"advmal/internal/core"
 	"advmal/internal/index"
-	"advmal/internal/lifecycle"
 	"advmal/internal/serve"
 )
 
@@ -63,14 +59,6 @@ func run() error {
 		chaos   = flag.Bool("chaos", false, "arm the fault-injection surface (/chaosz) — test harnesses only")
 		idx     = flag.String("index", "", "similarity corpus snapshot (build one with classify -train -index); arms /v1/similar and classify triage")
 		admin   = flag.Bool("admin", false, "mount POST /admin/swap (hot-swap a model gob into the serving handle)")
-
-		retrain       = flag.Bool("retrain", false, "run the online retraining loop: train candidates on a drifting sample stream, canary-gate them against the live model, hot-swap on pass")
-		retrainEvery  = flag.Duration("retrain-interval", 30*time.Second, "with -retrain: cycle interval")
-		retrainBenign = flag.Int("retrain-benign", 40, "with -retrain: benign samples per window")
-		retrainMal    = flag.Int("retrain-malware", 120, "with -retrain: malicious samples per window")
-		retrainEpochs = flag.Int("retrain-epochs", 30, "with -retrain: candidate training epochs")
-		retrainAtkN   = flag.Int("retrain-attack-samples", 24, "with -retrain: holdout samples per evasion gate (negative skips the attack gates)")
-		retrainSeed   = flag.Int64("retrain-seed", 1, "with -retrain: stream + training seed")
 	)
 	flag.Parse()
 
@@ -137,36 +125,6 @@ func run() error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *retrain {
-		rt := &lifecycle.Retrainer{
-			Handle: handle,
-			Stream: lifecycle.NewStream(lifecycle.StreamConfig{
-				Seed:      *retrainSeed,
-				NumBenign: *retrainBenign,
-				NumMal:    *retrainMal,
-			}),
-			Trainer:   lifecycle.Trainer{Seed: *retrainSeed, Epochs: *retrainEpochs},
-			Gates:     lifecycle.Gates{AttackSamples: *retrainAtkN},
-			WarmStart: true,
-		}
-		rt.OnReport = func(rep *lifecycle.CycleReport) {
-			srv.SetLifecycle(rt.Status())
-			verdict := "REJECTED"
-			if rep.Swapped {
-				verdict = fmt.Sprintf("SWAPPED v%d -> v%d", rep.OldVersion, rep.NewVersion)
-			}
-			fmt.Fprintf(os.Stderr,
-				"serve: retrain window %d (%d samples): %s — live %s, candidate %s (train %v, canary %v)\n",
-				rep.Window, rep.WindowSize, verdict, rep.Canary.Live, rep.Canary.Candidate,
-				rep.TrainTime.Round(time.Millisecond), rep.CanaryTime.Round(time.Millisecond))
-		}
-		go rt.Run(ctx, *retrainEvery, func(err error) {
-			fmt.Fprintln(os.Stderr, "serve: retrain cycle:", err)
-		})
-		fmt.Fprintf(os.Stderr, "serve: online retraining armed (every %v, window %d+%d, %d epochs)\n",
-			*retrainEvery, *retrainBenign, *retrainMal, *retrainEpochs)
-	}
 
 	select {
 	case err := <-serveErr:

@@ -10,7 +10,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +18,7 @@ import (
 
 	"advmal/internal/dataset"
 	"advmal/internal/features"
+	"advmal/internal/pool"
 	"advmal/internal/report"
 	"advmal/internal/synth"
 )
@@ -27,7 +27,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if pool.Cancelled(err) {
 			fmt.Fprintln(os.Stderr, "stats: interrupted — analysis cancelled cleanly, partial progress above")
 			os.Exit(130)
 		}

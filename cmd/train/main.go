@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -18,13 +17,14 @@ import (
 
 	"advmal/internal/core"
 	"advmal/internal/nn"
+	"advmal/internal/pool"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if pool.Cancelled(err) {
 			fmt.Fprintln(os.Stderr, "train: interrupted — pipeline cancelled cleanly, partial progress above")
 			os.Exit(130)
 		}

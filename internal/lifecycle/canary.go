@@ -6,7 +6,6 @@ import (
 	"advmal/internal/attacks"
 	"advmal/internal/core"
 	"advmal/internal/nn"
-	"advmal/internal/serve"
 )
 
 // Gates are the canary thresholds a candidate must clear against the
@@ -63,7 +62,25 @@ type CanaryResult struct {
 	Live, Candidate nn.Metrics
 	// Gates is the gate-by-gate verdict, in evaluation order: accuracy,
 	// fnr, fpr, then one evasion gate per attack.
-	Gates []serve.GateStatus
+	Gates []GateStatus
+}
+
+// GateStatus reports one canary gate's evaluation: the live and
+// candidate readings it compared and whether the candidate passed.
+type GateStatus struct {
+	// Name identifies the gate: "accuracy", "fnr", "fpr", or
+	// "evasion:<attack>".
+	Name string `json:"name"`
+	// Live and Candidate are the gated metric's readings on the holdout
+	// (higher-is-worse for fnr/fpr/evasion, higher-is-better for
+	// accuracy).
+	Live      float64 `json:"live"`
+	Candidate float64 `json:"candidate"`
+	// Margin is how far the candidate sat from the gate's threshold —
+	// positive is headroom, negative is the violation size.
+	Margin float64 `json:"margin"`
+	// Pass reports whether this gate admitted the candidate.
+	Pass bool `json:"pass"`
 }
 
 // EvaluateCanary gates a candidate model against the live one on a raw
@@ -129,8 +146,8 @@ func EvaluateCanary(live, cand *core.Model, rawX [][]float64, y []int, g Gates) 
 
 // gate folds one comparison into a GateStatus; a non-negative margin
 // passes.
-func gate(name string, live, cand, margin float64) serve.GateStatus {
-	return serve.GateStatus{Name: name, Live: live, Candidate: cand, Margin: margin, Pass: margin >= 0}
+func gate(name string, live, cand, margin float64) GateStatus {
+	return GateStatus{Name: name, Live: live, Candidate: cand, Margin: margin, Pass: margin >= 0}
 }
 
 // scaleAll scales the raw holdout through one model's scaler.

@@ -254,7 +254,7 @@ func TestCanaryAcceptsEquivalentCandidate(t *testing.T) {
 
 // TestRetrainerRunOnce drives one full cycle end to end with permissive
 // gates: window → warm-started candidate → canary → hot swap, with the
-// handle version advancing and the status counters recording the pass.
+// handle version advancing.
 func TestRetrainerRunOnce(t *testing.T) {
 	live := liveModel(t)
 	h := core.NewHandle(live)
@@ -275,9 +275,6 @@ func TestRetrainerRunOnce(t *testing.T) {
 		},
 		WarmStart: true,
 	}
-	var reported *CycleReport
-	rt.OnReport = func(rep *CycleReport) { reported = rep }
-
 	rep, err := rt.RunOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +288,6 @@ func TestRetrainerRunOnce(t *testing.T) {
 	}
 	if h.Current() == live {
 		t.Fatal("handle still serves the old snapshot after a passed canary")
-	}
-	if reported != rep {
-		t.Fatal("OnReport did not receive the cycle report")
-	}
-	st := rt.Status()
-	if st.CanaryRuns != 1 || st.CanaryPassed != 1 || st.CanaryFailed != 0 || len(st.Gates) != 3 {
-		t.Fatalf("status after one passing cycle: %+v", st)
 	}
 	if rep.WindowSize == 0 || rep.Window != 0 {
 		t.Fatalf("window accounting: %+v", rep)
@@ -339,9 +329,5 @@ func TestRetrainerGatesBlockSwap(t *testing.T) {
 	}
 	if h.Version() != 1 || h.Swaps() != 0 {
 		t.Fatalf("rejected candidate reached the handle: version %d swaps %d", h.Version(), h.Swaps())
-	}
-	st := rt.Status()
-	if st.CanaryRuns != 1 || st.CanaryFailed != 1 || st.CanaryPassed != 0 {
-		t.Fatalf("status after one failing cycle: %+v", st)
 	}
 }

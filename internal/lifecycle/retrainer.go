@@ -3,17 +3,16 @@ package lifecycle
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"advmal/internal/core"
-	"advmal/internal/serve"
 )
 
-// Retrainer is the online-retraining loop: draw a window from the
+// Retrainer is one retraining cycle's wiring: draw a window from the
 // stream, train a candidate, canary it against the live model, and swap
-// the handle only when every gate passes. One goroutine drives it (Run
-// or repeated RunOnce); Status is safe to call from anywhere.
+// the handle only when every gate passes. cmd/retrain drives it, one
+// RunOnce per window, and publishes each winner onward (to disk or to a
+// serve -admin replica). It is not safe for concurrent RunOnce calls.
 type Retrainer struct {
 	// Handle is the serving pointer candidates are swapped into.
 	// Required.
@@ -28,15 +27,6 @@ type Retrainer struct {
 	// WarmStart, when true, initializes each candidate from the live
 	// model's weights instead of fresh random init.
 	WarmStart bool
-	// OnReport, when non-nil, receives each cycle's report (on the loop
-	// goroutine).
-	OnReport func(*CycleReport)
-
-	mu     sync.Mutex
-	runs   uint64
-	passed uint64
-	failed uint64
-	gates  []serve.GateStatus
 }
 
 // CycleReport is one retraining cycle's outcome.
@@ -60,7 +50,7 @@ type CycleReport struct {
 
 // RunOnce executes one full cycle: window → candidate → canary → swap
 // (gates permitting). A gated-out candidate is not an error — the report
-// says Swapped=false and the loop moves on.
+// says Swapped=false and the caller moves on to the next window.
 func (r *Retrainer) RunOnce(ctx context.Context) (*CycleReport, error) {
 	if r.Handle == nil || r.Stream == nil {
 		return nil, fmt.Errorf("lifecycle: retrainer needs a Handle and a Stream")
@@ -112,58 +102,5 @@ func (r *Retrainer) RunOnce(ctx context.Context) (*CycleReport, error) {
 		rep.Swapped = true
 		rep.NewVersion = cand.Model.Version
 	}
-
-	r.mu.Lock()
-	r.runs++
-	if canary.Pass {
-		r.passed++
-	} else {
-		r.failed++
-	}
-	r.gates = canary.Gates
-	r.mu.Unlock()
-	if r.OnReport != nil {
-		r.OnReport(rep)
-	}
 	return rep, nil
-}
-
-// Run loops RunOnce every interval until ctx is cancelled. Cycle errors
-// are reported through errf (nil discards them) and do not stop the
-// loop — a failed window must not end retraining forever.
-func (r *Retrainer) Run(ctx context.Context, interval time.Duration, errf func(error)) {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		if _, err := r.RunOnce(ctx); err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if errf != nil {
-				errf(err)
-			}
-		}
-	}
-}
-
-// Status snapshots the loop's counters and last gate verdicts in the
-// serving metrics schema.
-func (r *Retrainer) Status() *serve.LifecycleStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := &serve.LifecycleStatus{
-		CanaryRuns:   r.runs,
-		CanaryPassed: r.passed,
-		CanaryFailed: r.failed,
-	}
-	st.Gates = append(st.Gates, r.gates...)
-	return st
 }

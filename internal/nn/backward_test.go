@@ -69,7 +69,7 @@ func FuzzBackwardKernels(f *testing.F) {
 
 		layers := net.Layers()
 		o := newOracle(net)
-		net.ZeroGrad()
+		zeroGrads(net)
 		acts, want := oracleBoundaries(o, x, dlog)
 		var wantG [][]float64
 		for _, p := range net.Params() {

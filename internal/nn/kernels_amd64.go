@@ -79,9 +79,6 @@ func conv3BwdTileAVX(dx, dy, w *float64, cin, cout, l, lout int)
 func conv3BwdTile4AVX(dx, dy, w *float64, cin, cout, l, lout int)
 
 //go:noescape
-func convDwAVX(gw, dy, cols *float64, mask *uint64, n, s, lanes int)
-
-//go:noescape
 func axpyAVX(y, x *float64, a float64, n int)
 
 // The backward wrappers check, like the forward ones, the last element
@@ -105,23 +102,10 @@ func conv3BwdTile4(dx, g, w []float64, cin, cout, l, lout int) {
 	conv3BwdTile4AVX(&dx[0], &g[0], &w[0], cin, cout, l, lout)
 }
 
-func convDw(gw, g, cols []float64, mask []uint64, n, s int) {
-	lanes := len(gw) &^ 3
-	if !useAVX || lanes == 0 {
-		convDwGo(gw, g, cols, mask, n, s)
-		return
-	}
-	_, _, _ = g[n-1], cols[(n-1)*s+lanes-1], mask[s+lanes-1]
-	convDwAVX(&gw[0], &g[0], &cols[0], &mask[0], n, s, lanes)
-	if lanes < len(gw) {
-		convDwGo(gw[lanes:], g, cols[lanes:], mask[lanes:], n, s)
-	}
-}
-
 //go:noescape
 func convDw2AVX(gw, dy, cols *float64, mask *uint64, n, s int)
 
-// convDw2 is convDw for two output channels: gw[c*s:(c+1)*s] from
+// convDw2 is convDwGo for two output channels: gw[c*s:(c+1)*s] from
 // g[c*n:(c+1)*n] for c < 2.
 func convDw2(gw, g, cols []float64, mask []uint64, n, s int) {
 	if !useAVX {

@@ -299,125 +299,6 @@ bwdout4:
 	VZEROUPPER
 	RET
 
-// func convDwAVX(gw, dy, cols *float64, mask *uint64, n, s, lanes int)
-//
-// For e < lanes (a multiple of 4) and rows t < n (n >= 2) of cols at
-// stride s: gw[e] += +0 plus, over t ascending, g[t] * cols[t*s+e], the
-// product of row 0 ANDed with mask[e] and that of row n-1 with
-// mask[s+e]. Sixteen lanes at a time, then four.
-TEXT ·convDwAVX(SB), NOSPLIT, $0-56
-	MOVQ   gw+0(FP), DI
-	MOVQ   dy+8(FP), SI
-	MOVQ   cols+16(FP), DX
-	MOVQ   mask+24(FP), R8
-	MOVQ   n+32(FP), AX
-	DECQ   AX
-	SHLQ   $3, AX                 // byte offset of g[n-1]
-	MOVQ   s+40(FP), BX
-	SHLQ   $3, BX                 // row stride in bytes
-	MOVQ   lanes+48(FP), R9
-	VXORPD Y14, Y14, Y14
-
-dw16:
-	CMPQ R9, $16
-	JLT  dw4
-	VBROADCASTSD (SI), Y15
-	VMULPD       (DX), Y15, Y0
-	VMULPD       32(DX), Y15, Y1
-	VMULPD       64(DX), Y15, Y2
-	VMULPD       96(DX), Y15, Y3
-	VANDPD       (R8), Y0, Y0
-	VANDPD       32(R8), Y1, Y1
-	VANDPD       64(R8), Y2, Y2
-	VANDPD       96(R8), Y3, Y3
-	VADDPD       Y0, Y14, Y0
-	VADDPD       Y1, Y14, Y1
-	VADDPD       Y2, Y14, Y2
-	VADDPD       Y3, Y14, Y3
-	LEAQ         (DX)(BX*1), R10
-	MOVQ         $8, R11
-
-dw16rows:
-	CMPQ         R11, AX
-	JGE          dw16last
-	VBROADCASTSD (SI)(R11*1), Y15
-	VMULPD       (R10), Y15, Y4
-	VMULPD       32(R10), Y15, Y5
-	VMULPD       64(R10), Y15, Y6
-	VMULPD       96(R10), Y15, Y7
-	VADDPD       Y4, Y0, Y0
-	VADDPD       Y5, Y1, Y1
-	VADDPD       Y6, Y2, Y2
-	VADDPD       Y7, Y3, Y3
-	ADDQ         BX, R10
-	ADDQ         $8, R11
-	JMP          dw16rows
-
-dw16last:
-	VBROADCASTSD (SI)(AX*1), Y15
-	VMULPD       (R10), Y15, Y4
-	VMULPD       32(R10), Y15, Y5
-	VMULPD       64(R10), Y15, Y6
-	VMULPD       96(R10), Y15, Y7
-	VANDPD       (R8)(BX*1), Y4, Y4
-	VANDPD       32(R8)(BX*1), Y5, Y5
-	VANDPD       64(R8)(BX*1), Y6, Y6
-	VANDPD       96(R8)(BX*1), Y7, Y7
-	VADDPD       Y4, Y0, Y0
-	VADDPD       Y5, Y1, Y1
-	VADDPD       Y6, Y2, Y2
-	VADDPD       Y7, Y3, Y3
-	VADDPD       (DI), Y0, Y0
-	VADDPD       32(DI), Y1, Y1
-	VADDPD       64(DI), Y2, Y2
-	VADDPD       96(DI), Y3, Y3
-	VMOVUPD      Y0, (DI)
-	VMOVUPD      Y1, 32(DI)
-	VMOVUPD      Y2, 64(DI)
-	VMOVUPD      Y3, 96(DI)
-	ADDQ         $128, DI
-	ADDQ         $128, DX
-	ADDQ         $128, R8
-	SUBQ         $16, R9
-	JMP          dw16
-
-dw4:
-	TESTQ        R9, R9
-	JZ           dwdone
-	VBROADCASTSD (SI), Y15
-	VMULPD       (DX), Y15, Y0
-	VANDPD       (R8), Y0, Y0
-	VADDPD       Y0, Y14, Y0
-	LEAQ         (DX)(BX*1), R10
-	MOVQ         $8, R11
-
-dw4rows:
-	CMPQ         R11, AX
-	JGE          dw4last
-	VBROADCASTSD (SI)(R11*1), Y15
-	VMULPD       (R10), Y15, Y4
-	VADDPD       Y4, Y0, Y0
-	ADDQ         BX, R10
-	ADDQ         $8, R11
-	JMP          dw4rows
-
-dw4last:
-	VBROADCASTSD (SI)(AX*1), Y15
-	VMULPD       (R10), Y15, Y4
-	VANDPD       (R8)(BX*1), Y4, Y4
-	VADDPD       Y4, Y0, Y0
-	VADDPD       (DI), Y0, Y0
-	VMOVUPD      Y0, (DI)
-	ADDQ         $32, DI
-	ADDQ         $32, DX
-	ADDQ         $32, R8
-	SUBQ         $4, R9
-	JMP          dw4
-
-dwdone:
-	VZEROUPPER
-	RET
-
 // One row of convDw2AVX's sixteen lanes in both channels: the columns
 // Y8..Y11 times the broadcast gradients Y12 (channel 0) and Y13 (channel
 // 1), added to Y0..Y3 and Y4..Y7.
@@ -481,8 +362,7 @@ dwdone:
 // convDwGo for two output channels at once, over all s lanes, the two
 // sharing every load of cols: channel c's gradient row is dy[c*n ..
 // c*n+n) and its weight gradient gw[c*s .. c*s+s). Sixteen lanes at a
-// time (eight accumulators, twice convDwAVX's independent chains), then
-// four, then one.
+// time (eight accumulators), then four, then one.
 TEXT ·convDw2AVX(SB), NOSPLIT, $0-48
 	MOVQ   gw+0(FP), DI
 	MOVQ   dy+8(FP), SI

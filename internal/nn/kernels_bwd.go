@@ -17,7 +17,7 @@ import "math"
 //
 // So the lanes of a vector can again be outputs — dx or dw elements —
 // each lane running its own chain with separately rounded multiplies and
-// adds. Seven primitives do the paper network's backward arithmetic:
+// adds. Six primitives do the paper network's backward arithmetic:
 //
 //   - conv3BwdTile: the input gradient of a k=3 layer at 2 input channels
 //     x 8 positions whose three taps are all in range, output channels
@@ -25,10 +25,11 @@ import "math"
 //     for rows whose interior is shorter than 8 (conv4's is 6).
 //   - conv3BwdEdges: the input gradient at the ends of a k=3 row, which
 //     see one or two taps, a lane per input channel.
-//   - convDw: the weight gradient of one output channel of a k=3 layer,
-//     lanes over (input channel, tap), reading an im2col copy of the layer
-//     input that bwdDw builds once per call; convDw2 is the same for
-//     two output channels, which share every load of that copy.
+//   - convDw2: the weight gradients of two output channels of a k=3
+//     layer, lanes over (input channel, tap), the two sharing every load
+//     of an im2col copy of the layer input that bwdDw builds once per
+//     call. An odd last output channel, which no shipped architecture
+//     has, runs alone through the portable one-channel form convDwGo.
 //   - axpy: y += x * a, the dense layer's dx rows (and gw at batch 1).
 //   - axpyList: y += x_j * a_j over a list of rows x_j, in list order,
 //     a tile of y staying in registers: a training sub-batch's dense
@@ -82,12 +83,13 @@ func conv3BwdQuad(dx, g, w []float64, cin, cout, lout int) {
 	dx[0], dx[1], dx[2], dx[3] = v0, v1, v2, v3
 }
 
-// convDwGo is the portable convDw: for e < len(gw), with rows t < n of
-// cols at stride s, gw[e] += the sum over t of g[t] * cols[t*s+e], where
-// the product of row 0 is ANDed with mask[e] and that of row n-1 with
-// mask[s+e]. A zero mask lane turns the product into +0, which leaves a
-// chain that started at +0 exactly as it was: that is how a "same" row
-// skips the taps that fall off its ends. n must be at least 2.
+// convDwGo is one output channel of convDw2: for e < len(gw), with rows
+// t < n of cols at stride s, gw[e] += the sum over t of g[t] *
+// cols[t*s+e], where the product of row 0 is ANDed with mask[e] and that
+// of row n-1 with mask[s+e]. A zero mask lane turns the product into +0,
+// which leaves a chain that started at +0 exactly as it was: that is how
+// a "same" row skips the taps that fall off its ends. n must be at least
+// 2.
 func convDwGo(gw, g, cols []float64, mask []uint64, n, s int) {
 	last := (n - 1) * s
 	e := 0

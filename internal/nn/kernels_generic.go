@@ -20,8 +20,6 @@ func conv3BwdTile4(dx, g, w []float64, cin, cout, l, lout int) {
 	conv3BwdTile4Go(dx, g, w, cin, cout, l, lout)
 }
 
-func convDw(gw, g, cols []float64, mask []uint64, n, s int) { convDwGo(gw, g, cols, mask, n, s) }
-
 func convDw2(gw, g, cols []float64, mask []uint64, n, s int) {
 	convDwGo(gw[:s], g[:n], cols, mask, n, s)
 	convDwGo(gw[s:2*s], g[n:2*n], cols, mask, n, s)

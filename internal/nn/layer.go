@@ -26,13 +26,6 @@ type Param struct {
 	G    []float64
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() {
-	for i := range p.G {
-		p.G[i] = 0
-	}
-}
-
 // Layer is one differentiable stage of the network. The interface is
 // sealed by its unexported outShape, so every layer is one of this
 // package's six types, each of which the batch plans (batch.go) know how

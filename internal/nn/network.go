@@ -67,13 +67,6 @@ func (n *Network) NumParams() int {
 	return total
 }
 
-// ZeroGrad clears all parameter gradients.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // CloneShared returns a view of the network sharing weights but with
 // private gradients and its own workspace, for data-parallel training and
 // crafting.

@@ -54,6 +54,13 @@ type oracle struct {
 	layers []oracleLayer
 }
 
+// zeroGrads clears every parameter gradient accumulator of net.
+func zeroGrads(net *Network) {
+	for _, p := range net.Params() {
+		clear(p.G)
+	}
+}
+
 func newOracle(net *Network) *oracle {
 	o := &oracle{net: net}
 	for _, l := range net.layers {
@@ -124,7 +131,7 @@ func (o *oracle) Predict(x []float64) int { return Argmax(o.Logits(x)) }
 func (o *oracle) LossGrad(x []float64, label int) (float64, []float64) {
 	logits := o.Forward(x, false)
 	loss, dLogits := softmaxCE(logits, label)
-	o.net.ZeroGrad()
+	zeroGrads(o.net)
 	return loss, o.Backward(dLogits)
 }
 
@@ -135,7 +142,7 @@ func (o *oracle) Jacobian(x []float64) ([]float64, [][]float64) {
 	for k := range logits {
 		d := make([]float64, len(logits))
 		d[k] = 1
-		o.net.ZeroGrad()
+		zeroGrads(o.net)
 		jac[k] = o.Backward(d)
 	}
 	return logits, jac
@@ -144,7 +151,7 @@ func (o *oracle) Jacobian(x []float64) ([]float64, [][]float64) {
 // InputGrad implements Engine: Backward after zeroing the parameter
 // gradients, so the accumulators hold nothing stale afterwards.
 func (o *oracle) InputGrad(dLogits []float64) []float64 {
-	o.net.ZeroGrad()
+	zeroGrads(o.net)
 	return o.Backward(dLogits)
 }
 

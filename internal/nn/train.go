@@ -138,7 +138,7 @@ type gradChunk struct {
 // order depends only on worker indices and the element ranges are
 // disjoint, so the result is byte-identical no matter how the pool
 // schedules chunks; the fused zeroing means neither the clones nor the
-// master need a separate ZeroGrad pass between batches. Clone parameter
+// master need a separate zeroing pass between batches. Clone parameter
 // slices are resolved once at construction.
 type GradReducer struct {
 	params []*Param

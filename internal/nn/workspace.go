@@ -41,7 +41,7 @@ type Workspace struct {
 // wsState is the per-layer state a workspace owns so running the engine
 // never mutates the Network's layers: a Dropout layer's RNG stream and a
 // k=3 convolution's weight-gradient scratch, the im2col copy of its input
-// and convDw's row masks (see Conv1D.bwdDw).
+// and convDwGo's row masks (see Conv1D.bwdDw).
 type wsState struct {
 	rng    *rand.Rand
 	dwCols []float64
@@ -92,14 +92,8 @@ func (n *Network) WS() *Workspace {
 	return n.ws
 }
 
-// Net returns the network view this workspace executes.
-func (ws *Workspace) Net() *Network { return ws.net }
-
 // NumClasses implements Engine.
 func (ws *Workspace) NumClasses() int { return ws.net.nClasses }
-
-// InputDim returns the flat input dimension.
-func (ws *Workspace) InputDim() int { return ws.inDim }
 
 // Reseed gives every Dropout layer a deterministic stream derived from
 // seed: layer i draws from seed + i*7919.

@@ -103,10 +103,10 @@ func (c *Conv1D) bwdDxRows(dx, g []float64, l, lout int) {
 	}
 }
 
-// bwdDw accumulates the weight gradients of a k=3 layer with convDw, two
-// output channels at a time (convDw2) and a last odd one alone: row t of
-// s.dwCols holds, at lane ci*3+j, the input tap j of channel ci reads for
-// output t. Every row whose three taps are in range takes three plain
+// bwdDw accumulates the weight gradients of a k=3 layer two output
+// channels at a time (convDw2) and a last odd one alone (convDwGo): row
+// t of s.dwCols holds, at lane ci*3+j, the input tap j of channel ci reads
+// for output t. Every row whose three taps are in range takes three plain
 // copies per channel; the first and last row of a "same" layer read past
 // the row at tap 0 and tap 2, which get a 0 there (a lane s.dwMask drops
 // anyway).
@@ -133,11 +133,11 @@ func (c *Conv1D) bwdDw(s *wsState, x, g []float64, l, lout int) {
 		convDw2(c.w.G[o*m:(o+2)*m], g[o*lout:(o+2)*lout], cols, s.dwMask, lout, m)
 	}
 	if o < c.cout {
-		convDw(c.w.G[o*m:(o+1)*m], g[o*lout:(o+1)*lout], cols, s.dwMask, lout, m)
+		convDwGo(c.w.G[o*m:(o+1)*m], g[o*lout:(o+1)*lout], cols, s.dwMask, lout, m)
 	}
 }
 
-// dwMask returns convDw's masks for a k=3 layer: row 0's drops tap 0 and
+// dwMask returns convDwGo's masks for a k=3 layer: row 0's drops tap 0 and
 // row lout-1's drops tap 2 when the padding is "same", where those taps
 // read past the row; "valid" drops nothing.
 func (c *Conv1D) dwMask() []uint64 {

@@ -140,8 +140,8 @@ func TestWorkspaceBitIdentical(t *testing.T) {
 			// the private views bitwise.
 			o.Reseed(seed)
 			ws.Reseed(seed)
-			net.ZeroGrad()
-			view.ZeroGrad()
+			zeroGrads(net)
+			zeroGrads(view)
 			weight := 1.0
 			if rep == 1 {
 				weight = 1.75

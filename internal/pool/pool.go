@@ -184,8 +184,9 @@ func collect(err error, out *[]*ItemError) {
 	}
 }
 
-// Cancelled reports whether err (from Run) is due to context cancellation
-// or deadline expiry rather than item failures alone.
+// Cancelled reports whether err (from Run, or any pipeline that wraps a
+// context error) is due to context cancellation or deadline expiry rather
+// than item failures alone. The commands map it to exit status 130.
 func Cancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

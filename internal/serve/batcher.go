@@ -13,7 +13,7 @@ import (
 	"advmal/internal/pool"
 )
 
-// Admission and lifecycle errors. Submit returns exactly one of these
+// Admission and lifecycle errors. SubmitV returns exactly one of these
 // (or the request context's error) — the server maps them to 429/503/504.
 var (
 	// ErrQueueFull is the fast-fail admission response: the bounded
@@ -53,9 +53,9 @@ type BatcherConfig struct {
 	// Deprecated: ignored, the batcher never waits.
 	Window time.Duration
 	// QueueDepth bounds the request queue; a full queue fast-fails
-	// Submit with ErrQueueFull. Default 1024.
+	// SubmitV with ErrQueueFull. Default 1024.
 	QueueDepth int
-	// InputDim, when positive, validates vector length at Submit time.
+	// InputDim, when positive, validates vector length at SubmitV time.
 	InputDim int
 	// NewEngine builds each of the Workers engines. Required.
 	NewEngine func() BatchEngine
@@ -102,7 +102,7 @@ func engineVersion(eng BatchEngine) uint64 {
 }
 
 // Batcher is the micro-batching scheduler. It has no goroutines of its
-// own: Submit enqueues a vector into a bounded channel, and a submitter
+// own: SubmitV enqueues a vector into a bounded channel, and a submitter
 // that finds an engine free takes it, cuts a batch from whatever is
 // queued — its own request and any that arrived while every engine was
 // busy, up to BatchSize — and runs it on its own goroutine; the others
@@ -162,24 +162,17 @@ func NewBatcher(cfg BatcherConfig) *Batcher {
 	return b
 }
 
-// Submit enqueues x and returns its result, the context's error, or an
-// admission failure. The returned probability vector is the caller's to
-// keep. Admission is fast-fail: a full queue returns ErrQueueFull
-// immediately (the server turns that into 429), and a draining batcher
-// returns ErrDraining (503). A context that ends while the request is
-// queued, or while another submitter's batch carries it, ends the wait at
-// once; a submitter that is running a batch itself returns when the
-// engine does.
-func (b *Batcher) Submit(ctx context.Context, x []float64) ([]float64, error) {
-	probs, _, err := b.SubmitV(ctx, x)
-	return probs, err
-}
-
-// SubmitV is Submit plus attribution: it also returns the version stamp
-// of the model snapshot that scored the vector (0 when the engine is
-// not version-aware). Replayed corpora and red-team logs keep it so
-// every verdict is attributable to the exact weights that produced it,
-// even across a hot swap.
+// SubmitV enqueues x and returns its result, the version stamp of the
+// model snapshot that scored it (0 when the engine is not version-aware),
+// the context's error, or an admission failure. The returned probability
+// vector is the caller's to keep. Replayed corpora and red-team logs keep
+// the version so every verdict is attributable to the exact weights that
+// produced it, even across a hot swap. Admission is fast-fail: a full
+// queue returns ErrQueueFull immediately (the server turns that into
+// 429), and a draining batcher returns ErrDraining (503). A context that
+// ends while the request is queued, or while another submitter's batch
+// carries it, ends the wait at once; a submitter that is running a batch
+// itself returns when the engine does.
 func (b *Batcher) SubmitV(ctx context.Context, x []float64) ([]float64, uint64, error) {
 	if b.cfg.InputDim > 0 && len(x) != b.cfg.InputDim {
 		return nil, 0, fmt.Errorf("%w: got %d features, want %d", ErrBadInput, len(x), b.cfg.InputDim)

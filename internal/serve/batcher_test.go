@@ -55,7 +55,7 @@ func TestBatcherMatchesDirect(t *testing.T) {
 		wg.Add(1)
 		go func(i int, x []float64) {
 			defer wg.Done()
-			probs, err := b.Submit(context.Background(), x)
+			probs, _, err := b.SubmitV(context.Background(), x)
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -114,7 +114,7 @@ func (e *blockEngine) SafeProbs(x []float64) ([]float64, error) {
 }
 
 // TestBatcherQueueFull pins fast-fail admission: with the engine wedged
-// and the queue at depth, Submit returns ErrQueueFull immediately.
+// and the queue at depth, SubmitV returns ErrQueueFull immediately.
 func TestBatcherQueueFull(t *testing.T) {
 	eng := &blockEngine{release: make(chan struct{}), classes: 2}
 	m := NewMetrics()
@@ -125,7 +125,7 @@ func TestBatcherQueueFull(t *testing.T) {
 	// Wedge the engine on one in-flight request, then fill the queue.
 	results := make(chan error, 8)
 	submit := func() {
-		_, err := b.Submit(context.Background(), []float64{1})
+		_, _, err := b.SubmitV(context.Background(), []float64{1})
 		results <- err
 	}
 	go submit()
@@ -135,7 +135,7 @@ func TestBatcherQueueFull(t *testing.T) {
 	go submit()
 	go submit()
 	waitFor(t, func() bool { return m.Requests.Load() == 3 })
-	if _, err := b.Submit(context.Background(), []float64{1}); !errors.Is(err, ErrQueueFull) {
+	if _, _, err := b.SubmitV(context.Background(), []float64{1}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: err = %v, want ErrQueueFull", err)
 	}
 	if m.RejectedFul.Load() != 1 {
@@ -172,7 +172,7 @@ func TestBatcherDrainZeroDrops(t *testing.T) {
 		wg.Add(1)
 		go func(x []float64) {
 			defer wg.Done()
-			probs, err := b.Submit(context.Background(), x)
+			probs, _, err := b.SubmitV(context.Background(), x)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -201,7 +201,7 @@ func TestBatcherDrainZeroDrops(t *testing.T) {
 			completed, rejected, len(xs))
 	}
 	// Post-drain submissions are turned away, not deadlocked.
-	if _, err := b.Submit(context.Background(), xs[0]); !errors.Is(err, ErrDraining) {
+	if _, _, err := b.SubmitV(context.Background(), xs[0]); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-close submit: err = %v, want ErrDraining", err)
 	}
 }
@@ -256,7 +256,7 @@ func TestBatcherPanicIsolation(t *testing.T) {
 			if i == 3 {
 				x[0] = math.NaN()
 			}
-			probs[i], errs[i] = b.Submit(context.Background(), x)
+			probs[i], _, errs[i] = b.SubmitV(context.Background(), x)
 		}(i)
 	}
 	wg.Wait()
@@ -313,7 +313,7 @@ func TestBatcherContextExpiry(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := b.Submit(ctx, []float64{1})
+		_, _, err := b.SubmitV(ctx, []float64{1})
 		errc <- err
 	}()
 	waitFor(t, func() bool { return m.Requests.Load() == 1 })
@@ -352,7 +352,7 @@ func TestBatcherSkipsExpiredQueued(t *testing.T) {
 	})
 	live := make(chan error, 2)
 	submit := func(ctx context.Context, v float64, out chan<- error) {
-		_, err := b.Submit(ctx, []float64{v})
+		_, _, err := b.SubmitV(ctx, []float64{v})
 		out <- err
 	}
 	go submit(context.Background(), 1, live)
@@ -406,7 +406,7 @@ func TestBatcherCoalescesQueued(t *testing.T) {
 	var wg sync.WaitGroup
 	submit := func() {
 		defer wg.Done()
-		if _, err := b.Submit(context.Background(), []float64{1}); err != nil {
+		if _, _, err := b.SubmitV(context.Background(), []float64{1}); err != nil {
 			t.Errorf("submit: %v", err)
 		}
 	}
@@ -462,7 +462,7 @@ func TestBatcherYieldsToSubmitters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := b.Submit(context.Background(), []float64{1}); err != nil {
+			if _, _, err := b.SubmitV(context.Background(), []float64{1}); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}()
@@ -505,14 +505,14 @@ func TestBatcherSpreadsOverFreeEngines(t *testing.T) {
 	b.Close()
 }
 
-// TestBatcherBadInput pins Submit-time dimension validation.
+// TestBatcherBadInput pins SubmitV-time dimension validation.
 func TestBatcherBadInput(t *testing.T) {
 	b := NewBatcher(BatcherConfig{
 		Workers: 1, InputDim: 23,
 		NewEngine: func() BatchEngine { return &blockEngine{release: make(chan struct{}), classes: 2} },
 	})
 	defer b.Close()
-	if _, err := b.Submit(context.Background(), make([]float64, 7)); !errors.Is(err, ErrBadInput) {
+	if _, _, err := b.SubmitV(context.Background(), make([]float64, 7)); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("err = %v, want ErrBadInput", err)
 	}
 }
@@ -551,7 +551,7 @@ func BenchmarkBatcherSaturation(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
-						if _, err := bt.Submit(context.Background(), xs[i%int64(len(xs))]); err != nil {
+						if _, _, err := bt.SubmitV(context.Background(), xs[i%int64(len(xs))]); err != nil {
 							b.Error(err)
 							return
 						}

@@ -52,9 +52,6 @@ func (c *Chaos) SetErrorEvery(n int) { c.errEvery.Store(int64(n)) }
 // SetBlackhole holds classify requests open without answering.
 func (c *Chaos) SetBlackhole(on bool) { c.blackhole.Store(on) }
 
-// Injected returns how many faults have fired.
-func (c *Chaos) Injected() uint64 { return c.injected.Load() }
-
 // Clear resets every knob.
 func (c *Chaos) Clear() {
 	c.slowNs.Store(0)

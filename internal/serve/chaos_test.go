@@ -42,7 +42,7 @@ func TestReadyzDrainOrdering(t *testing.T) {
 
 	time.Sleep(5 * time.Millisecond) // let the poller observe some 200s
 	s.NotReady()
-	s.Batcher().Close()
+	s.batcher.Close()
 	// Post-drain polls: these MUST all be 503.
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
@@ -86,7 +86,7 @@ func TestReadyzReflectsBatcherDrain(t *testing.T) {
 		t.Fatalf("readyz %d before drain, want 200", resp.StatusCode)
 	}
 
-	s.Batcher().Close() // direct drain, ready flag never touched
+	s.batcher.Close() // direct drain, ready flag never touched
 	resp, err = http.Get(ts.URL + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -136,8 +136,8 @@ func TestChaosErrorEvery(t *testing.T) {
 			t.Fatalf("codes = %v, want %v", codes, want)
 		}
 	}
-	if c.Injected() != 3 {
-		t.Errorf("injected = %d, want 3", c.Injected())
+	if c.injected.Load() != 3 {
+		t.Errorf("injected = %d, want 3", c.injected.Load())
 	}
 
 	// Clear restores clean service.

@@ -3,10 +3,9 @@
 // immutable core.Model snapshot — whose inference core is a
 // micro-batching scheduler (see Batcher). Engines re-bind to the
 // handle's snapshot per batch and scale + infer under that one pinned
-// Model, so a hot swap (POST /admin/swap, or the online retraining
-// loop in internal/lifecycle) never mixes versions and never drops a
-// request. Requests queue into a bounded
-// channel; a handler that finds an engine free takes whatever has queued,
+// Model, so a hot swap (POST /admin/swap, which cmd/retrain -swap-url
+// drives) never mixes versions and never drops a request. Requests queue
+// into a bounded channel; a handler that finds an engine free takes whatever has queued,
 // up to the batch size, and executes it on that engine's zero-allocation
 // nn.Workspace via ProbsBatch, on its own goroutine. The flush is
 // work-conserving — no request waits for batch peers and an idle service

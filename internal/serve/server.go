@@ -70,9 +70,6 @@ type Server struct {
 	metrics *Metrics
 	ready   atomic.Bool
 	mux     *http.ServeMux
-	// lc holds the latest online-retraining status for /metrics; nil
-	// until SetLifecycle publishes one.
-	lc atomic.Pointer[LifecycleStatus]
 }
 
 // New builds the server and its batcher.
@@ -98,8 +95,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, h: h, metrics: NewMetrics()}
 	// Stamp the serving head width for the per-family verdict series.
-	// Swapped-in candidates keep the width (the lifecycle trainer
-	// preserves the live head), so stamping once is sound.
+	// Swapped-in candidates keep the width (cmd/retrain's lifecycle
+	// trainer preserves the live head), so stamping once is sound.
 	s.metrics.Classes = h.Current().Net.NumClasses()
 	newEngine := cfg.NewEngine
 	if newEngine == nil {
@@ -138,16 +135,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Handle returns the serving handle, for swap drivers running in the
-// same process (the retraining loop started by cmd/serve -retrain).
-func (s *Server) Handle() *core.Handle { return s.h }
-
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Batcher exposes the scheduler (drain accounting for shutdown logs).
-func (s *Server) Batcher() *Batcher { return s.batcher }
 
 // NotReady flips /readyz to 503 so load balancers stop routing here.
 // Called first in the drain sequence, before the listener stops.
@@ -337,7 +324,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP advmal_model_swaps_total Hot swaps installed since start.\n")
 	fmt.Fprintf(w, "# TYPE advmal_model_swaps_total counter\n")
 	fmt.Fprintf(w, "advmal_model_swaps_total %d\n", s.h.Swaps())
-	s.writeLifecycleText(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -349,7 +335,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // batcher's own drain state gate the 200: NotReady flips the flag before
 // the listener stops, and checking Batcher.Draining() closes the other
 // ordering — a batcher drained directly can never answer ready while
-// Submit is already refusing with ErrDraining. Once /readyz has said
+// SubmitV is already refusing with ErrDraining. Once /readyz has said
 // 503, it never says 200 again within a drain (the regression test pins
 // this ordering).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {

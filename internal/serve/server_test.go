@@ -309,7 +309,7 @@ func TestServerNoIdleWait(t *testing.T) {
 	lat := make([]time.Duration, 200)
 	for i := range lat {
 		start := time.Now()
-		if _, err := s.Batcher().Submit(context.Background(), x); err != nil {
+		if _, _, err := s.batcher.SubmitV(context.Background(), x); err != nil {
 			t.Fatal(err)
 		}
 		lat[i] = time.Since(start)
@@ -339,7 +339,7 @@ func TestServerQueueFull429(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, func() bool { return eng.entered.Load() == 1 && s.Metrics().Requests.Load() == 2 })
+	waitFor(t, func() bool { return eng.entered.Load() == 1 && s.metrics.Requests.Load() == 2 })
 	resp, body := postClassify(t, ts, "text/plain", validProgram)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d want 429 (body %s)", resp.StatusCode, body)

@@ -116,13 +116,13 @@ func TestAdminSwap(t *testing.T) {
 	}
 }
 
-// TestSwapMetrics pins the swap and lifecycle series on /metrics:
+// TestSwapMetrics pins the swap series on /metrics:
 // advmal_model_version tracks the handle, advmal_model_swaps_total
-// counts installs, and a published LifecycleStatus adds the canary
-// counters and per-gate series.
+// counts installs, and no canary series appears — retraining runs out of
+// process (cmd/retrain), so a replica has no lifecycle state to publish.
 func TestSwapMetrics(t *testing.T) {
 	h := core.NewHandle(swapModel(0))
-	s, ts := testServer(t, Config{Handle: h})
+	_, ts := testServer(t, Config{Handle: h})
 
 	scrape := func() string {
 		t.Helper()
@@ -141,31 +141,17 @@ func TestSwapMetrics(t *testing.T) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
 		}
 	}
-	if strings.Contains(text, "advmal_canary_runs_total") {
-		t.Error("/metrics shows canary series with no lifecycle published")
+	if strings.Contains(text, "advmal_canary_") {
+		t.Error("/metrics shows canary series on a replica")
 	}
 
 	if _, err := h.Swap(swapModel(9)); err != nil {
 		t.Fatal(err)
 	}
-	s.SetLifecycle(&LifecycleStatus{
-		CanaryRuns: 3, CanaryPassed: 2, CanaryFailed: 1,
-		Gates: []GateStatus{
-			{Name: "accuracy", Live: 0.9, Candidate: 0.91, Margin: 0.02, Pass: true},
-			{Name: "evasion:FGSM", Live: 0.4, Candidate: 0.5, Margin: -0.05, Pass: false},
-		},
-	})
 	text = scrape()
 	for _, want := range []string{
 		"advmal_model_version 2",
 		"advmal_model_swaps_total 1",
-		"advmal_canary_runs_total 3",
-		"advmal_canary_passed_total 2",
-		"advmal_canary_failed_total 1",
-		`advmal_canary_gate{gate="accuracy"} 1`,
-		`advmal_canary_gate{gate="evasion:FGSM"} 0`,
-		`advmal_canary_gate_margin{gate="accuracy"} 0.02`,
-		`advmal_canary_gate_margin{gate="evasion:FGSM"} -0.05`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)

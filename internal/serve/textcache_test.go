@@ -85,7 +85,7 @@ func wantVerdict(t *testing.T, m *core.Model, text string, v Verdict) {
 	}
 }
 
-func cacheStats(s *Server) features.CacheStats { return s.Handle().Current().Extractor.Stats() }
+func cacheStats(s *Server) features.CacheStats { return s.h.Current().Extractor.Stats() }
 
 // TestTextCacheCounting pins the replica's counting rule: N identical
 // requests are one miss and N-1 hits (all at the text level), distinct
@@ -202,7 +202,7 @@ func TestTextCacheHitAcrossSwap(t *testing.T) {
 	if st := cacheStats(s); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("request after the swap was not a cache hit: %+v", st)
 	}
-	live := s.Handle().Current()
+	live := s.h.Current()
 	if after.ModelVersion != 2 || live.Version != 2 {
 		t.Fatalf("verdict version %d, live %d, want 2", after.ModelVersion, live.Version)
 	}

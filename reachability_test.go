@@ -89,13 +89,7 @@ var unlinkedAllowed = map[string]bool{
 	"ir.Block.Len":         true,
 	"ir.Op.Terminates":     true,
 	// nn
-	"nn.(*Network).Layers":     true,
-	"nn.(*Network).ZeroGrad":   true,
-	"nn.(*Param).ZeroGrad":     true,
-	"nn.(*Workspace).InputDim": true,
-	"nn.(*Workspace).Net":      true,
-	// pool
-	"pool.Cancelled": true,
+	"nn.(*Network).Layers": true,
 	// pool/faultinject
 	"pool/faultinject.(*Plan).Error": true,
 	"pool/faultinject.(*Plan).Fired": true,
@@ -105,12 +99,6 @@ var unlinkedAllowed = map[string]bool{
 	"pool/faultinject.New":           true,
 	// report
 	"report.ClassRates": true,
-	// serve
-	"serve.(*Batcher).Submit": true,
-	"serve.(*Chaos).Injected": true,
-	"serve.(*Server).Batcher": true,
-	"serve.(*Server).Handle":  true,
-	"serve.(*Server).Metrics": true,
 	// synth
 	"synth.DefaultConfig":  true,
 	"synth.LabeledVectors": true,
