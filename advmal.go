@@ -17,14 +17,14 @@
 // Quickstart:
 //
 //	sys := advmal.NewSystem(advmal.DefaultConfig())
-//	if err := sys.BuildCorpus(); err != nil { ... }
-//	if _, err := sys.Fit(); err != nil { ... }
+//	if err := sys.BuildCorpusCtx(ctx); err != nil { ... }
+//	if _, err := sys.FitCtx(ctx); err != nil { ... }
 //	metrics, _ := sys.EvaluateTest()
-//	rows, _ := sys.RunTableIVCtx(context.Background(), true) // GEA malware->benign
+//	rows, _ := sys.RunTableIVCtx(ctx, true) // GEA malware->benign
 //
-// Every pipeline stage has a context-aware form (BuildCorpusCtx, FitCtx,
-// RunTableIIICtx, ...) for cancellation and deadlines; the GEA tables
-// (RunTableIVCtx to RunTableVIICtx) and RunAllCtx have only that form.
+// Every pipeline stage takes a context (BuildCorpusCtx, FitCtx,
+// RunTableIIICtx, RunTableIVCtx to RunTableVIICtx, RunAllCtx) for
+// cancellation and deadlines.
 // Samples that fail during the corpus build are isolated, recorded in
 // System.Skips, and skipped unless Config.StrictCorpus is set.
 package advmal

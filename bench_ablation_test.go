@@ -1,6 +1,7 @@
 package advmal_test
 
 import (
+	"context"
 	"testing"
 
 	"advmal/internal/attacks"
@@ -108,7 +109,7 @@ func BenchmarkAblation_ClassWeights(b *testing.B) {
 			Epochs: 25, BatchSize: 50, Seed: 9, Workers: 2,
 			ClassWeights: weights,
 		}
-		if _, err := tr.Fit(net, sys.TrainX, sys.TrainY); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, sys.TrainX, sys.TrainY); err != nil {
 			b.Fatal(err)
 		}
 		return nn.Evaluate(net, sys.TestX, sys.TestY)
@@ -122,7 +123,7 @@ func BenchmarkAblation_ClassWeights(b *testing.B) {
 		net := nn.PaperCNN(int64(i))
 		tr := &nn.Trainer{Epochs: 1, BatchSize: 50, Seed: int64(i), Workers: 2,
 			ClassWeights: []float64{5, 1}}
-		if _, err := tr.Fit(net, sys.TrainX, sys.TrainY); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, sys.TrainX, sys.TrainY); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +134,7 @@ func BenchmarkAblation_ClassWeights(b *testing.B) {
 // white-box Table III rates.
 func BenchmarkAblation_Transfer(b *testing.B) {
 	sys := trainedBenchSystem(b)
-	results, err := attacks.TransferEvaluate(sys.Net,
+	results, err := attacks.TransferEvaluateCtx(context.Background(), sys.Net,
 		[]attacks.Attack{attacks.NewPGD(0, 0), attacks.NewFGSM(0), attacks.NewJSMA(0, 0)},
 		sys.TrainX, sys.TestX, sys.TestY,
 		attacks.TransferConfig{Seed: 3, MaxSamples: 25, Workers: 2})
@@ -145,7 +146,7 @@ func BenchmarkAblation_Transfer(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := attacks.TrainSubstitute(sys.Net, sys.TrainX[:200],
+		if _, err := attacks.TrainSubstituteCtx(context.Background(), sys.Net, sys.TrainX[:200],
 			attacks.TransferConfig{Seed: int64(i), Epochs: 10}); err != nil {
 			b.Fatal(err)
 		}

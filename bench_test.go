@@ -49,10 +49,10 @@ func trainedBenchSystem(b *testing.B) *core.System {
 		cfg.Epochs = 60
 		cfg.BatchSize = 50
 		benchSys = core.New(cfg)
-		if err := benchSys.BuildCorpus(); err != nil {
+		if err := benchSys.BuildCorpusCtx(context.Background()); err != nil {
 			panic(err)
 		}
-		if _, err := benchSys.Fit(); err != nil {
+		if _, err := benchSys.FitCtx(context.Background()); err != nil {
 			panic(err)
 		}
 	})
@@ -173,7 +173,7 @@ func BenchmarkFig5_TrainingEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := nn.PaperCNN(int64(i))
 		tr := &nn.Trainer{Epochs: 1, BatchSize: 50, Seed: int64(i), Workers: 2}
-		if _, err := tr.Fit(net, sys.TrainX, sys.TrainY); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, sys.TrainX, sys.TrainY); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,8 +188,11 @@ func benchAttack(b *testing.B, atk attacks.Attack) {
 	if len(idx) == 0 {
 		b.Fatal("no eligible samples")
 	}
-	res := attacks.Evaluate(sys.Net, []attacks.Attack{atk}, sys.TestX, sys.TestY,
+	res, err := attacks.EvaluateCtx(context.Background(), sys.Net, []attacks.Attack{atk}, sys.TestX, sys.TestY,
 		attacks.Options{MaxSamples: 25})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Logf("Table III row: %v", res[0])
 	clone := sys.Net.CloneShared().WS()
 	b.ResetTimer()
@@ -364,8 +367,11 @@ func BenchmarkAblation_Interpreter(b *testing.B) {
 func BenchmarkAblation_EpsSweepPGD(b *testing.B) {
 	sys := trainedBenchSystem(b)
 	for _, eps := range []float64{0.05, 0.1, 0.2, 0.3} {
-		res := attacks.Evaluate(sys.Net, []attacks.Attack{attacks.NewPGD(eps, 20)},
+		res, err := attacks.EvaluateCtx(context.Background(), sys.Net, []attacks.Attack{attacks.NewPGD(eps, 20)},
 			sys.TestX, sys.TestY, attacks.Options{MaxSamples: 20})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Logf("PGD eps=%.2f MR=%.1f%%", eps, res[0].MR*100)
 	}
 	idx := attacks.Eligible(sys.Net.WS(), sys.TestX, sys.TestY, 0)

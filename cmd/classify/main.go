@@ -1,10 +1,9 @@
-// Command classify applies a saved detector (see cmd/train -model ... or
-// classify -train) to programs given as assembly text files in the ir
-// format, printing each verdict with its confidence and CFG summary.
+// Command classify applies a saved detector (written by repro train
+// -model) to programs given as assembly text files in the ir format,
+// printing each verdict with its confidence and CFG summary.
 //
 // Usage:
 //
-//	classify -train -model detector.gob              # train & save a detector
 //	classify -model detector.gob prog1.asm prog2.asm # classify programs
 //	classify -json -model detector.gob prog1.asm     # one verdict object per line
 //
@@ -24,10 +23,8 @@ import (
 	"syscall"
 
 	"advmal/internal/core"
-	"advmal/internal/index"
 	"advmal/internal/ir"
 	"advmal/internal/pool"
-	"advmal/internal/report"
 	"advmal/internal/serve"
 )
 
@@ -46,87 +43,17 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		model    = flag.String("model", "detector.gob", "detector file")
-		train    = flag.Bool("train", false, "train a detector and save it to -model")
-		seed     = flag.Int64("seed", 1, "pipeline seed (with -train)")
-		epochs   = flag.Int("epochs", 200, "training epochs (with -train)")
-		benign   = flag.Int("benign", 276, "benign corpus size (with -train)")
-		malware  = flag.Int("malware", 2281, "malicious corpus size (with -train)")
-		asJSON   = flag.Bool("json", false, "emit one serve.Verdict JSON object per line")
-		idxPath  = flag.String("index", "", "with -train: also build the similarity corpus index (HNSW over the labeled training split) and save it here")
-		families = flag.Bool("families", false, "with -train: fit the multi-class family head (benign + each malware family) instead of the binary detector; prints the confusion matrix and the collapsed binary operating point")
+		model  = flag.String("model", "detector.gob", "detector file (repro train -model writes one)")
+		asJSON = flag.Bool("json", false, "emit one serve.Verdict JSON object per line")
 	)
 	flag.Parse()
 
-	if *train {
-		cfg := core.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Epochs = *epochs
-		cfg.NumBenign = *benign
-		cfg.NumMal = *malware
-		if *families {
-			cfg.Classes = core.NumFamilyClasses
-		}
-		sys := core.New(cfg)
-		if err := sys.BuildCorpusCtx(ctx); err != nil {
-			return err
-		}
-		if _, err := sys.FitCtx(ctx); err != nil {
-			return err
-		}
-		m, err := sys.EvaluateTest()
-		if err != nil {
-			return err
-		}
-		fmt.Println("trained:", m)
-		if *families {
-			fm, err := sys.EvaluateFamilyHead()
-			if err != nil {
-				return err
-			}
-			fmt.Print(report.Confusion(
-				fmt.Sprintf("Family head confusion (accuracy %.2f%%, n=%d)", fm.Accuracy*100, fm.N),
-				core.ClassLabels(core.NumFamilyClasses), fm.Confusion).String())
-			fmt.Printf("collapsed binary operating point: %v\n", fm.Collapse())
-		}
-		det, err := sys.Snapshot()
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(*model)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := det.Save(f); err != nil {
-			return err
-		}
-		fmt.Println("detector saved to", *model)
-		if *idxPath != "" {
-			corpus, err := sys.BuildCorpusIndex(index.HNSWConfig{}, 0)
-			if err != nil {
-				return err
-			}
-			fi, err := os.Create(*idxPath)
-			if err != nil {
-				return err
-			}
-			defer fi.Close()
-			if err := corpus.Save(fi); err != nil {
-				return err
-			}
-			fmt.Printf("similarity index saved to %s (%d entries, triage threshold %.4f)\n",
-				*idxPath, corpus.HNSW.Len(), corpus.Triage.Threshold)
-		}
-		return nil
-	}
-
 	if flag.NArg() == 0 {
-		return fmt.Errorf("no programs given; pass assembly files (ir format) or use -train")
+		return fmt.Errorf("no programs given; pass assembly files (ir format)")
 	}
 	f, err := os.Open(*model)
 	if err != nil {
-		return fmt.Errorf("opening detector (train one with -train): %w", err)
+		return fmt.Errorf("opening detector (train one with repro train -model): %w", err)
 	}
 	det, err := core.LoadModel(f)
 	f.Close()

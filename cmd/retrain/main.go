@@ -43,7 +43,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		model   = flag.String("model", "detector.gob", "live model file (train one with classify -train)")
+		model   = flag.String("model", "detector.gob", "live model file (train one with repro train -model)")
 		out     = flag.String("out", "", "save the last gate-passing candidate here")
 		swapURL = flag.String("swap-url", "", "base URL of a replica started with serve -admin; each gate-passing candidate is POSTed to /admin/swap")
 		windows = flag.Int("windows", 1, "retraining windows to run")
@@ -64,7 +64,7 @@ func run(ctx context.Context) error {
 
 	f, err := os.Open(*model)
 	if err != nil {
-		return fmt.Errorf("opening live model (train one with classify -train): %w", err)
+		return fmt.Errorf("opening live model (train one with repro train -model): %w", err)
 	}
 	live, err := core.LoadModel(f)
 	f.Close()

@@ -49,7 +49,7 @@ func main() {
 
 func run() error {
 	var (
-		model   = flag.String("model", "detector.gob", "detector file (train one with classify -train)")
+		model   = flag.String("model", "detector.gob", "detector file (train one with repro train -model)")
 		addr    = flag.String("addr", ":8377", "listen address (use :0 for an ephemeral port)")
 		batch   = flag.Int("batch", 64, "max requests coalesced per inference batch")
 		queue   = flag.Int("queue", 1024, "admission queue depth (full queue fast-fails 429)")
@@ -57,14 +57,14 @@ func run() error {
 		timeout = flag.Duration("timeout", 5*time.Second, "per-request budget in queue + inference")
 		grace   = flag.Duration("grace", 30*time.Second, "drain deadline after SIGTERM")
 		chaos   = flag.Bool("chaos", false, "arm the fault-injection surface (/chaosz) — test harnesses only")
-		idx     = flag.String("index", "", "similarity corpus snapshot (build one with classify -train -index); arms /v1/similar and classify triage")
+		idx     = flag.String("index", "", "similarity corpus snapshot (build one with repro train -index); arms /v1/similar and classify triage")
 		admin   = flag.Bool("admin", false, "mount POST /admin/swap (hot-swap a model gob into the serving handle)")
 	)
 	flag.Parse()
 
 	f, err := os.Open(*model)
 	if err != nil {
-		return fmt.Errorf("opening detector (train one with classify -train): %w", err)
+		return fmt.Errorf("opening detector (train one with repro train -model): %w", err)
 	}
 	mdl, err := core.LoadModel(f)
 	f.Close()
@@ -77,7 +77,7 @@ func run() error {
 	if *idx != "" {
 		fi, err := os.Open(*idx)
 		if err != nil {
-			return fmt.Errorf("opening index (build one with classify -train -index): %w", err)
+			return fmt.Errorf("opening index (build one with repro train -index): %w", err)
 		}
 		corpus, err = index.Load(fi)
 		fi.Close()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -22,16 +23,17 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	cfg := core.DefaultConfig()
 	cfg.NumBenign = 80
 	cfg.NumMal = 400
 	cfg.Epochs = 40
 	sys := core.New(cfg)
 	fmt.Println("training the victim detector (reduced setup)...")
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(ctx); err != nil {
 		return err
 	}
-	if _, err := sys.Fit(); err != nil {
+	if _, err := sys.FitCtx(ctx); err != nil {
 		return err
 	}
 	m, err := sys.EvaluateTest()
@@ -41,7 +43,7 @@ func run() error {
 	fmt.Println("victim:", m)
 
 	fmt.Println("stealing the model: training a substitute on the victim's verdicts...")
-	results, err := attacks.TransferEvaluate(sys.Net,
+	results, err := attacks.TransferEvaluateCtx(ctx, sys.Net,
 		[]attacks.Attack{attacks.NewPGD(0, 0), attacks.NewMIM(0, 0), attacks.NewFGSM(0), attacks.NewJSMA(0, 0)},
 		sys.TrainX, // query budget: the adversary's own sample collection
 		sys.TestX, sys.TestY,

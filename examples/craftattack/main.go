@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -24,16 +25,17 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	cfg := core.DefaultConfig()
 	cfg.NumBenign = 80
 	cfg.NumMal = 400
 	cfg.Epochs = 40
 	sys := core.New(cfg)
 	fmt.Println("building corpus and training (reduced setup)...")
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(ctx); err != nil {
 		return err
 	}
-	if _, err := sys.Fit(); err != nil {
+	if _, err := sys.FitCtx(ctx); err != nil {
 		return err
 	}
 	m, err := sys.EvaluateTest()

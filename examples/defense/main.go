@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -22,16 +23,17 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	cfg := core.DefaultConfig()
 	cfg.NumBenign = 80
 	cfg.NumMal = 400
 	cfg.Epochs = 40
 	sys := core.New(cfg)
 	fmt.Println("building corpus and training the baseline detector...")
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(ctx); err != nil {
 		return err
 	}
-	if _, err := sys.Fit(); err != nil {
+	if _, err := sys.FitCtx(ctx); err != nil {
 		return err
 	}
 	before, err := sys.EvaluateTest()
@@ -41,7 +43,7 @@ func run() error {
 
 	opts := attacks.Options{MaxSamples: 40}
 	fmt.Println("measuring attacks against the baseline...")
-	baseline, err := sys.RunTableIII(opts)
+	baseline, err := sys.RunTableIIICtx(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -58,7 +60,7 @@ func run() error {
 		before.Accuracy*100, after.Accuracy*100)
 
 	fmt.Println("re-measuring attacks against the hardened detector...")
-	hardened, err := sys.RunTableIII(opts)
+	hardened, err := sys.RunTableIIICtx(ctx, opts)
 	if err != nil {
 		return err
 	}

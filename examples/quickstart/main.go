@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -19,6 +20,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	cfg := advmal.DefaultConfig()
 	// Scale down for a fast demo; drop these overrides for the paper's
 	// full setup.
@@ -28,13 +30,13 @@ func run() error {
 	sys := advmal.NewSystem(cfg)
 
 	fmt.Println("building corpus and extracting CFG features...")
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(ctx); err != nil {
 		return err
 	}
 	fmt.Printf("corpus: %d train / %d test\n", sys.Train.Len(), sys.Test.Len())
 
 	fmt.Println("training the Fig. 5 CNN...")
-	if _, err := sys.Fit(); err != nil {
+	if _, err := sys.FitCtx(ctx); err != nil {
 		return err
 	}
 	m, err := sys.EvaluateTest()

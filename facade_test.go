@@ -1,6 +1,7 @@
 package advmal_test
 
 import (
+	"context"
 	"testing"
 
 	"advmal"
@@ -30,10 +31,10 @@ func TestFacadeSystemLifecycle(t *testing.T) {
 	cfg.Epochs = 2
 	cfg.BatchSize = 8
 	sys := advmal.NewSystem(cfg)
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Fit(); err != nil {
+	if _, err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var m advmal.Metrics

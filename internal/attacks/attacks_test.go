@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -42,7 +43,7 @@ func trainedModel(t *testing.T) (*nn.Network, [][]float64, []int) {
 		}
 		model = nn.SmallMLP(5, dim, 24, 2)
 		tr := &nn.Trainer{Epochs: 60, BatchSize: 16, Seed: 6, Workers: 1}
-		if _, err := tr.Fit(model, modelX, modelY); err != nil {
+		if _, err := tr.FitCtx(context.Background(), model, modelX, modelY); err != nil {
 			panic(err)
 		}
 	})

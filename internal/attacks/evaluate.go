@@ -71,12 +71,6 @@ func Eligible(eng nn.Engine, x [][]float64, y []int, maxSamples int) []int {
 	return idx
 }
 
-// Evaluate is EvaluateCtx without cancellation.
-func Evaluate(net *nn.Network, atks []Attack, x [][]float64, y []int, opts Options) []Result {
-	results, _ := EvaluateCtx(context.Background(), net, atks, x, y, opts)
-	return results
-}
-
 // EvaluateCtx crafts adversarial examples with every attack against every
 // eligible sample on the shared worker pool and aggregates the paper's
 // Table III columns. Aggregation order is deterministic. A sample whose

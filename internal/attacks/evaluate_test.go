@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -47,8 +48,11 @@ func TestEligibleSubsampling(t *testing.T) {
 
 func TestEvaluateAggregates(t *testing.T) {
 	net, x, y := trainedModel(t)
-	results := Evaluate(net, []Attack{NewPGD(0, 5), NewFGSM(0)}, x, y,
+	results, err := EvaluateCtx(context.Background(), net, []Attack{NewPGD(0, 5), NewFGSM(0)}, x, y,
 		Options{MaxSamples: 20, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 2 {
 		t.Fatalf("results = %d, want 2", len(results))
 	}
@@ -81,8 +85,14 @@ func TestEvaluateAggregates(t *testing.T) {
 
 func TestEvaluateWorkerInvariance(t *testing.T) {
 	net, x, y := trainedModel(t)
-	a := Evaluate(net, []Attack{NewFGSM(0)}, x, y, Options{MaxSamples: 15, Workers: 1})
-	b := Evaluate(net, []Attack{NewFGSM(0)}, x, y, Options{MaxSamples: 15, Workers: 3})
+	a, err := EvaluateCtx(context.Background(), net, []Attack{NewFGSM(0)}, x, y, Options{MaxSamples: 15, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EvaluateCtx(context.Background(), net, []Attack{NewFGSM(0)}, x, y, Options{MaxSamples: 15, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a[0].MR != b[0].MR || a[0].AvgFG != b[0].AvgFG || a[0].Misclassified != b[0].Misclassified {
 		t.Errorf("results differ across worker counts: %+v vs %+v", a[0], b[0])
 	}

@@ -43,12 +43,6 @@ type FamilyResult struct {
 	Targeted   [][]FamilyCell    `json:"targeted,omitempty"`
 }
 
-// EvaluateFamilies is EvaluateFamiliesCtx without cancellation.
-func EvaluateFamilies(net *nn.Network, atks []Attack, x [][]float64, y []int, opts Options) []FamilyResult {
-	results, _ := EvaluateFamiliesCtx(context.Background(), net, atks, x, y, opts)
-	return results
-}
-
 // EvaluateFamiliesCtx re-runs the attack evaluation against a K-way
 // family head as source→target misclassification. For every attack it
 // crafts each eligible (correctly classified) sample twice over: once

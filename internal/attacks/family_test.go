@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func familyModel(t *testing.T) (*nn.Network, [][]float64, []int) {
 		}
 		famNet = nn.SmallMLP(5, dim, 32, k)
 		tr := &nn.Trainer{Epochs: 250, BatchSize: 16, Seed: 6, Workers: 1}
-		if _, err := tr.Fit(famNet, famX, famY); err != nil {
+		if _, err := tr.FitCtx(context.Background(), famNet, famX, famY); err != nil {
 			panic(err)
 		}
 	})
@@ -123,7 +124,10 @@ func TestTargetSelectorRunnerUp(t *testing.T) {
 func TestEvaluateFamiliesShapes(t *testing.T) {
 	net, x, y := familyModel(t)
 	atks := []Attack{NewFGSM(0.2), NewVAM(0.2, 0)}
-	results := EvaluateFamilies(net, atks, x, y, Options{MaxSamples: 60, Workers: 2})
+	results, err := EvaluateFamiliesCtx(context.Background(), net, atks, x, y, Options{MaxSamples: 60, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 2 {
 		t.Fatalf("results: %d", len(results))
 	}

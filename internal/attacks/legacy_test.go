@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -181,7 +182,10 @@ func TestMarginCraftsMatchJacobianCrafts(t *testing.T) {
 					t.Fatalf("sample %d: evades %v, the Jacobian craft %v", i, now, old)
 				}
 			}
-			res := Evaluate(net, []Attack{p.now, p.old}, x, y, Options{Workers: 1})
+			res, err := EvaluateCtx(context.Background(), net, []Attack{p.now, p.old}, x, y, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if res[0].MR != res[1].MR || res[0].AvgFG != res[1].AvgFG {
 				t.Fatalf("Table III row %s, Jacobian craft %s", res[0], res[1])
 			}

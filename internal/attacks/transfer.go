@@ -50,11 +50,6 @@ func (r TransferResult) String() string {
 		r.Attack, r.SubstituteMR*100, r.VictimMR*100, r.Total, r.SubstituteAcc*100)
 }
 
-// TrainSubstitute is TrainSubstituteCtx without cancellation.
-func TrainSubstitute(victim *nn.Network, queries [][]float64, cfg TransferConfig) (*nn.Network, error) {
-	return TrainSubstituteCtx(context.Background(), victim, queries, cfg)
-}
-
 // TrainSubstituteCtx fits a small MLP to imitate the victim: the queries
 // are labelled by the victim's own predictions (model stealing), so the
 // adversary needs no ground truth. Training checks ctx between batches.
@@ -86,11 +81,6 @@ func TrainSubstituteCtx(ctx context.Context, victim *nn.Network, queries [][]flo
 		return nil, fmt.Errorf("attacks: substitute training: %w", err)
 	}
 	return sub, nil
-}
-
-// TransferEvaluate is TransferEvaluateCtx without cancellation.
-func TransferEvaluate(victim *nn.Network, atks []Attack, queries, testX [][]float64, testY []int, cfg TransferConfig) ([]TransferResult, error) {
-	return TransferEvaluateCtx(context.Background(), victim, atks, queries, testX, testY, cfg)
 }
 
 // TransferEvaluateCtx trains a substitute on queries, crafts adversarial

@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestTrainSubstituteImitatesVictim(t *testing.T) {
 	victim, x, _ := trainedModel(t)
-	sub, err := TrainSubstitute(victim, x, TransferConfig{Seed: 9})
+	sub, err := TrainSubstituteCtx(context.Background(), victim, x, TransferConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestTrainSubstituteImitatesVictim(t *testing.T) {
 
 func TestTrainSubstituteNoQueries(t *testing.T) {
 	victim, _, _ := trainedModel(t)
-	if _, err := TrainSubstitute(victim, nil, TransferConfig{}); !errors.Is(err, ErrNoQueries) {
+	if _, err := TrainSubstituteCtx(context.Background(), victim, nil, TransferConfig{}); !errors.Is(err, ErrNoQueries) {
 		t.Errorf("err = %v, want ErrNoQueries", err)
 	}
 }
@@ -35,7 +36,7 @@ func TestTransferEvaluate(t *testing.T) {
 	// Query set: first half; attack targets: second half.
 	queries := x[:len(x)/2]
 	testX, testY := x[len(x)/2:], y[len(y)/2:]
-	results, err := TransferEvaluate(victim,
+	results, err := TransferEvaluateCtx(context.Background(), victim,
 		[]Attack{NewPGD(0, 10), NewFGSM(0)},
 		queries, testX, testY,
 		TransferConfig{Seed: 7, MaxSamples: 20})

@@ -19,12 +19,6 @@ import (
 // malware families.
 var NumFamilyClasses = len(familyLabels())
 
-// FamilyClasses lists the family-head class space in class-index order
-// (class 0 = benign). The returned slice is fresh per call.
-func FamilyClasses() []synth.Family {
-	return familyLabels()
-}
-
 // ClassOf maps a sample family onto its family-head class index. The
 // synth families are declared benign-first in MalwareFamilies order, so
 // the mapping is dense and stable across processes.
@@ -34,16 +28,6 @@ func ClassOf(f synth.Family) int {
 		return 0
 	}
 	return c
-}
-
-// FamilyOfClass is the inverse of ClassOf for the family head. Out-of-
-// range class indices return 0 (an invalid family).
-func FamilyOfClass(class int) synth.Family {
-	fams := familyLabels()
-	if class < 0 || class >= len(fams) {
-		return 0
-	}
-	return fams[class]
 }
 
 // ClassName renders a class index as a wire label for a head of width

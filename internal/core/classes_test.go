@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
 	"strings"
@@ -24,9 +25,6 @@ func TestClassMapping(t *testing.T) {
 		c := ClassOf(fam)
 		if c <= 0 || c >= NumFamilyClasses {
 			t.Fatalf("ClassOf(%s) = %d out of range", fam, c)
-		}
-		if FamilyOfClass(c) != fam {
-			t.Fatalf("FamilyOfClass(ClassOf(%s)) = %s", fam, FamilyOfClass(c))
 		}
 		if ClassName(c, NumFamilyClasses) != fam.String() {
 			t.Fatalf("ClassName(%d) = %q, want %q", c, ClassName(c, NumFamilyClasses), fam)
@@ -52,10 +50,10 @@ func TestBinaryClassesBitIdentical(t *testing.T) {
 		cfg.BatchSize = 16
 		cfg.Classes = classes
 		s := New(cfg)
-		if err := s.BuildCorpus(); err != nil {
+		if err := s.BuildCorpusCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Fit(); err != nil {
+		if _, err := s.FitCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -93,10 +91,10 @@ func TestFamilyCollapseMatchesBinary(t *testing.T) {
 	cfg.Epochs = 120
 	cfg.BatchSize = 32
 	binary := New(cfg)
-	if err := binary.BuildCorpus(); err != nil {
+	if err := binary.BuildCorpusCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := binary.Fit(); err != nil {
+	if _, err := binary.FitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	bm, err := binary.EvaluateTest()
@@ -106,10 +104,10 @@ func TestFamilyCollapseMatchesBinary(t *testing.T) {
 
 	cfg.Classes = NumFamilyClasses
 	fam := New(cfg)
-	if err := fam.BuildCorpus(); err != nil {
+	if err := fam.BuildCorpusCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fam.Fit(); err != nil {
+	if _, err := fam.FitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	fm, err := fam.EvaluateFamilyHead()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"advmal/internal/attacks"
@@ -25,7 +26,7 @@ type AdversarialTrainOptions struct {
 // adversarial training: during every batch, a fraction of the samples is
 // replaced by adversarial examples crafted against the current weights
 // (labelled with their true class). The system's Net is replaced; the
-// new training history is returned. Call EvaluateTest or RunTableIII
+// new training history is returned. Call EvaluateTest or RunTableIIICtx
 // afterwards to measure the robustness gain.
 func (s *System) AdversarialTrain(opts AdversarialTrainOptions) (*nn.History, error) {
 	if s.Net == nil {
@@ -68,7 +69,7 @@ func (s *System) AdversarialTrain(opts AdversarialTrainOptions) (*nn.History, er
 			return atk.Craft(scratch.WS(), x, label)
 		},
 	}
-	hist, err := trainer.Fit(s.Net, s.TrainX, s.TrainY)
+	hist, err := trainer.FitCtx(context.TODO(), s.Net, s.TrainX, s.TrainY)
 	if err != nil {
 		return nil, fmt.Errorf("core: adversarial training: %w", err)
 	}

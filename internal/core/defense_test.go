@@ -26,15 +26,18 @@ func TestAdversarialTrainImprovesRobustness(t *testing.T) {
 	cfg.Epochs = 30
 	cfg.BatchSize = 25
 	s := New(cfg)
-	if err := s.BuildCorpus(); err != nil {
+	if err := s.BuildCorpusCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Fit(); err != nil {
+	if _, err := s.FitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	opts := attacks.Options{MaxSamples: 15}
 	probe := []attacks.Attack{attacks.NewPGD(0.1, 10)}
-	before := attacks.Evaluate(s.Net, probe, s.TestX, s.TestY, opts)
+	before, err := attacks.EvaluateCtx(context.Background(), s.Net, probe, s.TestX, s.TestY, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	hist, err := s.AdversarialTrain(AdversarialTrainOptions{
 		Attack: attacks.NewPGD(0.1, 10),
@@ -46,7 +49,10 @@ func TestAdversarialTrainImprovesRobustness(t *testing.T) {
 	if len(hist.Loss) == 0 {
 		t.Fatal("no retraining happened")
 	}
-	after := attacks.Evaluate(s.Net, probe, s.TestX, s.TestY, opts)
+	after, err := attacks.EvaluateCtx(context.Background(), s.Net, probe, s.TestX, s.TestY, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Online adversarial training against the probe attack must reduce
 	// its misclassification rate.
 	if after[0].MR >= before[0].MR && before[0].MR > 0.2 {

@@ -50,11 +50,6 @@ func (s *System) TestSamples() []*synth.Sample {
 	return out
 }
 
-// RunTableIII is RunTableIIICtx without cancellation.
-func (s *System) RunTableIII(opts attacks.Options) ([]attacks.Result, error) {
-	return s.RunTableIIICtx(context.Background(), opts)
-}
-
 // RunTableIIICtx evaluates the eight off-the-shelf attacks on the
 // held-out split and returns the Table III rows. Per-sample crafting
 // failures are isolated and reported in each row's Skipped column.

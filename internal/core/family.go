@@ -2,94 +2,26 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"advmal/internal/nn"
+	"advmal/internal/report"
 	"advmal/internal/synth"
 )
-
-// FamilyClassifier is the multi-class variant the paper's introduction
-// describes ("the type of the malicious software can be identified
-// through malware family-level classification"): the same Fig. 5
-// architecture with one logit per family (benign + the five malware
-// families), trained on the same 23 features.
-type FamilyClassifier struct {
-	Net      *nn.Network
-	Families []synth.Family // index = class label
-}
 
 // familyLabels assigns a dense class label per family.
 func familyLabels() []synth.Family {
 	return append([]synth.Family{synth.Benign}, synth.MalwareFamilies()...)
 }
 
-// familyCNN builds the Fig. 5 CNN with len(families) output logits.
-func familyCNN(seed int64, classes int) *nn.Network {
-	// Reuse the binary constructor's layers except the head. Simplest
-	// faithful variant: rebuild with the same blocks and a wider head.
-	return nn.PaperCNNClasses(seed, classes)
-}
-
-// TrainFamilyClassifier trains the multi-class model on the training
-// split. The binary detector is untouched.
-func (s *System) TrainFamilyClassifier() (*FamilyClassifier, *nn.History, error) {
-	if s.Train == nil {
-		return nil, nil, ErrNotBuilt
-	}
-	fams := familyLabels()
-	classOf := make(map[synth.Family]int, len(fams))
-	for i, f := range fams {
-		classOf[f] = i
-	}
-	y := make([]int, s.Train.Len())
-	for i, r := range s.Train.Records {
-		y[i] = classOf[r.Sample.Family]
-	}
-	fc := &FamilyClassifier{
-		Net:      familyCNN(s.Config.Seed+31, len(fams)),
-		Families: fams,
-	}
-	trainer := &nn.Trainer{
-		Epochs:        s.Config.Epochs,
-		BatchSize:     s.Config.BatchSize,
-		Seed:          s.Config.Seed + 37,
-		Workers:       s.Config.Workers,
-		EarlyStopLoss: s.Config.EarlyStopLoss,
-		Verbose:       s.Config.Verbose,
-	}
-	hist, err := trainer.Fit(fc.Net, s.TrainX, y)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: family training: %w", err)
-	}
-	return fc, hist, nil
-}
-
-// FamilyMetrics reports multi-class performance: overall accuracy, the
-// full confusion matrix, and per-family recall — the label-extrapolation
-// quality the paper's intro refers to.
+// FamilyMetrics reports the family head's multi-class performance:
+// overall accuracy and the full confusion matrix, whose rows give the
+// per-family recall — the label-extrapolation quality the paper's intro
+// refers to ("the type of the malicious software can be identified
+// through malware family-level classification").
 type FamilyMetrics struct {
 	Accuracy  float64
-	Families  []synth.Family
-	Confusion [][]int // [true][predicted]
-	Recall    []float64
+	Confusion [][]int // [true][predicted], class-index order
 	N         int
-}
-
-// EvaluateFamilies runs the family classifier on the held-out split.
-func (s *System) EvaluateFamilies(fc *FamilyClassifier) (*FamilyMetrics, error) {
-	if s.Test == nil {
-		return nil, ErrNotBuilt
-	}
-	classOf := make(map[synth.Family]int, len(fc.Families))
-	for i, f := range fc.Families {
-		classOf[f] = i
-	}
-	y := make([]int, s.Test.Len())
-	for i, r := range s.Test.Records {
-		y[i] = classOf[r.Sample.Family]
-	}
-	return evaluateFamilies(fc.Net, fc.Families, s.TestX, y), nil
 }
 
 // EvaluateFamilyHead evaluates the system's own network as a family
@@ -102,49 +34,27 @@ func (s *System) EvaluateFamilyHead() (*FamilyMetrics, error) {
 	if s.Net == nil {
 		return nil, ErrNotTrained
 	}
-	if s.Net.NumClasses() != NumFamilyClasses {
-		return nil, fmt.Errorf("core: family head: model has %d classes, want %d",
-			s.Net.NumClasses(), NumFamilyClasses)
+	k := s.Net.NumClasses()
+	if k != NumFamilyClasses {
+		return nil, fmt.Errorf("core: family head: model has %d classes, want %d", k, NumFamilyClasses)
 	}
-	return evaluateFamilies(s.Net, familyLabels(), s.TestX, s.TestY), nil
-}
-
-// evaluateFamilies fills the K-way confusion matrix for net over a
-// labeled design matrix.
-func evaluateFamilies(net *nn.Network, fams []synth.Family, x [][]float64, y []int) *FamilyMetrics {
-	k := len(fams)
-	m := &FamilyMetrics{
-		Families:  fams,
-		Confusion: make([][]int, k),
-		Recall:    make([]float64, k),
-	}
+	m := &FamilyMetrics{Confusion: make([][]int, k), N: len(s.TestX)}
 	for i := range m.Confusion {
 		m.Confusion[i] = make([]int, k)
 	}
 	correct := 0
-	ws := net.WS()
-	for i := range x {
-		truth := y[i]
-		pred := ws.Predict(x[i])
+	ws := s.Net.WS()
+	for i, x := range s.TestX {
+		truth, pred := s.TestY[i], ws.Predict(x)
 		m.Confusion[truth][pred]++
 		if pred == truth {
 			correct++
 		}
-		m.N++
 	}
 	if m.N > 0 {
 		m.Accuracy = float64(correct) / float64(m.N)
 	}
-	for c := 0; c < k; c++ {
-		total := 0
-		for p := 0; p < k; p++ {
-			total += m.Confusion[c][p]
-		}
-		if total > 0 {
-			m.Recall[c] = float64(m.Confusion[c][c]) / float64(total)
-		}
-	}
-	return m
+	return m, nil
 }
 
 // Collapse folds the K-way confusion matrix onto the binary
@@ -184,40 +94,10 @@ func (m *FamilyMetrics) Collapse() nn.Metrics {
 	return b
 }
 
-// String renders the family metrics with the confusion matrix.
+// String renders the confusion matrix with per-family recall and
+// precision, titled with the overall accuracy.
 func (m *FamilyMetrics) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "family accuracy: %.2f%% (n=%d)\n", m.Accuracy*100, m.N)
-	names := make([]string, len(m.Families))
-	width := 7
-	for i, f := range m.Families {
-		names[i] = f.String()
-		if len(names[i]) > width {
-			width = len(names[i])
-		}
-	}
-	fmt.Fprintf(&sb, "%-*s", width+1, "")
-	for _, n := range names {
-		fmt.Fprintf(&sb, "%*s", width+1, n)
-	}
-	sb.WriteString("  recall\n")
-	for i, row := range m.Confusion {
-		fmt.Fprintf(&sb, "%-*s", width+1, names[i])
-		for _, v := range row {
-			fmt.Fprintf(&sb, "%*d", width+1, v)
-		}
-		fmt.Fprintf(&sb, "  %.2f%%\n", m.Recall[i]*100)
-	}
-	return sb.String()
-}
-
-// HardestFamilies returns family indices sorted by ascending recall —
-// where label extrapolation struggles most.
-func (m *FamilyMetrics) HardestFamilies() []int {
-	idx := make([]int, len(m.Recall))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return m.Recall[idx[a]] < m.Recall[idx[b]] })
-	return idx
+	return report.Confusion(
+		fmt.Sprintf("Family head confusion (accuracy %.2f%%, n=%d)", m.Accuracy*100, m.N),
+		ClassLabels(len(m.Confusion)), m.Confusion).String()
 }

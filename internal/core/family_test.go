@@ -1,33 +1,59 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
+	"advmal/internal/nn"
 	"advmal/internal/synth"
 )
 
-func TestTrainFamilyClassifier(t *testing.T) {
-	s := smallSystem(t)
-	fc, hist, err := s.TrainFamilyClassifier()
-	if err != nil {
-		t.Fatal(err)
-	}
+var (
+	famOnce   sync.Once
+	famShared *System
+	famHist   *nn.History
+)
+
+// smallFamilySystem is smallSystem with the family head: the same
+// reduced corpus and trainer settings, Classes = NumFamilyClasses. It is
+// built and trained once; tests share it read-only.
+func smallFamilySystem(t *testing.T) (*System, *nn.History) {
+	t.Helper()
+	famOnce.Do(func() {
+		cfg := DefaultConfig()
+		cfg.NumBenign = 60
+		cfg.NumMal = 180
+		cfg.Epochs = 40
+		cfg.BatchSize = 24
+		cfg.Classes = NumFamilyClasses
+		famShared = New(cfg)
+		if err := famShared.BuildCorpusCtx(context.Background()); err != nil {
+			panic(err)
+		}
+		var err error
+		if famHist, err = famShared.FitCtx(context.Background()); err != nil {
+			panic(err)
+		}
+	})
+	return famShared, famHist
+}
+
+func TestFamilyHead(t *testing.T) {
+	s, hist := smallFamilySystem(t)
 	if len(hist.Loss) == 0 {
 		t.Fatal("no training history")
 	}
-	if len(fc.Families) != 6 {
-		t.Fatalf("families = %d, want benign + 5 malware families", len(fc.Families))
+	if s.Net.NumClasses() != 6 {
+		t.Errorf("logits = %d, want benign + 5 malware families", s.Net.NumClasses())
 	}
-	if fc.Families[0] != synth.Benign {
-		t.Errorf("class 0 = %v, want benign", fc.Families[0])
-	}
-	if fc.Net.NumClasses() != 6 {
-		t.Errorf("logits = %d, want 6", fc.Net.NumClasses())
+	if ClassName(0, s.Net.NumClasses()) != synth.Benign.String() {
+		t.Errorf("class 0 = %s, want benign", ClassName(0, s.Net.NumClasses()))
 	}
 
-	m, err := s.EvaluateFamilies(fc)
+	m, err := s.EvaluateFamilyHead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,39 +73,26 @@ func TestTrainFamilyClassifier(t *testing.T) {
 		}
 		count := 0
 		for _, r := range s.Test.Records {
-			if r.Sample.Family == m.Families[c] {
+			if ClassOf(r.Sample.Family) == c {
 				count++
 			}
 		}
 		if sum != count {
-			t.Errorf("confusion row %v sums to %d, want %d", m.Families[c], sum, count)
+			t.Errorf("confusion row %s sums to %d, want %d", ClassName(c, len(m.Confusion)), sum, count)
 		}
 	}
 	// Rendering mentions every family.
 	out := m.String()
-	for _, f := range fc.Families {
+	for _, f := range familyLabels() {
 		if !strings.Contains(out, f.String()) {
 			t.Errorf("metrics output missing %v", f)
 		}
 	}
-	// HardestFamilies is a permutation ordered by recall.
-	hardest := m.HardestFamilies()
-	if len(hardest) != 6 {
-		t.Fatalf("hardest = %v", hardest)
-	}
-	for i := 1; i < len(hardest); i++ {
-		if m.Recall[hardest[i-1]] > m.Recall[hardest[i]] {
-			t.Error("HardestFamilies not sorted by ascending recall")
-		}
-	}
 }
 
-func TestTrainFamilyClassifierRequiresCorpus(t *testing.T) {
-	s := New(Config{NumBenign: 5, NumMal: 10})
-	if _, _, err := s.TrainFamilyClassifier(); !errors.Is(err, ErrNotBuilt) {
-		t.Errorf("err = %v, want ErrNotBuilt", err)
-	}
-	if _, err := s.EvaluateFamilies(&FamilyClassifier{}); !errors.Is(err, ErrNotBuilt) {
-		t.Errorf("EvaluateFamilies err = %v, want ErrNotBuilt", err)
+func TestEvaluateFamilyHeadRequiresTraining(t *testing.T) {
+	s := New(Config{NumBenign: 5, NumMal: 10, Classes: NumFamilyClasses})
+	if _, err := s.EvaluateFamilyHead(); !errors.Is(err, ErrNotTrained) {
+		t.Errorf("EvaluateFamilyHead err = %v, want ErrNotTrained", err)
 	}
 }

@@ -104,10 +104,10 @@ func TestClassifyMalformedProgram(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumBenign, cfg.NumMal, cfg.Epochs = 10, 14, 2
 	sys := New(cfg)
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Fit(); err != nil {
+	if _, err := sys.FitCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	bad := &ir.Program{Name: "bad", Code: []ir.Instr{{Op: ir.Jmp, A: 77}, {Op: ir.Ret}}}

@@ -97,8 +97,13 @@ func RenderFamilyAttacks(results []attacks.FamilyResult) string {
 	return sb.String()
 }
 
-// RenderGEASize renders Tables IV/V.
-func RenderGEASize(title string, rows []gea.Row) string {
+// RenderGEASize renders Table IV (malware to benign) or, with
+// targetMalicious, Table V (benign to malware).
+func RenderGEASize(targetMalicious bool, rows []gea.Row) string {
+	title := "TABLE IV: GEA MALWARE TO BENIGN MISCLASSIFICATION RATE"
+	if targetMalicious {
+		title = "TABLE V: GEA BENIGN TO MALWARE MISCLASSIFICATION RATE"
+	}
 	t := report.New(title, "Size", "# Nodes", "MR (%)", "CT (ms)")
 	for _, r := range rows {
 		t.Add(string(r.Label), r.TargetNodes, report.Pct(r.MR), report.Ms(r.AvgCT))
@@ -106,8 +111,13 @@ func RenderGEASize(title string, rows []gea.Row) string {
 	return t.String()
 }
 
-// RenderGEAFixed renders Tables VI/VII.
-func RenderGEAFixed(title string, rows []gea.Row) string {
+// RenderGEAFixed renders Table VI (malware to benign) or, with
+// targetMalicious, Table VII (benign to malware).
+func RenderGEAFixed(targetMalicious bool, rows []gea.Row) string {
+	title := "TABLE VI: GEA MALWARE TO BENIGN, FIXED NUMBER OF NODES"
+	if targetMalicious {
+		title = "TABLE VII: GEA BENIGN TO MALWARE, FIXED NUMBER OF NODES"
+	}
 	t := report.New(title, "# Nodes", "# Edges", "MR (%)", "CT (ms)")
 	for _, r := range rows {
 		t.Add(r.TargetNodes, r.TargetEdges, report.Pct(r.MR), report.Ms(r.AvgCT))
@@ -128,12 +138,12 @@ func (s *System) Render(rep *Report) string {
 	fmt.Fprintf(&sb, "Detector (paper's benign-positive convention): %v\n\n", rep.PaperConvention)
 	sb.WriteString(RenderTableIII(rep.TableIII))
 	sb.WriteByte('\n')
-	sb.WriteString(RenderGEASize("TABLE IV: GEA MALWARE TO BENIGN MISCLASSIFICATION RATE", rep.TableIV))
+	sb.WriteString(RenderGEASize(false, rep.TableIV))
 	sb.WriteByte('\n')
-	sb.WriteString(RenderGEASize("TABLE V: GEA BENIGN TO MALWARE MISCLASSIFICATION RATE", rep.TableV))
+	sb.WriteString(RenderGEASize(true, rep.TableV))
 	sb.WriteByte('\n')
-	sb.WriteString(RenderGEAFixed("TABLE VI: GEA MALWARE TO BENIGN, FIXED NUMBER OF NODES", rep.TableVI))
+	sb.WriteString(RenderGEAFixed(false, rep.TableVI))
 	sb.WriteByte('\n')
-	sb.WriteString(RenderGEAFixed("TABLE VII: GEA BENIGN TO MALWARE, FIXED NUMBER OF NODES", rep.TableVII))
+	sb.WriteString(RenderGEAFixed(true, rep.TableVII))
 	return sb.String()
 }

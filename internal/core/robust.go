@@ -70,7 +70,7 @@ func (s *System) RunRobustFeatureExperiment(mask []int) (*RobustFeatureResult, e
 		EarlyStopLoss: s.Config.EarlyStopLoss,
 		Verbose:       s.Config.Verbose,
 	}
-	if _, err := trainer.Fit(robust, maskedTrainX, s.TrainY); err != nil {
+	if _, err := trainer.FitCtx(context.TODO(), robust, maskedTrainX, s.TrainY); err != nil {
 		return nil, fmt.Errorf("core: robust retrain: %w", err)
 	}
 	res.CleanAfter = nn.Evaluate(robust, maskedTestX, s.TestY)

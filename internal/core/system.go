@@ -19,9 +19,9 @@ import (
 
 // Lifecycle errors.
 var (
-	// ErrNotBuilt indicates a System method that requires BuildCorpus first.
+	// ErrNotBuilt indicates a System method that requires BuildCorpusCtx first.
 	ErrNotBuilt = errors.New("core: corpus not built")
-	// ErrNotTrained indicates a System method that requires Fit first.
+	// ErrNotTrained indicates a System method that requires FitCtx first.
 	ErrNotTrained = errors.New("core: detector not trained")
 )
 
@@ -38,9 +38,9 @@ type Config struct {
 	// Classes is the softmax head width. 0 or 2 trains the paper's
 	// binary detector (labels are dataset.LabelBenign/LabelMalware —
 	// the legacy path, bit-identical to pre-family builds);
-	// NumFamilyClasses trains the 5-way family head, labeling each
+	// NumFamilyClasses trains the 6-way family head, labeling each
 	// sample with ClassOf(its family). Other widths are rejected by
-	// Fit.
+	// FitCtx.
 	Classes int
 	// Epochs / BatchSize follow the paper (200 / 100). EarlyStopLoss
 	// stops training once converged (the synthetic corpus converges long
@@ -91,7 +91,7 @@ type System struct {
 	// process-wide features.Shared extractor.
 	Extractor *features.Extractor
 	// Skips records the samples isolated during the corpus build; nil
-	// until BuildCorpus runs. Its count is surfaced in the Table I report.
+	// until BuildCorpusCtx runs. Its count is surfaced in the Table I report.
 	Skips *dataset.SkipReport
 
 	// Scaled design matrices, aligned with Train/Test record order.
@@ -120,11 +120,6 @@ func New(cfg Config) *System {
 		cfg.BatchSize = def.BatchSize
 	}
 	return &System{Config: cfg, Extractor: features.NewExtractor(0)}
-}
-
-// BuildCorpus is BuildCorpusCtx without cancellation.
-func (s *System) BuildCorpus() error {
-	return s.BuildCorpusCtx(context.Background())
 }
 
 // BuildCorpusCtx generates the corpus, extracts features, splits, and
@@ -203,11 +198,6 @@ func (s *System) designMatrix(ds *dataset.Dataset) ([][]float64, []int, error) {
 		}
 	}
 	return x, y, nil
-}
-
-// Fit is FitCtx without cancellation.
-func (s *System) Fit() (*nn.History, error) {
-	return s.FitCtx(context.Background())
 }
 
 // FitCtx trains the Fig. 5 CNN on the training split, checking ctx

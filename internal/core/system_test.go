@@ -30,10 +30,10 @@ func smallSystem(t *testing.T) *System {
 		cfg.Epochs = 40
 		cfg.BatchSize = 24
 		sysShared = New(cfg)
-		if err := sysShared.BuildCorpus(); err != nil {
+		if err := sysShared.BuildCorpusCtx(context.Background()); err != nil {
 			panic(err)
 		}
-		if _, err := sysShared.Fit(); err != nil {
+		if _, err := sysShared.FitCtx(context.Background()); err != nil {
 			panic(err)
 		}
 	})
@@ -55,14 +55,14 @@ func TestNewFillsDefaults(t *testing.T) {
 
 func TestLifecycleErrors(t *testing.T) {
 	s := New(Config{NumBenign: 5, NumMal: 10})
-	if _, err := s.Fit(); !errors.Is(err, ErrNotBuilt) {
-		t.Errorf("Fit before build = %v, want ErrNotBuilt", err)
+	if _, err := s.FitCtx(context.Background()); !errors.Is(err, ErrNotBuilt) {
+		t.Errorf("FitCtx before build = %v, want ErrNotBuilt", err)
 	}
 	if _, err := s.EvaluateTest(); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("EvaluateTest before fit = %v, want ErrNotTrained", err)
 	}
-	if _, err := s.RunTableIII(attacks.Options{}); !errors.Is(err, ErrNotTrained) {
-		t.Errorf("RunTableIII before fit = %v, want ErrNotTrained", err)
+	if _, err := s.RunTableIIICtx(context.Background(), attacks.Options{}); !errors.Is(err, ErrNotTrained) {
+		t.Errorf("RunTableIIICtx before fit = %v, want ErrNotTrained", err)
 	}
 	if _, err := s.GEAPipeline(false); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("GEAPipeline before fit = %v, want ErrNotTrained", err)
@@ -222,14 +222,14 @@ func TestRenderTables(t *testing.T) {
 			t.Errorf("Table III missing %q", want)
 		}
 	}
-	t4 := RenderGEASize("TABLE IV", []gea.Row{{Label: gea.SizeMinimum, TargetNodes: 2, MR: 0.0767}})
-	for _, want := range []string{"Minimum", "7.67"} {
+	t4 := RenderGEASize(false, []gea.Row{{Label: gea.SizeMinimum, TargetNodes: 2, MR: 0.0767}})
+	for _, want := range []string{"TABLE IV:", "Minimum", "7.67"} {
 		if !strings.Contains(t4, want) {
 			t.Errorf("Table IV missing %q", want)
 		}
 	}
-	t6 := RenderGEAFixed("TABLE VI", []gea.Row{{TargetNodes: 8, TargetEdges: 7, MR: 0.1372}})
-	for _, want := range []string{"8", "7", "13.72"} {
+	t6 := RenderGEAFixed(false, []gea.Row{{TargetNodes: 8, TargetEdges: 7, MR: 0.1372}})
+	for _, want := range []string{"TABLE VI:", "8", "7", "13.72"} {
 		if !strings.Contains(t6, want) {
 			t.Errorf("Table VI missing %q", want)
 		}

@@ -151,14 +151,6 @@ func FromSamplesCtx(ctx context.Context, samples []*synth.Sample, opts Options) 
 	return &Dataset{Records: records}, report, nil
 }
 
-// FromSamples is FromSamplesCtx without cancellation or skipping: every
-// sample must convert, and on failure the error joins all per-sample
-// failures.
-func FromSamples(samples []*synth.Sample, workers int) (*Dataset, error) {
-	ds, _, err := FromSamplesCtx(context.Background(), samples, Options{Workers: workers})
-	return ds, err
-}
-
 // Len returns the number of records.
 func (d *Dataset) Len() int { return len(d.Records) }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"errors"
 	"strings"
@@ -22,16 +23,16 @@ func corpus(t *testing.T) []*synth.Sample {
 
 func buildDataset(t *testing.T) *Dataset {
 	t.Helper()
-	ds, err := FromSamples(corpus(t), 2)
+	ds, _, err := FromSamplesCtx(context.Background(), corpus(t), Options{Workers: 2})
 	if err != nil {
-		t.Fatalf("FromSamples: %v", err)
+		t.Fatalf("FromSamplesCtx: %v", err)
 	}
 	return ds
 }
 
 func TestFromSamplesPreservesOrderAndLabels(t *testing.T) {
 	samples := corpus(t)
-	ds, err := FromSamples(samples, 3)
+	ds, _, err := FromSamplesCtx(context.Background(), samples, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +58,11 @@ func TestFromSamplesPreservesOrderAndLabels(t *testing.T) {
 
 func TestFromSamplesWorkerInvariance(t *testing.T) {
 	samples := corpus(t)
-	a, err := FromSamples(samples, 1)
+	a, _, err := FromSamplesCtx(context.Background(), samples, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FromSamples(samples, 4)
+	b, _, err := FromSamplesCtx(context.Background(), samples, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

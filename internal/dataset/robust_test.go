@@ -44,7 +44,7 @@ func TestFromSamplesJoinsAllFailures(t *testing.T) {
 	for _, i := range badIdx {
 		samples[i] = corruptSample(fmt.Sprintf("corrupt-%d", i))
 	}
-	_, err := FromSamples(samples, 2)
+	_, _, err := FromSamplesCtx(context.Background(), samples, Options{Workers: 2})
 	if err == nil {
 		t.Fatal("strict build accepted corrupt samples")
 	}
@@ -88,7 +88,7 @@ func TestSkipBadBuildMatchesSurvivorOnlyBuild(t *testing.T) {
 	if report.Count() != 2 {
 		t.Fatalf("skip count = %d, want 2 (%s)", report.Count(), report)
 	}
-	want, err := FromSamples(survivors, 1)
+	want, _, err := FromSamplesCtx(context.Background(), survivors, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func testPipeline(t *testing.T) (*Pipeline, []*synth.Sample) {
 		if err != nil {
 			panic(err)
 		}
-		ds, err := dataset.FromSamples(samples, 0)
+		ds, _, err := dataset.FromSamplesCtx(context.Background(), samples, dataset.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -44,7 +44,7 @@ func testPipeline(t *testing.T) (*Pipeline, []*synth.Sample) {
 		}
 		net := nn.PaperCNN(3)
 		tr := &nn.Trainer{Epochs: 15, BatchSize: 32, Seed: 4, Workers: 2}
-		if _, err := tr.Fit(net, xs, ds.Labels()); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, xs, ds.Labels()); err != nil {
 			panic(err)
 		}
 		pipeShared = &Pipeline{Net: net, Scaler: scaler, Verify: true}

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"context"
 	"fmt"
 
 	"advmal/internal/attacks"
@@ -90,8 +91,9 @@ type GateStatus struct {
 // gates re-craft the paper's eight attacks against BOTH models and
 // require the candidate's misclassification rate to stay within
 // MaxEvasionIncrease of live's, per attack: retraining must not ship a
-// model that is easier to evade.
-func EvaluateCanary(live, cand *core.Model, rawX [][]float64, y []int, g Gates) (CanaryResult, error) {
+// model that is easier to evade. Cancelling ctx stops the evasion gates'
+// crafting.
+func EvaluateCanary(ctx context.Context, live, cand *core.Model, rawX [][]float64, y []int, g Gates) (CanaryResult, error) {
 	g = g.withDefaults()
 	var res CanaryResult
 	if live == nil || cand == nil {
@@ -125,8 +127,14 @@ func EvaluateCanary(live, cand *core.Model, rawX [][]float64, y []int, g Gates) 
 	if g.AttackSamples >= 0 {
 		opts := attacks.Options{MaxSamples: g.AttackSamples, Workers: g.Workers}
 		atks := attacks.All()
-		liveRes := attacks.Evaluate(live.Net, atks, liveX, y, opts)
-		candRes := attacks.Evaluate(cand.Net, atks, candX, y, opts)
+		liveRes, err := attacks.EvaluateCtx(ctx, live.Net, atks, liveX, y, opts)
+		if err != nil {
+			return res, err
+		}
+		candRes, err := attacks.EvaluateCtx(ctx, cand.Net, atks, candX, y, opts)
+		if err != nil {
+			return res, err
+		}
 		for i := range liveRes {
 			res.Gates = append(res.Gates,
 				gate("evasion:"+liveRes[i].Attack, liveRes[i].MR, candRes[i].MR,

@@ -26,10 +26,10 @@ func liveSystem(t *testing.T) *core.System {
 		cfg.Epochs = 25
 		cfg.BatchSize = 16
 		liveSys = core.New(cfg)
-		if err := liveSys.BuildCorpus(); err != nil {
+		if err := liveSys.BuildCorpusCtx(context.Background()); err != nil {
 			panic(err)
 		}
-		if _, err := liveSys.Fit(); err != nil {
+		if _, err := liveSys.FitCtx(context.Background()); err != nil {
 			panic(err)
 		}
 	})
@@ -132,7 +132,7 @@ func TestCanaryRejectsRegressedCandidate(t *testing.T) {
 		Net:       nn.PaperCNN(99), // untrained: holdout accuracy ~ chance
 		Extractor: live.Extractor,
 	}
-	res, err := EvaluateCanary(live, cand, rawX, y, Gates{AttackSamples: -1})
+	res, err := EvaluateCanary(context.Background(), live, cand, rawX, y, Gates{AttackSamples: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestCanaryRejectsFNRRegression(t *testing.T) {
 	}
 
 	cand := &core.Model{Scaler: live.Scaler, Net: regressor, Extractor: live.Extractor}
-	res, err := EvaluateCanary(live, cand, rawX, y, Gates{
+	res, err := EvaluateCanary(context.Background(), live, cand, rawX, y, Gates{
 		MaxAccuracyDrop: 1, // accuracy can never violate a full-range budget
 		MaxFNRIncrease:  0.05,
 		MaxFPRIncrease:  1,
@@ -227,7 +227,7 @@ func TestCanaryAcceptsEquivalentCandidate(t *testing.T) {
 	live := liveModel(t)
 	cand := liveModel(t) // same weights, fresh snapshot
 	rawX, y := rawHoldout(t)
-	res, err := EvaluateCanary(live, cand, rawX, y, Gates{AttackSamples: 4, Workers: 2})
+	res, err := EvaluateCanary(context.Background(), live, cand, rawX, y, Gates{AttackSamples: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

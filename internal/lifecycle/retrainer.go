@@ -82,7 +82,7 @@ func (r *Retrainer) RunOnce(ctx context.Context) (*CycleReport, error) {
 	trainTime := time.Since(t0)
 
 	t1 := time.Now()
-	canary, err := EvaluateCanary(live, cand.Model, cand.HoldX, cand.HoldY, r.Gates)
+	canary, err := EvaluateCanary(ctx, live, cand.Model, cand.HoldX, cand.HoldY, r.Gates)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -36,7 +37,7 @@ func TestClassWeightsShiftErrorTradeoff(t *testing.T) {
 			Epochs: 40, BatchSize: 32, Seed: 5, Workers: 1,
 			ClassWeights: weights,
 		}
-		if _, err := tr.Fit(net, x, y); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, x, y); err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
 		return Evaluate(net, x, y)
@@ -60,7 +61,7 @@ func TestClassWeightsValidation(t *testing.T) {
 	x, y := imbalancedBlobs(4, 40)
 	net := SmallMLP(9, 4, 8, 2)
 	tr := &Trainer{Epochs: 1, BatchSize: 8, ClassWeights: []float64{1}}
-	if _, err := tr.Fit(net, x, y); err == nil {
+	if _, err := tr.FitCtx(context.Background(), net, x, y); err == nil {
 		t.Error("Fit accepted too-short class weights")
 	}
 }

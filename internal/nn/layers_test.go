@@ -44,7 +44,7 @@ func TestFig5ArchitectureShapes(t *testing.T) {
 	}
 }
 
-// fig5Summary is PaperCNN(1).Summary() as cmd/repro and cmd/train print it.
+// fig5Summary is PaperCNN(1).Summary() as repro and repro train print it.
 const fig5Summary = `Input: [1 23]
 conv1        -> [46           23          ] params=184
 relu1        -> [46           23          ] params=0

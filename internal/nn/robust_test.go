@@ -53,7 +53,7 @@ func TestFitCapturesLayerPanic(t *testing.T) {
 	x[17] = []float64{1} // wrong input dim → layer panic
 	net := SmallMLP(2, 4, 16, 2)
 	tr := &Trainer{Epochs: 3, BatchSize: 20, Seed: 3, Workers: 2}
-	_, err := tr.Fit(net, x, y)
+	_, err := tr.FitCtx(context.Background(), net, x, y)
 	if err == nil {
 		t.Fatal("Fit succeeded on a poisoned vector")
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestROCOnSeparableData(t *testing.T) {
 	x, y := blobs(11, 200, 4)
 	net := SmallMLP(12, 4, 16, 2)
 	tr := &Trainer{Epochs: 30, BatchSize: 20, Seed: 13, Workers: 1}
-	if _, err := tr.Fit(net, x, y); err != nil {
+	if _, err := tr.FitCtx(context.Background(), net, x, y); err != nil {
 		t.Fatal(err)
 	}
 	curve := ROC(net, x, y)

@@ -14,7 +14,7 @@ import (
 
 // Training errors.
 var (
-	// ErrNoTrainData indicates Fit was called with an empty dataset.
+	// ErrNoTrainData indicates FitCtx was called with an empty dataset.
 	ErrNoTrainData = errors.New("nn: no training data")
 	// ErrLabelRange indicates a label outside [0, classes).
 	ErrLabelRange = errors.New("nn: label out of range")
@@ -228,12 +228,6 @@ type History struct {
 	Loss     []float64
 	Accuracy []float64
 	Stopped  int // epoch at which early stopping triggered; 0 if none
-}
-
-// Fit trains net on (X, y) without cancellation. Labels must be in
-// [0, net.NumClasses()).
-func (t *Trainer) Fit(net *Network, x [][]float64, y []int) (*History, error) {
-	return t.FitCtx(context.Background(), net, x, y)
 }
 
 // FitCtx trains net on (X, y), checking ctx between batches so long runs

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -94,7 +95,7 @@ func TestTrainerWorkspaceParity(t *testing.T) {
 		Epochs: epochs, BatchSize: batch, Seed: seed, Workers: workers,
 		ClassWeights: weights,
 	}
-	if _, err := tr.Fit(trained, x, y); err != nil {
+	if _, err := tr.FitCtx(context.Background(), trained, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 
@@ -144,7 +145,7 @@ func TestTrainerReductionParityWorkers(t *testing.T) {
 			Epochs: epochs, BatchSize: batch, Seed: seed, Workers: workers,
 			ClassWeights: weights,
 		}
-		if _, err := tr.Fit(trained, x, y); err != nil {
+		if _, err := tr.FitCtx(context.Background(), trained, x, y); err != nil {
 			t.Fatalf("workers=%d: Fit: %v", workers, err)
 		}
 

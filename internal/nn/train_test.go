@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,7 +12,7 @@ func TestTrainerLearnsBlobs(t *testing.T) {
 	x, y := blobs(1, 200, 4)
 	net := SmallMLP(2, 4, 16, 2)
 	tr := &Trainer{Epochs: 30, BatchSize: 20, Seed: 3, Workers: 2}
-	hist, err := tr.Fit(net, x, y)
+	hist, err := tr.FitCtx(context.Background(), net, x, y)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestTrainerXOR(t *testing.T) {
 	}
 	net := SmallMLP(9, 2, 16, 2)
 	tr := &Trainer{Epochs: 150, BatchSize: 40, Seed: 2, Workers: 1}
-	hist, err := tr.Fit(net, bx, by)
+	hist, err := tr.FitCtx(context.Background(), net, bx, by)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -53,13 +54,13 @@ func TestTrainerXOR(t *testing.T) {
 func TestTrainerErrors(t *testing.T) {
 	net := SmallMLP(1, 2, 4, 2)
 	tr := &Trainer{Epochs: 1}
-	if _, err := tr.Fit(net, nil, nil); !errors.Is(err, ErrNoTrainData) {
+	if _, err := tr.FitCtx(context.Background(), net, nil, nil); !errors.Is(err, ErrNoTrainData) {
 		t.Errorf("Fit(empty) = %v, want ErrNoTrainData", err)
 	}
-	if _, err := tr.Fit(net, [][]float64{{1, 2}}, []int{5}); !errors.Is(err, ErrLabelRange) {
+	if _, err := tr.FitCtx(context.Background(), net, [][]float64{{1, 2}}, []int{5}); !errors.Is(err, ErrLabelRange) {
 		t.Errorf("Fit(bad label) = %v, want ErrLabelRange", err)
 	}
-	if _, err := tr.Fit(net, [][]float64{{1, 2}}, []int{0, 1}); !errors.Is(err, ErrNoTrainData) {
+	if _, err := tr.FitCtx(context.Background(), net, [][]float64{{1, 2}}, []int{0, 1}); !errors.Is(err, ErrNoTrainData) {
 		t.Errorf("Fit(mismatched lengths) = %v, want ErrNoTrainData", err)
 	}
 }
@@ -69,7 +70,7 @@ func TestTrainerDeterministic(t *testing.T) {
 	run := func() []float64 {
 		net := SmallMLP(7, 3, 8, 2)
 		tr := &Trainer{Epochs: 5, BatchSize: 16, Seed: 9, Workers: 2}
-		if _, err := tr.Fit(net, x, y); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, x, y); err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
 		return net.WS().Logits([]float64{0.5, -0.5, 0.2})
@@ -89,7 +90,7 @@ func TestTrainerEarlyStop(t *testing.T) {
 		Epochs: 500, BatchSize: 20, Seed: 4, Workers: 1,
 		EarlyStopLoss: 0.5, Patience: 2,
 	}
-	hist, err := tr.Fit(net, x, y)
+	hist, err := tr.FitCtx(context.Background(), net, x, y)
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestTrainerWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []float64 {
 		net := SmallMLP(10, 3, 8, 2) // no dropout in SmallMLP
 		tr := &Trainer{Epochs: 3, BatchSize: 16, Seed: 11, Workers: workers}
-		if _, err := tr.Fit(net, x, y); err != nil {
+		if _, err := tr.FitCtx(context.Background(), net, x, y); err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
 		return net.WS().Logits([]float64{1, 2, 3})
@@ -147,7 +148,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 			net := PaperCNN(31)
 			for i := 0; i < b.N; i++ {
 				tr := &Trainer{Epochs: 1, BatchSize: 100, Seed: int64(i), Workers: workers}
-				if _, err := tr.Fit(net, xs, ys); err != nil {
+				if _, err := tr.FitCtx(context.Background(), net, xs, ys); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,28 +54,3 @@ func Confusion(title string, labels []string, confusion [][]int) *Table {
 	}
 	return t
 }
-
-// ClassRates renders per-class rate rows (class name, sample count, one
-// rate column per metric name) — the per-family metrics companion to
-// Confusion. rates[i][j] is metric j for class i, as a ratio.
-func ClassRates(title string, labels []string, counts []int, metrics []string, rates [][]float64) *Table {
-	headers := append([]string{"class", "n"}, metrics...)
-	t := New(title, headers...)
-	for i, name := range labels {
-		cells := make([]any, 0, len(metrics)+2)
-		n := 0
-		if i < len(counts) {
-			n = counts[i]
-		}
-		cells = append(cells, name, n)
-		for j := range metrics {
-			v := "-"
-			if i < len(rates) && j < len(rates[i]) {
-				v = Pct(rates[i][j])
-			}
-			cells = append(cells, v)
-		}
-		t.Add(cells...)
-	}
-	return t
-}

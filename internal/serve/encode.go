@@ -49,7 +49,7 @@ type Verdict struct {
 	Name string `json:"name,omitempty"`
 	// Class is the predicted class index: 0 is always benign; under the
 	// binary head 1 is malware, under the family head 1..K-1 are the
-	// malware families in core.FamilyClasses order.
+	// malware families in core.ClassName order.
 	Class int `json:"class"`
 	// Label is the binary detection verdict ("benign" or "malware") —
 	// stable across head widths, so binary and family-head deployments

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -253,7 +254,7 @@ func TestTriageFlagsGEASplices(t *testing.T) {
 	cfg.NumBenign = 40
 	cfg.NumMal = 120
 	sys := core.New(cfg)
-	if err := sys.BuildCorpus(); err != nil {
+	if err := sys.BuildCorpusCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	corpus, err := sys.BuildCorpusIndex(index.HNSWConfig{}, 0.99)

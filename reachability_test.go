@@ -24,24 +24,18 @@ import (
 // is deleted, leaves it in the same change.
 var unlinkedAllowed = map[string]bool{
 	// attacks
-	"attacks.EvaluateFamilies":      true,
 	"attacks.Result.String":         true,
-	"attacks.TrainSubstitute":       true,
 	"attacks.TransferResult.String": true,
 	// core
-	"core.(*FamilyMetrics).HardestFamilies":     true,
 	"core.(*RobustFeatureResult).String":        true,
 	"core.(*System).RunObfuscationExperiment":   true,
 	"core.(*System).RunPackingExperiment":       true,
 	"core.(*System).RunRobustFeatureExperiment": true,
-	"core.FamilyClasses":                        true,
-	"core.FamilyOfClass":                        true,
 	"core.ObfuscationRow.String":                true,
 	"core.PackingResult.String":                 true,
 	"core.maskVectors":                          true,
 	// dataset
 	"dataset.(*Dataset).Labels": true,
-	"dataset.FromSamples":       true,
 	// features
 	"features.(*Scaler).TransformAll": true,
 	"features.(*Validator).Clip":      true,
@@ -97,8 +91,6 @@ var unlinkedAllowed = map[string]bool{
 	"pool/faultinject.(*Plan).Hook":  true,
 	"pool/faultinject.(*Plan).Panic": true,
 	"pool/faultinject.New":           true,
-	// report
-	"report.ClassRates": true,
 	// synth
 	"synth.DefaultConfig":  true,
 	"synth.LabeledVectors": true,

@@ -366,10 +366,10 @@ smoke_redteam() {
 }
 
 say "building binaries"
-go build -o "$TMP" ./cmd/serve ./cmd/gateway ./cmd/loadgen ./cmd/classify ./cmd/retrain ./cmd/redteam
+go build -o "$TMP" ./cmd/serve ./cmd/gateway ./cmd/loadgen ./cmd/repro ./cmd/retrain ./cmd/redteam
 
 say "training a tiny detector + similarity corpus"
-"$TMP/classify" -train -model "$TMP/det.gob" -index "$TMP/corpus.gob" \
+"$TMP/repro" train -model "$TMP/det.gob" -index "$TMP/corpus.gob" \
 	-benign 20 -malware 60 -epochs 15 >/dev/null
 
 for S in $SCENARIOS; do
