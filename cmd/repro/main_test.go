@@ -60,6 +60,23 @@ func TestEverySubcommandRuns(t *testing.T) {
 	}
 }
 
+// TestSmallCorpusPrintsEveryTable runs every stage on a corpus too small
+// for Table VII: no node count has two malware targets of distinct edge
+// counts, so the table prints empty with a note, and the run still
+// prints every table it computed and succeeds.
+func TestSmallCorpusPrintsEveryTable(t *testing.T) {
+	out := runArgs(t, "-seed", "1", "-benign", "15", "-malware", "25", "-epochs", "1", "-max", "1", "-noverify")
+	for _, want := range []string{"TABLE I:", "TABLE II:", "TABLE III:", "TABLE IV:", "TABLE V:", "TABLE VI:", "TABLE VII:", "total wall time"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	_, vii, _ := strings.Cut(out, "TABLE VII:")
+	if !strings.Contains(vii, "(no rows: no node count has two targets") {
+		t.Errorf("Table VII is not noted empty:\n%s", out)
+	}
+}
+
 // TestTrainWritesDeployableDetector checks train -model writes the
 // core.Model envelope every serving command loads — cmd/classify reads it
 // and agrees with the in-process verdict — and train -index a similarity

@@ -135,25 +135,22 @@ func (s *System) RunTableVIICtx(ctx context.Context, verify bool) ([]gea.Row, er
 
 // runFixedNodes runs the fixed-node experiment at the paper's 3x3 shape,
 // falling back to smaller shapes when a reduced corpus lacks enough
-// same-node-count targets with distinct edge counts.
+// same-node-count targets with distinct edge counts. A corpus with no
+// such group even at 2x2 gets an empty table (RenderGEAFixed notes why),
+// not an error that would discard every table computed before it.
 func (s *System) runFixedNodes(ctx context.Context, verify, targetMalicious bool) ([]gea.Row, error) {
 	p, err := s.GEAPipeline(verify)
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
 	for _, shape := range [][2]int{{3, 3}, {3, 2}, {2, 2}} {
 		rows, err := p.RunFixedNodesExperimentCtx(
 			ctx, s.TestSamples(), s.Samples, targetMalicious, shape[0], shape[1])
-		if err == nil {
-			return rows, nil
-		}
 		if !errors.Is(err, gea.ErrNoFixedNodeGroups) {
-			return nil, err
+			return rows, err
 		}
-		lastErr = err
 	}
-	return nil, lastErr
+	return nil, nil
 }
 
 // RunAllOptions configures RunAllCtx.

@@ -122,6 +122,9 @@ func RenderGEAFixed(targetMalicious bool, rows []gea.Row) string {
 	for _, r := range rows {
 		t.Add(r.TargetNodes, r.TargetEdges, report.Pct(r.MR), report.Ms(r.AvgCT))
 	}
+	if len(rows) == 0 {
+		return t.String() + "(no rows: no node count has two targets with distinct edge counts in this corpus)\n"
+	}
 	return t.String()
 }
 

@@ -66,15 +66,70 @@ func Parse(text string) (*Program, error) {
 	return p, nil
 }
 
-var mnemonics = func() map[string]Op {
-	m := make(map[string]Op, len(opNames))
-	for op, name := range opNames {
-		if name != "" {
-			m[name] = Op(op)
+// opcode returns the opcode whose mnemonic is s. A switch on the length
+// and the first bytes names the one candidate, and a compare with its
+// entry in opNames decides, so a lookup hashes nothing.
+func opcode(s string) (Op, bool) {
+	op := opEnd
+	switch len(s) {
+	case 3:
+		switch s[0] {
+		case 'n':
+			op = Nop
+		case 'm':
+			op = MovR
+		case 'a':
+			op = AddR
+		case 'x':
+			op = XorR
+		case 'c':
+			op = CmpR
+		case 'r':
+			op = Ret
+		case 's':
+			op = SubR
+			if s[1] == 'y' {
+				op = Sys
+			}
+		case 'j':
+			switch s[1:] {
+			case "mp":
+				op = Jmp
+			case "eq":
+				op = Jeq
+			case "ne":
+				op = Jne
+			case "lt":
+				op = Jlt
+			case "le":
+				op = Jle
+			case "gt":
+				op = Jgt
+			case "ge":
+				op = Jge
+			}
 		}
+	case 4:
+		switch s[0] {
+		case 'm':
+			op = MovI
+			if s[1] == 'u' {
+				op = MulI
+			}
+		case 'a':
+			op = AddI
+		case 's':
+			op = SubI
+		case 'l':
+			op = Load
+		case 'c':
+			op = CmpI
+		}
+	case 5:
+		op = Store
 	}
-	return m
-}()
+	return op, op < opEnd && opNames[op] == s
+}
 
 // parseInstr parses one trimmed, non-empty instruction line: a mnemonic,
 // then comma-separated operands. An operand with whitespace inside it is
@@ -84,7 +139,7 @@ func parseInstr(line string) (Instr, error) {
 	if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
 		mnemonic, operands = line[:i], strings.TrimSpace(line[i:])
 	}
-	op, ok := mnemonics[mnemonic]
+	op, ok := opcode(mnemonic)
 	if !ok {
 		return Instr{}, fmt.Errorf("unknown mnemonic %q", mnemonic)
 	}

@@ -58,6 +58,17 @@ func oracleParse(text string) (*Program, error) {
 	return p, nil
 }
 
+// mnemonics is the map lookup Parse's opcode switch replaced.
+var mnemonics = func() map[string]Op {
+	m := make(map[string]Op, len(opNames))
+	for op, name := range opNames {
+		if name != "" {
+			m[name] = Op(op)
+		}
+	}
+	return m
+}()
+
 func oracleParseInstr(line string) (Instr, error) {
 	fields := strings.Fields(line)
 	op, ok := mnemonics[fields[0]]

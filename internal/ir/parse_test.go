@@ -2,6 +2,7 @@ package ir
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -80,6 +81,35 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("Parse(%q) = %v, want ErrParse", tc.text, err)
 			}
 		})
+	}
+}
+
+// TestOpcodeSwitch pins Parse's mnemonic switch: every opNames entry
+// maps back to its opcode, and near misses — a prefix, an extra byte, a
+// changed byte, another case — fail as unknown mnemonics.
+func TestOpcodeSwitch(t *testing.T) {
+	for op, name := range opNames {
+		if name == "" {
+			continue
+		}
+		if got, ok := opcode(name); !ok || got != Op(op) {
+			t.Errorf("opcode(%q) = %v, %v; want %v", name, got, ok, Op(op))
+		}
+	}
+	misses := []string{"", "m", "mo", "movx", "mov.", "MOV", "Movi", "NOP", "RET",
+		"jm", "jmpp", "jz", "jeg", "jxx", "sy", "sysx", "sus", "stor", "storee", "stack",
+		"lod", "loads", "mulx", "moo", "xo", "xorr", "rets", "nope", "cmpx", "adi"}
+	for _, s := range misses {
+		if op, ok := opcode(s); ok {
+			t.Errorf("opcode(%q) = %v, want no opcode", s, op)
+		}
+		if s == "" {
+			continue
+		}
+		_, err := Parse(s + " r0\nret\n")
+		if !errors.Is(err, ErrParse) || !strings.Contains(err.Error(), "unknown mnemonic") {
+			t.Errorf("Parse of %q: %v, want an unknown mnemonic", s, err)
+		}
 	}
 }
 

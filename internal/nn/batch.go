@@ -12,8 +12,11 @@ import "fmt"
 //   - Dense runs every full group of four rows on dense8x4 and visits
 //     every row with a block of eight weight rows before it loads the
 //     next block, so the layer's weights are read from memory once per
-//     batch, not once per row. Its backward pass (Dense.bwdRows) reads
-//     each weight row and each gradient row once per batch too.
+//     batch, not once per row. The 1-3 rows a batch leaves over run on
+//     the layer's pack, which reads the weights of nonzero inputs only,
+//     except in a train plan, which pads them to one more group.
+//     Its backward pass (Dense.bwdRows) reads each weight row and each
+//     gradient row once per batch too.
 //   - ReLU is one relu (reluBwd) call over the packed arena, and a size-2
 //     MaxPool over even rows one pool2 (pool2Bwd) call; a row of odd
 //     length is pooled per channel. Dropout is one loop over the arena,
@@ -44,13 +47,13 @@ type batchPlan struct {
 	rows  int    // allocated row capacity of the arenas
 	acts  [][]float64
 	xt    []float64 // Dense.fwdRows's transposed groups of four rows
+	offs  []int     // Dense.fwdPacked's input list, Dense.bwdRows's row
+	gs    []float64 // list: max(rows, the widest dense input) entries
 
 	// Grad and train plans.
 	gin    []float64 // gradient arenas, rows x the largest boundary;
 	gout   []float64 // gin starts as dLoss/dLogits
 	lowest int       // the last layer the backward pass runs
-	offs   []int     // Dense.bwdRows's row list
-	gs     []float64
 
 	// Train plans only.
 	masks   [][]float64 // a dropping Dropout layer's keep-scale mask
@@ -75,8 +78,12 @@ const (
 const trainSub = 16
 
 // plan returns the workspace's plan of the given kind, building it on
-// first use and growing its arenas when a larger batch arrives.
+// first use and growing its arenas when a larger batch arrives. A train
+// plan holds a multiple of four rows, the last group of Dense.fwdRows.
 func (ws *Workspace) plan(rows int, kind planKind) *batchPlan {
+	if kind == planTrain {
+		rows = (rows + 3) &^ 3
+	}
 	bp := ws.plans[kind]
 	if bp == nil {
 		bp = &batchPlan{
@@ -124,6 +131,7 @@ func (bp *batchPlan) grow(net *Network, rows int) {
 		}
 	}
 	bp.xt = make([]float64, (rows&^3)*maxIn)
+	bp.offs, bp.gs = make([]int, max(rows, maxIn)), make([]float64, max(rows, maxIn))
 	if bp.kind == planInfer {
 		arenas := [2][]float64{make([]float64, maxSize*rows), make([]float64, maxSize*rows)}
 		cur := 0
@@ -143,7 +151,6 @@ func (bp *batchPlan) grow(net *Network, rows int) {
 		bp.acts[i] = make([]float64, bp.sizes[i]*rows)
 	}
 	bp.gin, bp.gout = make([]float64, maxSize*rows), make([]float64, maxSize*rows)
-	bp.offs, bp.gs = make([]int, rows), make([]float64, rows)
 	if bp.kind == planGrad {
 		return
 	}
@@ -180,7 +187,7 @@ func (ws *Workspace) forwardRows(bp *batchPlan, n int) {
 		case *Dropout:
 			l.dropout(ws.states[li].rng, bp.masks[li][:n*outSize], in, out)
 		case *Dense:
-			l.fwdRows(in, out, bp.xt, n, inSize, outSize)
+			l.fwdRows(bp, in, bp.acts[li+1], n, inSize, outSize)
 		case *Conv1D:
 			cols, outCols := shapeCols(ws.shapes[li]), shapeCols(ws.shapes[li+1])
 			for r := 0; r < n; r++ {

@@ -70,10 +70,13 @@ func TestParamGradientsMatchNumerical(t *testing.T) {
 			j := (probe * 7919) % len(p.W)
 			orig := p.W[j]
 			p.W[j] = orig + h
+			wroteWeights(net)
 			lp, _ := softmaxCE(o.Forward(x, false), label)
 			p.W[j] = orig - h
+			wroteWeights(net)
 			lm, _ := softmaxCE(o.Forward(x, false), label)
 			p.W[j] = orig
+			wroteWeights(net)
 			numeric := (lp - lm) / (2 * h)
 			if d := math.Abs(p.G[j] - numeric); d > 1e-4 {
 				t.Errorf("%s[%d]: analytic %v, numeric %v", p.Name, j, p.G[j], numeric)

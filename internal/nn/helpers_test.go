@@ -26,3 +26,12 @@ func blobs(seed int64, n, dim int) ([][]float64, []int) {
 	}
 	return x, y
 }
+
+// wroteWeights is what a test that writes Param.W in place between two
+// passes calls after the write, as the package's own writers call
+// Param.wrote: it marks net's dense-layer packs stale.
+func wroteWeights(net *Network) {
+	for _, p := range net.Params() {
+		p.wrote()
+	}
+}

@@ -16,23 +16,26 @@ import "math"
 //
 //   - conv3Tile: a k=3 convolution tile, 2 output channels x 8 output
 //     positions, input channels innermost.
-//   - dense8: 8 consecutive output neurons of one row, inputs innermost.
-//   - dense8x4: the same 8 neurons for a group of 4 rows, a lane per row,
-//     reading the group's inputs transposed (transpose4), so each weight
-//     is broadcast once for four rows and needs no transpose of its own.
+//   - dense8x4: 8 consecutive output neurons for a group of 4 rows, a
+//     lane per row, reading the group's inputs transposed (transpose4),
+//     so each weight is broadcast once for four rows and needs no
+//     transpose of its own.
+//   - axpyList (kernels_bwd.go) on a dense layer's pack: a lone row,
+//     every output a lane, adding one input's weights to all of them at
+//     once from the input-major copy of the weights (densePack), for the
+//     inputs that are not zero only.
 //
 // Each has two implementations of that contract: Go assembly on amd64
 // with AVX (kernels_amd64.s; a lane is one output), and the portable Go
-// twins below, which are also what the assembly is tested against. Every
+// twins, which are also what the assembly is tested against. Every
 // forward pass — serving at every batch size, the attack queries and
 // every training step — runs them through forwardRows and the two
 // functions it calls, Conv1D.fwdRow and Dense.fwdRows; what the
 // primitives do not cover — a kernel size other than 3, an odd last
-// channel, a row shorter than one tile, a dense layer that is not a
-// multiple of 8 tall, or not a multiple of 4 wide outside a group of 4
-// rows — is plain Go under the same contract, and so are the two edge
-// outputs of "same" padding (conv3Edges) where the platform has no
-// assembly for them.
+// channel, a row shorter than one tile, the neurons of a dense layer
+// past its last multiple of 8 in a group of rows — is plain Go under the
+// same contract, and so are the two edge outputs of "same" padding
+// (conv3Edges) where the platform has no assembly for them.
 
 // fwdRow computes the layer for one input x (cin x l) into y (cout x
 // lout).
@@ -139,47 +142,88 @@ func convRow(y, x, w []float64, bias float64, cin, k, l, pad int) {
 }
 
 // fwdRows computes the layer for rows inputs, input r at in[r*inSize:]
-// and its outputs at out[r*outSize:]. Every full group of four rows is
-// transposed into xt (which must hold (rows&^3)*d.in values) and runs on
-// dense8x4; the rows left over, 1 to 3 of them, run on dense8 as a batch
-// of one does. Each block of eight neurons visits every row before the
-// next block starts, so its eight weight rows are read from memory once
-// per batch.
-func (d *Dense) fwdRows(in, out, xt []float64, rows, inSize, outSize int) {
+// and its outputs at out[r*outSize:], on the plan bp's scratch. Every
+// full group of four rows is transposed into bp.xt and runs on dense8x4;
+// each block of eight neurons visits every group before the next block
+// starts, so its eight weight rows are read from memory once per batch.
+// The rows left over, 1 to 3 of them, run one at a time on the pack
+// (fwdPacked), as a batch of one does, or on denseGo in a layer narrower
+// than 8 (the logits), where the pack's list costs more than it skips —
+// except in a train plan, whose weights change every step: there they
+// are one more group, padded with zero rows, whose outputs land in the
+// arena rows past rows (a train plan's arenas hold a multiple of four).
+func (d *Dense) fwdRows(bp *batchPlan, in, out []float64, rows, inSize, outSize int) {
 	n4, o8 := rows&^3, d.out&^7
+	if bp.kind == planTrain {
+		n4 = (rows + 3) &^ 3
+	}
 	for g := 0; g < n4; g += 4 {
-		transpose4(xt[g*d.in:(g+4)*d.in], in[g*inSize:], inSize)
+		transpose4(bp.xt[g*d.in:(g+4)*d.in], in[g*inSize:], inSize, min(rows-g, 4))
 	}
 	for o := 0; o < o8; o += 8 {
 		w, b := d.w.W[o*d.in:(o+8)*d.in], d.b.W[o:o+8]
 		for g := 0; g < n4; g += 4 {
-			dense8x4(out[g*outSize+o:], outSize, xt[g*d.in:(g+4)*d.in], w, b)
-		}
-	}
-	o := 0
-	if d.in%4 == 0 {
-		for ; o < o8; o += 8 {
-			w, b := d.w.W[o*d.in:(o+8)*d.in], d.b.W[o:o+8]
-			for r := n4; r < rows; r++ {
-				dense8(out[r*outSize+o:r*outSize+o+8], in[r*inSize:r*inSize+d.in], w, b)
-			}
+			dense8x4(out[g*outSize+o:], outSize, bp.xt[g*d.in:(g+4)*d.in], w, b)
 		}
 	}
 	for r := 0; r < rows; r++ {
-		lo := o
-		if r < n4 {
-			lo = o8
+		x, y := in[r*inSize:r*inSize+d.in], out[r*outSize:r*outSize+d.out]
+		lo := o8 // the neurons the blocks of eight leave over
+		if r >= n4 {
+			if o8 > 0 {
+				d.fwdPacked(y, x, bp.offs, bp.gs)
+				continue
+			}
+			lo = 0
 		}
 		if lo < d.out {
-			denseGo(out[r*outSize+lo:r*outSize+d.out], in[r*inSize:r*inSize+d.in], d.w.W[lo*d.in:], d.b.W[lo:d.out])
+			denseGo(y[lo:], x, d.w.W[lo*d.in:], d.b.W[lo:])
 		}
 	}
 }
 
-// transpose4 writes four rows of len(xt)/4 inputs, row r at x[r*stride:],
-// input-major into xt: xt[i*4+r] = x[r*stride+i].
-func transpose4(xt, x []float64, stride int) {
+// fwdPacked computes one row, y = b + W x, on the layer's pack: offs and
+// gs (scratch of at least d.in entries) list the inputs that are not
+// zero — every input when the pack is not exact — and one axpyList adds
+// their columns of the pack to y in ascending input order. Each output
+// thus takes the oracle's terms in its order, less products of a zero
+// input, which the pack's exactness makes additions of ±0 that change no
+// bit.
+func (d *Dense) fwdPacked(y, x []float64, offs []int, gs []float64) {
+	wt, exact := d.w.pack.get(d.w.W, d.b.W, d.in, d.out)
+	var all uint64
+	if !exact {
+		all = 1
+	}
+	// Whether an input is zero is a coin flip, so it is counted by
+	// arithmetic, not by a branch: u is 0 for ±0 alone, and (u|-u)>>63
+	// is 1 for every other u.
+	k, off := 0, 0
+	offs, gs = offs[:len(x)], gs[:len(x)]
+	for _, v := range x {
+		offs[k], gs[k] = off, v
+		u := math.Float64bits(v) << 1
+		k += int((u|-u)>>63 | all)
+		off += d.out
+	}
+	copy(y, d.b.W)
+	axpyList(y, wt, offs[:k], gs[:k])
+}
+
+// transpose4 writes k <= 4 rows of len(xt)/4 inputs, row r at
+// x[r*stride:], input-major into xt: xt[i*4+r] = x[r*stride+i] for r < k,
+// and 0 for the rows from k to 4.
+func transpose4(xt, x []float64, stride, k int) {
 	in := len(xt) / 4
+	if k < 4 {
+		clear(xt)
+		for r := 0; r < k; r++ {
+			for i, v := range x[r*stride : r*stride+in] {
+				xt[i*4+r] = v
+			}
+		}
+		return
+	}
 	r0, r1, r2, r3 := x[:in], x[stride:stride+in], x[2*stride:2*stride+in], x[3*stride:3*stride+in]
 	for i := range r0 {
 		q := xt[i*4 : i*4+4]
@@ -210,8 +254,9 @@ func dense8x4Go(y []float64, ys int, xt, w, b []float64) {
 }
 
 // denseGo computes y[o] = b[o] + the sum over i of w[o*len(x)+i] * x[i]
-// for every o < len(y), four chains at a time. It is the portable dense8
-// and the remainder path of every dense layer.
+// for every o < len(y), four chains at a time: the neurons of a group of
+// rows that a block of eight leaves over (all of the 512 -> 2 logits
+// layer).
 func denseGo(y, x, w, b []float64) {
 	in := len(x)
 	o := 0

@@ -10,9 +10,6 @@ var useAVX = cpu.AVX
 //go:noescape
 func conv3TileAVX(y0, y1, x, w0, w1 *float64, b0, b1 float64, cin, l int)
 
-//go:noescape
-func dense8AVX(y, x, w, b *float64, in int)
-
 func conv3Tile(y0, y1, x, w0, w1 []float64, b0, b1 float64, cin, l int) {
 	if !useAVX {
 		conv3TileGo(y0, y1, x, w0, w1, b0, b1, cin, l)
@@ -24,20 +21,6 @@ func conv3Tile(y0, y1, x, w0, w1 []float64, b0, b1 float64, cin, l int) {
 	conv3TileAVX(&y0[0], &y1[0], &x[0], &w0[0], &w1[0], b0, b1, cin, l)
 }
 
-func dense8(y, x, w, b []float64) {
-	if !useAVX {
-		denseGo(y, x, w, b)
-		return
-	}
-	in := len(x)
-	if in%4 != 0 {
-		panic("nn: dense8: input length must be a multiple of 4")
-	}
-	// As in conv3Tile; an empty x fails on w[-1].
-	_, _, _ = y[7], w[8*in-1], b[7]
-	dense8AVX(&y[0], &x[0], &w[0], &b[0], in)
-}
-
 //go:noescape
 func dense8x4AVX(y *float64, ys int, xt, w, b *float64, in int)
 
@@ -47,7 +30,7 @@ func dense8x4(y []float64, ys int, xt, w, b []float64) {
 		return
 	}
 	in := len(xt) / 4
-	// As in dense8; an empty xt fails on xt[-1].
+	// As in conv3Tile; an empty xt fails on xt[-1].
 	_, _, _ = y[3*ys+7], w[8*in-1], b[7]
 	_ = xt[4*in-1]
 	dense8x4AVX(&y[0], ys, &xt[0], &w[0], &b[0], in)

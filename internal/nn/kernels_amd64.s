@@ -58,72 +58,6 @@ channel:
 	VZEROUPPER
 	RET
 
-// Four inputs (byte offset AX) of four weight rows r0..r3, transposed in
-// registers: each 128-bit load and insert puts two inputs of rows r0|r2
-// and r1|r3 side by side, and the unpacks interleave those, so Y8..Y11
-// each hold one input's weight in four consecutive outputs. The four
-// products are then added in ascending input order. Y12..Y15 hold
-// x[i..i+3] broadcast.
-#define ROWS4(r0, r1, r2, r3, acc) \
-	VMOVUPD     (r0)(AX*1), X2;           \
-	VMOVUPD     (r1)(AX*1), X3;           \
-	VMOVUPD     16(r0)(AX*1), X4;         \
-	VMOVUPD     16(r1)(AX*1), X5;         \
-	VINSERTF128 $1, (r2)(AX*1), Y2, Y2;   \
-	VINSERTF128 $1, (r3)(AX*1), Y3, Y3;   \
-	VINSERTF128 $1, 16(r2)(AX*1), Y4, Y4; \
-	VINSERTF128 $1, 16(r3)(AX*1), Y5, Y5; \
-	VUNPCKLPD   Y3, Y2, Y8;               \
-	VUNPCKHPD   Y3, Y2, Y9;               \
-	VUNPCKLPD   Y5, Y4, Y10;              \
-	VUNPCKHPD   Y5, Y4, Y11;              \
-	VMULPD     Y12, Y8, Y8;        \
-	VADDPD     Y8, acc, acc;       \
-	VMULPD     Y13, Y9, Y9;        \
-	VADDPD     Y9, acc, acc;       \
-	VMULPD     Y14, Y10, Y10;      \
-	VADDPD     Y10, acc, acc;      \
-	VMULPD     Y15, Y11, Y11;      \
-	VADDPD     Y11, acc, acc
-
-// func dense8AVX(y, x, w, b *float64, in int)
-//
-// y[o] for o in [0,8): b[o] + sum over i < in of w[o*in+i] * x[i].
-// in must be a positive multiple of 4.
-TEXT ·dense8AVX(SB), NOSPLIT, $0-40
-	MOVQ    x+8(FP), SI
-	MOVQ    w+16(FP), R8
-	MOVQ    b+24(FP), AX
-	MOVQ    in+32(FP), CX
-	SHLQ    $3, CX              // row stride in bytes
-	VMOVUPD (AX), Y0            // outputs 0..3
-	VMOVUPD 32(AX), Y1          // outputs 4..7
-	LEAQ    (R8)(CX*1), R9      // rows 1..7
-	LEAQ    (R9)(CX*1), R10
-	LEAQ    (R10)(CX*1), R11
-	LEAQ    (R11)(CX*1), R12
-	LEAQ    (R12)(CX*1), R13
-	LEAQ    (R13)(CX*1), DX
-	LEAQ    (DX)(CX*1), BX
-	XORQ    AX, AX
-
-inputs:
-	VBROADCASTSD (SI)(AX*1), Y12
-	VBROADCASTSD 8(SI)(AX*1), Y13
-	VBROADCASTSD 16(SI)(AX*1), Y14
-	VBROADCASTSD 24(SI)(AX*1), Y15
-	ROWS4(R8, R9, R10, R11, Y0)
-	ROWS4(R12, R13, DX, BX, Y1)
-	ADDQ $32, AX
-	CMPQ AX, CX
-	JLT  inputs
-
-	MOVQ    y+0(FP), DI
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VZEROUPPER
-	RET
-
 // One input of eight neurons for four rows: the input's four values (one
 // per row, xt is input-major) times each neuron's weight, broadcast,
 // added to that neuron's accumulator.

@@ -123,17 +123,25 @@ func TestKernelsAVXMatchPortable(t *testing.T) {
 		inSize, outSize := in+rng.Intn(3), out+rng.Intn(3)
 		x, _ := guarded(t, rng, rows*inSize, math.NaN())
 		kernelValues(rng, trial, x)
-		what := fmt.Sprintf("dense in=%d out=%d rows=%d", in, out, rows)
+		// An infer plan runs the rows past the last group of four on the
+		// pack, a train plan pads them to one more group, whose rows past
+		// rows it may write.
+		kind, n := planInfer, rows
+		if trial%2 == 1 {
+			kind, n = planTrain, (rows+3)&^3
+		}
+		bp := &batchPlan{kind: kind, xt: make([]float64, n*in), offs: make([]int, in), gs: make([]float64, in)}
+		what := fmt.Sprintf("dense in=%d out=%d rows=%d kind=%d", in, out, rows, kind)
 		var got [2][]float64
 		for i, on := range []bool{true, false} {
 			useAVX = on
-			y, check := guarded(t, rng, rows*outSize, 12345.5)
+			y, check := guarded(t, rng, n*outSize, 12345.5)
 			for j := range y {
 				y[j] = 12345.5 // the gaps between rows are guards too
 			}
-			d.fwdRows(x, y, make([]float64, rows*in), rows, inSize, outSize)
+			d.fwdRows(bp, x, y, rows, inSize, outSize)
 			check(what)
-			for r := 0; r < rows; r++ {
+			for r := 0; r < n; r++ {
 				for j := out; j < outSize; j++ {
 					if y[r*outSize+j] != 12345.5 {
 						t.Fatalf("%s: gap after row %d overwritten", what, r)

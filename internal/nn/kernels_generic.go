@@ -6,8 +6,6 @@ func conv3Tile(y0, y1, x, w0, w1 []float64, b0, b1 float64, cin, l int) {
 	conv3TileGo(y0, y1, x, w0, w1, b0, b1, cin, l)
 }
 
-func dense8(y, x, w, b []float64) { denseGo(y, x, w, b) }
-
 func dense8x4(y []float64, ys int, xt, w, b []float64) { dense8x4Go(y, ys, xt, w, b) }
 
 func conv3Edges(y, x, w, b []float64, cin, l int) { conv3EdgesGo(y, x, w, b, cin, l) }

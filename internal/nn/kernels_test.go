@@ -88,19 +88,28 @@ func fuzzNet(l, ch1, ch2, hid, k1, l3 int, same1, same2, pool bool) *Network {
 // every layer boundary on the grad plan (one row, as Logits runs it) and
 // on a train plan of three rows (fuzzNet has no dropout, so its forward
 // pass is the eval one), and in the probabilities of the infer plan
-// (ProbsBatch) on the same three rows. The seeds below run in every
-// `go test`.
+// (ProbsBatch) on the same three rows. The one-row passes run fc1 on its
+// pack, which skips zero inputs, so three flags aim at that rule: 8 makes
+// every dense bias −0, 32 makes conv2's weights −0 and its biases +0 and
+// −0 in turn, so that fc1's inputs are all zero, −0 among them, and 64
+// makes fc1's first three weights +Inf, −Inf and NaN. The seeds below run
+// in every `go test`.
 func FuzzForwardKernels(f *testing.F) {
 	ordinary := []byte("\x20\x31\xf0\x47\x71\xe3\x9c\x18\x5a\xd2\x33")
 	f.Add(uint8(23), uint8(46), uint8(46), uint8(64), uint8(1), ordinary, ordinary)                            // the paper's first block
 	f.Add(uint8(23), uint8(5), uint8(7), uint8(13), uint8(1), []byte{0, 1, 2, 3, 200, 17, 90, 4, 5}, ordinary) // odd channels; zero taps, denormals
-	f.Add(uint8(10), uint8(2), uint8(4), uint8(8), uint8(2), ordinary, []byte{40, 41, 42, 250, 43, 44, 15})    // exactly one tile, dense8; a NaN input
+	f.Add(uint8(10), uint8(2), uint8(4), uint8(8), uint8(2), ordinary, []byte{40, 41, 42, 250, 43, 44, 15})    // exactly one tile; a NaN input
 	f.Add(uint8(9), uint8(2), uint8(2), uint8(8), uint8(3), []byte{30, 31, 32}, []byte{1, 0, 33})              // a row shorter than a tile
 	f.Add(uint8(40), uint8(8), uint8(3), uint8(16), uint8(4), []byte{9, 100, 101, 12, 77}, []byte{9, 10, 11})  // k=5 first layer; overflow, Inf-Inf
 	f.Add(uint8(21), uint8(4), uint8(6), uint8(9), uint8(3), ordinary, []byte{1, 129, 16, 240, 0, 6, 13, 99})  // an overlapping last tile; one Inf
 	f.Add(uint8(23), uint8(6), uint8(5), uint8(8), uint8(17), []byte{1, 1, 1, 1, 1}, []byte{32})               // a pool; every weight -0: -0 activations, all tied
 	f.Add(uint8(23), uint8(5), uint8(4), uint8(9), uint8(16), ordinary, []byte{32, 32, 15, 32, 240, 240})      // pool1's odd row of 21; NaN activations
 	f.Add(uint8(23), uint8(5), uint8(4), uint8(9), uint8(16), ordinary, []byte{32})                            // a constant input: every interior pool pair ties
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(16), uint8(9), ordinary, ordinary)                              // −0 dense biases: the pack lists every input
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(16), uint8(33), ordinary, ordinary)                             // fc1's inputs ±0: the pack skips them all
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(16), uint8(41), ordinary, ordinary)                             // fc1's inputs ±0 and −0 biases
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(16), uint8(97), ordinary, ordinary)                             // ±Inf and NaN fc1 weights times zero inputs
+	f.Add(uint8(23), uint8(6), uint8(5), uint8(16), uint8(65), ordinary, []byte{32, 0, 1, 40})                 // ±Inf and NaN fc1 weights, ±0 network inputs
 	f.Fuzz(func(t *testing.T, length, c1, c2, hidden, flags uint8, weights, inputs []byte) {
 		l := int(length) % 41
 		ch1, ch2, hid := int(c1)%97, int(c2)%97, int(hidden)%65
@@ -132,6 +141,29 @@ func FuzzForwardKernels(f *testing.F) {
 				for i := 0; i < len(p.W); i += 1 + len(weights)%5 {
 					p.W[i] = fuzzValue(weights[next%len(weights)])
 					next++
+				}
+			}
+		}
+		negZero := math.Copysign(0, -1)
+		for _, layer := range net.Layers() {
+			switch l := layer.(type) {
+			case *Dense:
+				if flags&8 != 0 {
+					for o := range l.b.W {
+						l.b.W[o] = negZero
+					}
+				}
+				if flags&64 != 0 && l.name == "fc1" {
+					copy(l.w.W, []float64{math.Inf(1), math.Inf(-1), math.NaN()})
+				}
+			case *Conv1D:
+				if flags&32 != 0 && l.name == "conv2" {
+					for i := range l.w.W {
+						l.w.W[i] = negZero
+					}
+					for o := range l.b.W {
+						l.b.W[o] = [2]float64{0, negZero}[o%2]
+					}
 				}
 			}
 		}
@@ -291,10 +323,12 @@ func BenchmarkForward(b *testing.B) {
 // are the boundaries of a grad plan holding 64 rows, the output
 // gradients the test oracle's loss gradients for the same rows, packed
 // the same way, and iteration i runs the layer on row i%64, so the rows
-// are distinct as in BenchmarkForward. A dense layer also has fwd16 and
-// bwd16: the batch kernels a training sub-batch runs (Dense.fwdRows on
-// dense8x4, and Dense.bwdRows on axpyList) over 16 of those rows, in ns
-// per row.
+// are distinct as in BenchmarkForward. A dense layer's fwd is the one-row
+// pass on its pack, whose cost follows the share of the layer's inputs
+// that are zero: fwd reports that share too. A dense layer also has fwd16
+// and bwd16: the batch kernels a training sub-batch runs (Dense.fwdRows
+// on dense8x4, and Dense.bwdRows on axpyList) over 16 of those rows, in
+// ns per row.
 func BenchmarkLayers(b *testing.B) {
 	const rows, sub = 64, 16
 	net := PaperCNN(31)
@@ -327,7 +361,7 @@ func BenchmarkLayers(b *testing.B) {
 				fwd = func(x, _ []float64) { l.fwdRow(x, y, cols, outCols) }
 				bwd = func(x, g []float64) { l.bwdRow(&ws.states[li], x, g, dx, cols, outCols, true) }
 			case *Dense:
-				fwd = func(x, _ []float64) { l.fwdRows(x, y, bp.xt, 1, inSize, outSize) }
+				fwd = func(x, _ []float64) { l.fwdRows(bp, x, y, 1, inSize, outSize) }
 				bwd = func(x, g []float64) { l.bwdRows(x, g, dx, 1, offs, gs, true) }
 			case *ReLU:
 				fwd = func(x, _ []float64) { relu(y[:outSize], x) }
@@ -351,6 +385,15 @@ func BenchmarkLayers(b *testing.B) {
 					fwd(row(i))
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+				if _, ok := layer.(*Dense); ok {
+					zeros := 0
+					for _, v := range bp.acts[li][:rows*inSize] {
+						if v == 0 {
+							zeros++
+						}
+					}
+					b.ReportMetric(float64(zeros)/float64(rows*inSize), "zero-input-share")
+				}
 			})
 			b.Run(impl+"/"+layer.Name()+"/bwd", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -365,7 +408,7 @@ func BenchmarkLayers(b *testing.B) {
 			x, g := bp.acts[li][:sub*inSize], grads[li+1][:sub*outSize]
 			b.Run(impl+"/"+layer.Name()+"/fwd16", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					d.fwdRows(x, y, bp.xt, sub, inSize, outSize)
+					d.fwdRows(bp, x, y, sub, inSize, outSize)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sub), "ns/row")
 			})

@@ -19,11 +19,23 @@ import (
 )
 
 // Param is one learnable parameter tensor. W is shared between a network
-// and its CloneShared views; G is private to each view.
+// and its CloneShared views; G is private to each view. Write W only
+// through this package (training, Network.Load, Network.CloneInto): a
+// Dense layer keeps a copy of it, its densePack, that only those writers
+// mark out of date.
 type Param struct {
 	Name string
 	W    []float64
 	G    []float64
+	pack *densePack // the Dense layer's pack, nil for other layers
+}
+
+// wrote marks what the layer derives from W out of date. Every writer of
+// W calls it once its write is done.
+func (p *Param) wrote() {
+	if p.pack != nil {
+		p.pack.ready.Store(false)
+	}
 }
 
 // Layer is one differentiable stage of the network. The interface is

@@ -2,7 +2,10 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 )
 
 // ReLU is the rectified-linear activation used after every convolutional
@@ -101,13 +104,71 @@ type Dense struct {
 
 // NewDense returns a He-initialized Dense layer.
 func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
+	pack := &densePack{}
 	d := &Dense{
 		name: name, in: in, out: out,
-		w: &Param{Name: name + ".w", W: make([]float64, out*in), G: make([]float64, out*in)},
-		b: &Param{Name: name + ".b", W: make([]float64, out), G: make([]float64, out)},
+		w: &Param{Name: name + ".w", W: make([]float64, out*in), G: make([]float64, out*in), pack: pack},
+		b: &Param{Name: name + ".b", W: make([]float64, out), G: make([]float64, out), pack: pack},
 	}
 	heInit(rng, d.w.W, in)
 	return d
+}
+
+// densePack is the input-major copy of a Dense layer's weights that a
+// lone row runs on (Dense.fwdPacked): wt[i*out+o] = W[o*in+i], so one
+// input's weights are out consecutive values. Both Params of the layer
+// and of every CloneShared view point at the one pack. It is built on
+// first use after a write, under mu, and published by ready; every
+// writer of W or b in this package (Adam.update, Network.Load,
+// Network.CloneInto) marks it stale through Param.wrote. Like the
+// weights themselves, it must not be read while they are written.
+type densePack struct {
+	mu    sync.Mutex
+	ready atomic.Bool
+	wt    []float64
+	// exact is whether skipping an input that is zero leaves every
+	// output's bits as they are: true when every weight is finite, so a
+	// skipped product is ±0, and no bias is −0 or NaN, so no running
+	// sum that adds it is −0 (−0 + +0 is +0) or a signalling NaN.
+	exact bool
+}
+
+// get returns the pack of the layer with weights w (out x in) and bias b,
+// building it if it is stale.
+func (p *densePack) get(w, b []float64, in, out int) (wt []float64, exact bool) {
+	if !p.ready.Load() {
+		p.build(w, b, in, out)
+	}
+	return p.wt, p.exact
+}
+
+func (p *densePack) build(w, b []float64, in, out int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ready.Load() {
+		return
+	}
+	if p.wt == nil {
+		p.wt = make([]float64, in*out)
+	}
+	// Eight weight rows at a time, so that each input's eight values
+	// fill one cache line of wt.
+	for o0 := 0; o0 < out; o0 += 8 {
+		o1 := min(o0+8, out)
+		for i := 0; i < in; i++ {
+			for o := o0; o < o1; o++ {
+				p.wt[i*out+o] = w[o*in+i]
+			}
+		}
+	}
+	p.exact = true
+	for _, v := range w {
+		p.exact = p.exact && !math.IsInf(v, 0) && !math.IsNaN(v)
+	}
+	for _, v := range b {
+		p.exact = p.exact && !math.IsNaN(v) && !(v == 0 && math.Signbit(v))
+	}
+	p.ready.Store(true)
 }
 
 // Name implements Layer.
@@ -120,8 +181,8 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 func (d *Dense) CloneShared() Layer {
 	return &Dense{
 		name: d.name, in: d.in, out: d.out,
-		w: &Param{Name: d.w.Name, W: d.w.W, G: make([]float64, len(d.w.G))},
-		b: &Param{Name: d.b.Name, W: d.b.W, G: make([]float64, len(d.b.G))},
+		w: &Param{Name: d.w.Name, W: d.w.W, G: make([]float64, len(d.w.G)), pack: d.w.pack},
+		b: &Param{Name: d.b.Name, W: d.b.W, G: make([]float64, len(d.b.G)), pack: d.b.pack},
 	}
 }
 

@@ -46,6 +46,7 @@ func (n *Network) CloneInto(dst *Network) error {
 				i, q.Name, len(q.W), p.Name, len(p.W))
 		}
 		copy(q.W, p.W)
+		q.wrote()
 	}
 	return nil
 }
@@ -87,6 +88,7 @@ func (n *Network) Load(r io.Reader) error {
 				p.Name, len(vals), len(p.W))
 		}
 		copy(p.W, vals)
+		p.wrote()
 	}
 	return nil
 }

@@ -77,6 +77,7 @@ func (a *Adam) begin(params []*Param, scale float64) {
 // p. Disjoint ranges may be updated concurrently.
 func (a *Adam) update(pi int, p *Param, lo, hi int) {
 	adamStep(p.W[lo:hi], p.G[lo:hi], a.m[pi][lo:hi], a.v[pi][lo:hi], &a.k)
+	p.wrote()
 }
 
 // Trainer fits a network with mini-batch gradient descent, fanning samples
